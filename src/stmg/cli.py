@@ -9,18 +9,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .core import CoarseningStrategy, SpaceTimeGrid, random_field
-from .cycles import CostCounter, CyclePlan, run_cycle
-from .heat import assemble_operator, assemble_rhs, direct_solve, error_norm, heat_benchmark_problem
-from .lfa import (LfaConfig, apply_thread_cap, low_mode_action, omega_opt_numeric,
-                  resolve_omega, rho_bar_details)
+from .core import CoarseningStrategy, SpaceTimeGrid
+from .cycles import CyclePlan, solve
+from .heat import assemble_operator, assemble_rhs, heat_benchmark_problem
+from .lfa import (LfaConfig, low_mode_action, omega_opt_numeric, resolve_omega,
+                  rho_bar_details, smoothing_factor)
 from .smoother import optimal_omega
-from .lfa import smoothing_factor
 
 _SMOOTHING_STRATEGIES = {
     "time2": CoarseningStrategy.TIME2,
@@ -74,39 +73,29 @@ def _sigma_range(spec: str) -> np.ndarray:
 def _cmd_solve(args) -> int:
     strategy = _CYCLE_STRATEGIES[args.strategy]
     grid = SpaceTimeGrid(n_x=args.nx, n_t=args.nt, horizon=args.T)
-    if strategy is CoarseningStrategy.NEW and (args.eta1 or args.eta2):
-        print("error: --eta1/--eta2 must be 0 for the new strategy", file=sys.stderr)
-        return 2
+    default_eta = 3 if strategy is CoarseningStrategy.ORIGINAL else 0
+    eta1 = default_eta if args.eta1 is None else args.eta1
+    eta2 = default_eta if args.eta2 is None else args.eta2
+    plan = CyclePlan(strategy=strategy, nu1=args.nu1, nu2=args.nu2,
+                     eta1=eta1, eta2=eta2, depth=args.depth)
     op = assemble_operator(grid)
     cfg = LfaConfig(sigma=grid.sigma, nu1=args.nu1, nu2=args.nu2,
-                    eta1=args.eta1, eta2=args.eta2, resolution=args.resolution)
+                    eta1=eta1, eta2=eta2, resolution=args.resolution)
     omega = resolve_omega(args.omega, strategy, cfg)
-    etas = {} if strategy is CoarseningStrategy.NEW else {
-        "eta1": args.eta1, "eta2": args.eta2}
-    plan = CyclePlan(strategy=strategy, omega=omega, nu1=args.nu1, nu2=args.nu2,
-                     depth=args.depth, **etas)
-    problem = heat_benchmark_problem(horizon=args.T)
-    rhs = assemble_rhs(grid, problem)
-    reference = direct_solve(op, rhs)
+    plan = replace(plan, omega=omega)
+    rhs = assemble_rhs(grid, heat_benchmark_problem(horizon=args.T))
+    run = solve(op, rhs, plan, max_iters=args.iters, tol=0.0, seed=args.seed)
 
-    rng = np.random.default_rng(args.seed)
-    u = random_field(grid, rng)
-    rows = [(0, error_norm(u, reference, grid), 0, 0.0)]
-    cumulative = 0
-    for it in range(1, args.iters + 1):
-        counter = CostCounter()
-        t0 = time.perf_counter()
-        u = run_cycle(op, u, rhs, plan, counter)
-        elapsed = time.perf_counter() - t0
-        cumulative += counter.block_solves
-        rows.append((it, error_norm(u, reference, grid), cumulative, elapsed))
-
+    iterations = np.arange(run.iterations + 1)
+    cumulative = np.concatenate([[0], np.cumsum(run.block_solves)])
+    seconds = np.concatenate([[0.0], run.wall_seconds])
+    rows = zip(iterations, run.error_history, cumulative, seconds)
     config = {
         "command": "solve", "stmg_version": __version__,
         "strategy": args.strategy, "nx": args.nx, "nt": args.nt, "T": args.T,
         "h": grid.h, "tau": grid.tau, "sigma": grid.sigma,
         "omega_mode": args.omega, "omega": omega,
-        "nu1": args.nu1, "nu2": args.nu2, "eta1": args.eta1, "eta2": args.eta2,
+        "nu1": args.nu1, "nu2": args.nu2, "eta1": eta1, "eta2": eta2,
         "depth": args.depth, "iters": args.iters, "seed": args.seed,
         "resolution": args.resolution,
     }
@@ -218,10 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="damping: a number, 'theorem' or 'numeric'")
     ps.add_argument("--nu1", type=int, default=3)
     ps.add_argument("--nu2", type=int, default=3)
-    ps.add_argument("--eta1", type=int, default=3,
-                    help="intermediate-level pre-sweeps (original strategy only)")
-    ps.add_argument("--eta2", type=int, default=3,
-                    help="intermediate-level post-sweeps (original strategy only)")
+    ps.add_argument("--eta1", type=int, default=None,
+                    help="intermediate-level pre-sweeps (original strategy only; "
+                         "default 3 for original, 0 for new)")
+    ps.add_argument("--eta2", type=int, default=None,
+                    help="intermediate-level post-sweeps (original strategy only; "
+                         "default 3 for original, 0 for new)")
     ps.add_argument("--iters", type=int, default=10)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--depth", type=int, default=1, help="coarsening stages")
@@ -264,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "sigma_range"):

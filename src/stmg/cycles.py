@@ -1,14 +1,20 @@
-"""Multigrid cycles for the two coarsening strategies and the solve driver.
+"""One multigrid cycle engine driven by a coarsening schedule, and the solve driver.
 
-The direct strategy coarsens (4 in time, 2 in space) in one step and is a
-two-level method per stage; the original strategy does a full space-time
-coarsening followed by a time semi-coarsening, a three-level method per
-stage, with its own smoothing sweeps on the intermediate level.  Deeper
-hierarchies repeat the stage on the coarsest grid of the previous one.
+A strategy is a schedule: the list of (time, space) coarsening factors of
+one stage.  The direct strategy's stage is the single step (4, 2), a
+two-level method; the original strategy's stage is a full space-time
+step (2, 2) followed by a time semi-coarsening (2, 1), a three-level
+method.  Every level of a stage is smoothed: ``nu1``/``nu2`` sweeps on
+the stage's fine level and ``eta1``/``eta2`` sweeps on each intermediate
+one.  A deeper hierarchy repeats the stage on the coarsest grid of the
+previous one while ``depth`` allows and every grid of the next stage is
+a valid ``SpaceTimeGrid``; otherwise the coarsest system is solved
+exactly by sequential forward substitution.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +23,12 @@ from .core import CoarseningStrategy, SpaceTimeGrid, coarsen_grid, random_field
 from .heat import HeatOperator, apply_operator, assemble_operator, direct_solve, error_norm
 from .smoother import SmootherConfig, jacobi_sweep
 from .transfer import prolong, restrict
+
+#: coarsening steps (mt, mx) of one stage, per cycle strategy
+SCHEDULES = {
+    CoarseningStrategy.NEW: ((4, 2),),
+    CoarseningStrategy.ORIGINAL: ((2, 2), (2, 1)),
+}
 
 
 @dataclass
@@ -34,11 +46,10 @@ class CostCounter:
 class CyclePlan:
     """Sweep counts, damping and hierarchy depth for one cycle type.
 
-    ``depth`` counts coarsening stages: each stage is one (4,2) step for
-    the direct strategy or one (2,2)+(2,1) pair for the original one.
-    Recursion stops early once another stage would shrink the grid below
-    ``min_nt``/``min_nx``, and the coarsest system is solved by sequential
-    forward substitution.
+    ``depth`` counts coarsening stages, each one pass through the
+    strategy's schedule.  ``eta1``/``eta2`` are the sweeps on the
+    intermediate level of the original strategy; the direct strategy
+    has none.
     """
 
     strategy: CoarseningStrategy
@@ -48,16 +59,16 @@ class CyclePlan:
     eta1: int = 0
     eta2: int = 0
     depth: int = 1
-    min_nt: int = 4
-    min_nx: int = 3
 
     def __post_init__(self):
-        if self.strategy not in (CoarseningStrategy.NEW, CoarseningStrategy.ORIGINAL):
+        if self.strategy not in SCHEDULES:
             raise ValueError("cycle strategy must be NEW or ORIGINAL")
         if not 0.0 < self.omega <= 1.0:
             raise ValueError("omega must lie in (0, 1]")
-        if min(self.nu1, self.nu2) < 0 or self.depth < 1:
-            raise ValueError("sweep counts and depth must be nonnegative")
+        if min(self.nu1, self.nu2) < 0:
+            raise ValueError("sweep counts must be nonnegative")
+        if self.depth < 1:
+            raise ValueError(f"depth must be at least 1, got {self.depth}")
         if self.strategy is CoarseningStrategy.NEW and (self.eta1 or self.eta2):
             raise ValueError("the direct strategy has no intermediate level; "
                              "eta sweep counts must be zero")
@@ -65,11 +76,14 @@ class CyclePlan:
             raise ValueError("eta sweep counts must be nonnegative")
 
 
-def _check_cycle_grid(g: SpaceTimeGrid):
-    if g.n_t % 4 != 0:
-        raise ValueError(f"cycle needs n_t divisible by 4, got {g.n_t}")
-    if g.n_x < 3 or (g.n_x + 1) % 2 != 0:
-        raise ValueError(f"cycle needs n_x = 2**k - 1 >= 3, got {g.n_x}")
+def _stage_error(g: SpaceTimeGrid, steps) -> str | None:
+    """Why ``g`` cannot take one stage of ``steps``, or None if it can."""
+    try:
+        for mt, mx in steps:
+            g = coarsen_grid(g, mt, mx)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def _smooth(op: HeatOperator, u, rhs, omega, sweeps, counter: CostCounter | None):
@@ -105,77 +119,40 @@ def _prolong_counted(coarse, mt, mx, counter: CostCounter | None):
     return prolong(coarse, mt, mx)
 
 
-def _coarse_solve_new(cop: HeatOperator, rhs, plan: CyclePlan, stages_left: int,
-                      counter: CostCounter | None):
-    g = cop.grid
-    deeper = (stages_left > 0 and g.n_t % 4 == 0 and g.n_t > plan.min_nt
-              and g.n_x > plan.min_nx)
-    if deeper:
-        return _cycle_new(cop, np.zeros_like(rhs), rhs, plan, stages_left, counter)
-    if counter is not None:
-        counter.block_solves += g.n_t
-    return direct_solve(cop, rhs)
-
-
-def _cycle_new(op: HeatOperator, u, rhs, plan: CyclePlan, stages_left: int,
-               counter: CostCounter | None):
-    _check_cycle_grid(op.grid)
-    cop = assemble_operator(coarsen_grid(op.grid, 4, 2))
-    u = _smooth(op, u, rhs, plan.omega, plan.nu1, counter)
-    r = rhs - apply_operator(op, u)
-    rc = _restrict_counted(r, 4, 2, counter)
-    ec = _coarse_solve_new(cop, rc, plan, stages_left - 1, counter)
-    u = u + _prolong_counted(ec, 4, 2, counter)
-    return _smooth(op, u, rhs, plan.omega, plan.nu2, counter)
-
-
-def _coarse_solve_original(cop: HeatOperator, rhs, plan: CyclePlan, stages_left: int,
-                           counter: CostCounter | None):
-    g = cop.grid
-    deeper = (stages_left > 0 and g.n_t % 4 == 0 and g.n_t > plan.min_nt
-              and g.n_x > plan.min_nx)
-    if deeper:
-        return _cycle_original(cop, np.zeros_like(rhs), rhs, plan, stages_left, counter)
-    if counter is not None:
-        counter.block_solves += g.n_t
-    return direct_solve(cop, rhs)
-
-
-def _cycle_original(op: HeatOperator, u, rhs, plan: CyclePlan, stages_left: int,
-                    counter: CostCounter | None):
-    _check_cycle_grid(op.grid)
-    mop = assemble_operator(coarsen_grid(op.grid, 2, 2))
-    u = _smooth(op, u, rhs, plan.omega, plan.nu1, counter)
-    r = rhs - apply_operator(op, u)
-    r_mid = _restrict_counted(r, 2, 2, counter)
-    # approximate middle-level solve: one V from zero initial approximation
-    e_mid = _smooth(mop, np.zeros_like(r_mid), r_mid, plan.omega, plan.eta1, counter)
-    r_low = _restrict_counted(r_mid - apply_operator(mop, e_mid), 2, 1, counter)
-    cop = assemble_operator(coarsen_grid(mop.grid, 2, 1))
-    e_low = _coarse_solve_original(cop, r_low, plan, stages_left - 1, counter)
-    e_mid = e_mid + _prolong_counted(e_low, 2, 1, counter)
-    e_mid = _smooth(mop, e_mid, r_mid, plan.omega, plan.eta2, counter)
-    u = u + _prolong_counted(e_mid, 2, 2, counter)
-    return _smooth(op, u, rhs, plan.omega, plan.nu2, counter)
-
-
-def cycle_new(op: HeatOperator, u, rhs, plan: CyclePlan,
-              counter: CostCounter | None = None):
-    """One iteration of the direct (4,2) strategy; returns the new field."""
-    return _cycle_new(op, u, rhs, plan, plan.depth, counter)
-
-
-def cycle_original(op: HeatOperator, u, rhs, plan: CyclePlan,
-                   counter: CostCounter | None = None):
-    """One iteration of the full-then-time three-level strategy."""
-    return _cycle_original(op, u, rhs, plan, plan.depth, counter)
+def _cycle(op: HeatOperator, u, rhs, plan: CyclePlan, level: int, stages_left: int,
+           counter: CostCounter | None):
+    """Smooth on ``level`` of the current stage, correct from the next level, smooth."""
+    steps = SCHEDULES[plan.strategy]
+    pre, post = (plan.nu1, plan.nu2) if level == 0 else (plan.eta1, plan.eta2)
+    mt, mx = steps[level]
+    u = _smooth(op, u, rhs, plan.omega, pre, counter)
+    rc = _restrict_counted(rhs - apply_operator(op, u), mt, mx, counter)
+    cop = assemble_operator(coarsen_grid(op.grid, mt, mx))
+    if level + 1 < len(steps):
+        ec = _cycle(cop, np.zeros_like(rc), rc, plan, level + 1, stages_left, counter)
+    elif stages_left > 1 and _stage_error(cop.grid, steps) is None:
+        ec = _cycle(cop, np.zeros_like(rc), rc, plan, 0, stages_left - 1, counter)
+    else:
+        if counter is not None:
+            counter.block_solves += cop.grid.n_t
+        ec = direct_solve(cop, rc)
+    u = u + _prolong_counted(ec, mt, mx, counter)
+    return _smooth(op, u, rhs, plan.omega, post, counter)
 
 
 def run_cycle(op: HeatOperator, u, rhs, plan: CyclePlan,
               counter: CostCounter | None = None):
-    if plan.strategy is CoarseningStrategy.NEW:
-        return cycle_new(op, u, rhs, plan, counter)
-    return cycle_original(op, u, rhs, plan, counter)
+    """One iteration of the plan's cycle; returns the new field.
+
+    Raises ``ValueError`` before any work if the grid cannot take even
+    one coarsening stage of the strategy.
+    """
+    why = _stage_error(op.grid, SCHEDULES[plan.strategy])
+    if why is not None:
+        g = op.grid
+        raise ValueError(f"grid n_x={g.n_x}, n_t={g.n_t} is too small for one "
+                         f"{plan.strategy.value} coarsening stage: {why}")
+    return _cycle(op, u, rhs, plan, 0, plan.depth, counter)
 
 
 @dataclass(frozen=True)
@@ -183,7 +160,7 @@ class RunResult:
     """Iteration history of one solve run.
 
     Histories have one entry per completed iteration plus the initial
-    state; costs are per-iteration increments.
+    state; costs and wall seconds are per-iteration increments.
     """
 
     solution: np.ndarray
@@ -191,6 +168,7 @@ class RunResult:
     residual_history: np.ndarray
     block_solves: np.ndarray
     transfer_blocks: np.ndarray
+    wall_seconds: np.ndarray
     seed: int
 
     @property
@@ -205,7 +183,7 @@ def solve(op: HeatOperator, rhs: np.ndarray, plan: CyclePlan, max_iters: int,
     The error is the L_inf(L2) distance to the sequential direct solution
     (the quantity the convergence factors predict); the residual history
     is recorded for diagnostics.  Non-convergence is reported through the
-    history, never as an error.
+    history, never as an error.  Wall seconds time the cycle alone.
     """
     g = op.grid
     reference = direct_solve(op, rhs)  # precomputation, not counted
@@ -213,12 +191,14 @@ def solve(op: HeatOperator, rhs: np.ndarray, plan: CyclePlan, max_iters: int,
     u = random_field(g, rng)
     errors = [error_norm(u, reference, g)]
     residuals = [float(np.abs(rhs - apply_operator(op, u)).max())]
-    solves, transfers = [], []
+    solves, transfers, seconds = [], [], []
     for _ in range(max_iters):
         if errors[-1] <= tol:
             break
         counter = CostCounter()
+        t0 = time.perf_counter()
         u = run_cycle(op, u, rhs, plan, counter)
+        seconds.append(time.perf_counter() - t0)
         errors.append(error_norm(u, reference, g))
         residuals.append(float(np.abs(rhs - apply_operator(op, u)).max()))
         solves.append(counter.block_solves)
@@ -229,5 +209,6 @@ def solve(op: HeatOperator, rhs: np.ndarray, plan: CyclePlan, max_iters: int,
         residual_history=np.array(residuals),
         block_solves=np.array(solves, dtype=int),
         transfer_blocks=np.array(transfers, dtype=int),
+        wall_seconds=np.array(seconds),
         seed=seed,
     )

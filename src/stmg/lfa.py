@@ -11,13 +11,11 @@ predict the asymptotic convergence factor of the cycles.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from ._eig8 import spectral_radius_batch
 from .core import CoarseningStrategy
 from .smoother import optimal_omega
 
@@ -293,6 +291,11 @@ def low_frequency_grid(resolution: int):
     return tt, tx
 
 
+def spectral_radius_batch(mats: np.ndarray) -> np.ndarray:
+    """Spectral radii of a stack of small complex matrices, shape (..., n, n) -> (...)."""
+    return np.abs(np.linalg.eigvals(mats)).max(axis=-1)
+
+
 @dataclass(frozen=True)
 class RhoBarResult:
     value: float
@@ -449,23 +452,3 @@ def low_mode_action(strategy: CoarseningStrategy, cfg: LfaConfig) -> LowModeMap:
     mats, singular = _cycle_matrices(strategy, cfg, tt, tx)
     t8, x8 = _group_arrays(tt, tx)
     return _scatter_first_columns(mats, t8, x8, singular)
-
-
-# ---------------------------------------------------------------------------
-# thread cap for the numba-backed kernels
-# ---------------------------------------------------------------------------
-
-def apply_thread_cap():
-    """Honor the STMG_THREADS env var (0 or unset leaves the default)."""
-    raw = os.environ.get("STMG_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        return
-    if n > 0:
-        try:
-            import numba
-
-            numba.set_num_threads(n)
-        except ImportError:
-            pass

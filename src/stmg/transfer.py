@@ -111,44 +111,3 @@ def prolong(coarse: np.ndarray, mt: int, mx: int) -> np.ndarray:
     if mx == 2:
         out = out * 0.5
     return out
-
-
-# ---------------------------------------------------------------------------
-# assembled matrices (small grids; used by adjoint and composition checks)
-# ---------------------------------------------------------------------------
-
-def restriction_matrix_space(n_x: int) -> np.ndarray:
-    nc = (n_x - 1) // 2
-    r = np.zeros((nc, n_x))
-    for j in range(nc):
-        r[j, 2 * j] = 0.25
-        r[j, 2 * j + 1] = 0.5
-        r[j, 2 * j + 2] = 0.25
-    return r
-
-
-def restriction_matrix_time(n_t: int) -> np.ndarray:
-    nc = n_t // 2
-    r = np.zeros((nc, n_t))
-    for j in range(nc):
-        r[j, 2 * j] = 0.25
-        r[j, 2 * j + 1] = 0.5
-        if 2 * j + 2 < n_t:
-            r[j, 2 * j + 2] = 0.25
-    return r
-
-
-def restriction_matrix(n_t: int, n_x: int, mt: int, mx: int) -> np.ndarray:
-    """Dense composite restriction on the flattened time-major field."""
-    rt = np.eye(n_t)
-    nt = n_t
-    for _ in range(mt.bit_length() - 1):
-        rt = restriction_matrix_time(nt) @ rt
-        nt //= 2
-    rx = restriction_matrix_space(n_x) if mx == 2 else np.eye(n_x)
-    return np.kron(rt, rx)
-
-
-def prolongation_matrix(n_t: int, n_x: int, mt: int, mx: int) -> np.ndarray:
-    """Dense composite correction prolongation, mt times the transposed restriction."""
-    return mt * restriction_matrix(n_t, n_x, mt, mx).T

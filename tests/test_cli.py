@@ -1,0 +1,100 @@
+import pytest
+
+from stmg.cli import main
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def split_csv(text):
+    """Config comment lines, header and data rows, checking their order."""
+    lines = text.splitlines()
+    n_config = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    assert n_config > 0
+    assert not any(line.startswith("#") for line in lines[n_config:])
+    config = dict(line[2:].split(" = ", 1) for line in lines[:n_config])
+    header = lines[n_config].split(",")
+    rows = [line.split(",") for line in lines[n_config + 1:]]
+    assert all(len(row) == len(header) for row in rows)
+    return config, header, rows
+
+
+class TestSolve:
+    def test_original_defaults(self, capsys):
+        code, out, _ = run(capsys, "solve", "--nx", "15", "--nt", "64",
+                           "--strategy", "original", "--iters", "3")
+        assert code == 0
+        config, header, rows = split_csv(out)
+        assert header == ["iteration", "error_LinfL2", "cumulative_block_solves",
+                          "wall_time_s"]
+        assert [row[0] for row in rows] == ["0", "1", "2", "3"]
+        assert (config["eta1"], config["eta2"]) == ("3", "3")
+
+    def test_new_strategy_default_etas_run(self, capsys):
+        code, out, _ = run(capsys, "solve", "--nx", "15", "--nt", "64",
+                           "--strategy", "new", "--iters", "2", "--depth", "2")
+        assert code == 0
+        config, _, rows = split_csv(out)
+        assert len(rows) == 3
+        assert (config["eta1"], config["eta2"]) == ("0", "0")
+        assert float(rows[-1][1]) < float(rows[0][1])
+
+    def test_new_strategy_rejects_explicit_eta(self, capsys):
+        code, out, err = run(capsys, "solve", "--nx", "15", "--nt", "64",
+                             "--strategy", "new", "--eta1", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("nx,nt,strategy", [(3, 16, "new"), (15, 8, "original")])
+    def test_too_small_grid(self, capsys, nx, nt, strategy):
+        code, out, err = run(capsys, "solve", "--nx", str(nx), "--nt", str(nt),
+                             "--strategy", strategy)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "too small" in err
+
+    def test_zero_depth(self, capsys):
+        code, _, err = run(capsys, "solve", "--nx", "15", "--nt", "64",
+                           "--strategy", "new", "--depth", "0")
+        assert code == 2
+        assert "depth must be at least 1" in err
+
+    def test_output_file(self, capsys, tmp_path):
+        path = tmp_path / "solve.csv"
+        code, out, _ = run(capsys, "solve", "--nx", "7", "--nt", "16",
+                           "--strategy", "new", "--iters", "1", "--output", str(path))
+        assert code == 0 and out == ""
+        _, _, rows = split_csv(path.read_text())
+        assert len(rows) == 2
+
+
+class TestLfa:
+    def test_smoothing(self, capsys):
+        code, out, _ = run(capsys, "lfa-smoothing", "--strategy", "full",
+                           "--sigma-range", "0.1:10:3", "--omega", "both")
+        assert code == 0
+        config, header, rows = split_csv(out)
+        assert config["sigma_range"] == "0.1:10:3"
+        assert header == ["sigma", "omega_used", "mu_S", "mu_S_half", "efficiency"]
+        assert len(rows) == 3
+
+    def test_rho(self, capsys):
+        code, out, _ = run(capsys, "lfa-rho", "--sigma-range", "0.1:10:2",
+                           "--omega", "0.5", "--resolution", "16")
+        assert code == 0
+        _, header, rows = split_csv(out)
+        assert header == ["sigma", "rho_original", "rho_new", "omega_original", "omega_new"]
+        assert len(rows) == 2
+
+    def test_modes(self, capsys):
+        code, out, _ = run(capsys, "lfa-modes", "--strategy", "new", "--sigma", "1",
+                           "--resolution", "16")
+        assert code == 0
+        _, header, rows = split_csv(out)
+        assert header == ["theta_t", "theta_x", "coeff_modulus"]
+        assert len(rows) == 8 * 16 * 16  # eight companions per sampled low frequency

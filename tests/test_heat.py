@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import dense_heat_matrix
+from periodic import assemble_periodic_operator, fourier_mode, time_frequencies
 from stmg.core import SpaceTimeGrid, random_field
 from stmg.heat import (ProblemData, apply_operator, assemble_operator, assemble_rhs,
                        direct_solve, error_norm, heat_benchmark_problem)
-from stmg.periodic import assemble_periodic_operator, fourier_mode, time_frequencies
 
 
 def grid_for_sigma(n_x, n_t, sigma):

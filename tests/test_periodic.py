@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from periodic import (cycle_matrix, discrete_low_frequencies, fourier_mode, harmonic_block,
+                      operator_matrix, prolongation_matrix, restriction_matrix,
+                      smoother_matrix, time_frequencies)
 from stmg.core import CoarseningStrategy as CS
 from stmg.lfa import (LfaConfig, _group_arrays, operator_symbol, restriction_symbol,
                       smoother_symbol, three_grid_matrix, two_grid_matrix, Frequency)
-from stmg.periodic import (cycle_matrix, discrete_low_frequencies, fourier_mode,
-                           harmonic_block, operator_matrix, prolongation_matrix,
-                           restriction_matrix, smoother_matrix, time_frequencies)
 
 
 class TestSymbolConsistency:

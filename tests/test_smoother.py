@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import (dense_block_jacobi_error_matrix, dense_heat_matrix,
-                     omega_star_bruteforce)
+                     omega_star_bruteforce, squared_power_radius)
 from stmg.core import CoarseningStrategy, SpaceTimeGrid
 from stmg.heat import apply_operator, assemble_operator, direct_solve
-from stmg.linalg import squared_power_radius
 from stmg.smoother import (FULL_THRESHOLD, NEW_THRESHOLD, SmootherConfig,
                            jacobi_sweep, optimal_omega, smoother_error_matrix_radius)
 
