@@ -5,11 +5,13 @@ prolongation is linear interpolation, the transposed stencil scaled by 2.
 Coarse nodes sit at even fine indices (vertex-centered): spatial coarse
 node j is fine node 2j, coarse time point k is fine time t_{2k}.
 
-Composite correction transfers for the multigrid strategies scale the
-composed interpolation by 1/mx.  This keeps P equal to mt times the
-transposed composite restriction: the rediscretized coarse rows carry an
-extra time-step factor mt relative to the fine rows, and the correction
-stays consistent only if the prolongation returns it.
+The composite correction prolongation for the multigrid strategies is mt
+times the composed interpolation.  Every row of the system carries one
+time step: the fine residual scales with tau, and full weighting keeps
+that scale.  A coarse level is rediscretized with time step mt*tau, so
+it expects a right-hand side mt times larger, and its solution for the
+restricted residual is 1/mt of the error; the factor mt restores it.
+The Fourier analysis (``stmg.lfa``) uses the same correction.
 """
 
 from __future__ import annotations
@@ -94,8 +96,8 @@ def restrict(fine: np.ndarray, mt: int, mx: int) -> np.ndarray:
 def prolong(coarse: np.ndarray, mt: int, mx: int) -> np.ndarray:
     """Composite correction prolongation by factors (mt, mx).
 
-    Equals mt times the transposed composite restriction, realized as the
-    composed per-direction interpolations scaled by 1/mx.
+    Returns mt times the composed per-direction interpolations, which is
+    mt**2 * mx times the transposed composite restriction.
     """
     out = coarse
     if mx == 2:
@@ -108,6 +110,4 @@ def prolong(coarse: np.ndarray, mt: int, mx: int) -> np.ndarray:
         out = prolong_time(prolong_time(out))
     elif mt != 1:
         raise ValueError(f"time factor must be 1, 2 or 4, got {mt}")
-    if mx == 2:
-        out = out * 0.5
-    return out
+    return mt * out

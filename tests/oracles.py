@@ -72,7 +72,12 @@ def dense_restriction_time(n_t: int) -> np.ndarray:
 
 
 def dense_transfer_pair(n_t: int, n_x: int, mt: int, mx: int):
-    """Composite (restriction, prolongation) with prolongation mt * R^T."""
+    """Composite (restriction, prolongation) with prolongation mt**2 * mx * R^T.
+
+    Linear interpolation is 2 * R^T per coarsened direction, so the
+    composed interpolation is mt * mx * R^T, and the correction
+    prolongation is mt times that interpolation.
+    """
     rt = np.eye(n_t)
     nt = n_t
     while mt > 1:
@@ -82,7 +87,7 @@ def dense_transfer_pair(n_t: int, n_x: int, mt: int, mx: int):
     rx = dense_restriction_space(n_x) if mx == 2 else np.eye(n_x)
     r = np.kron(rt, rx)
     mt_total = n_t // nt
-    return r, mt_total * r.T
+    return r, mt_total ** 2 * mx * r.T
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,40 @@ from hypothesis import strategies as st
 
 from stmg.core import CoarseningStrategy as CS
 from stmg.core import SpaceTimeGrid
-from stmg.cycles import CostCounter, CyclePlan, run_cycle
+from stmg.cycles import CostCounter, CyclePlan, run_cycle, solve
 from stmg.heat import assemble_operator, assemble_rhs, heat_benchmark_problem
+from stmg.lfa import LfaConfig, spectral_radius_bar
 
 
 def plan_for(strategy, depth, eta=3, **kw):
     eta = eta if strategy is CS.ORIGINAL else 0
     return CyclePlan(strategy=strategy, eta1=eta, eta2=eta, depth=depth, **kw)
+
+
+class TestContraction:
+    """Measured asymptotic contraction against the LFA two/three-grid factor.
+
+    31x128, omega 0.5, nu = eta = (3, 3), depth 1: the geometric mean of
+    the error ratios over the second half of 20 cycles.  At sigma = 10 the
+    finite interval with its initial value contracts faster than the
+    periodic analysis predicts, so only the upper bound is checked there.
+    """
+
+    @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 10.0])
+    def test_rate_matches_lfa(self, strategy, sigma):
+        g = SpaceTimeGrid(n_x=31, n_t=128, horizon=sigma * 128 / 32**2)
+        op = assemble_operator(g)
+        rhs = assemble_rhs(g, heat_benchmark_problem(g.horizon))
+        run = solve(op, rhs, plan_for(strategy, 1, omega=0.5, nu1=3, nu2=3),
+                    max_iters=20, tol=1e-13, seed=0)
+        ratios = run.error_history[1:] / run.error_history[:-1]
+        rate = float(np.exp(np.log(ratios[len(ratios) // 2:]).mean()))
+        rho = spectral_radius_bar(strategy, LfaConfig(sigma=g.sigma, omega=0.5, nu1=3,
+                                                      nu2=3, eta1=3, eta2=3, resolution=64))
+        assert rate <= rho + 0.05
+        if sigma < 10.0:
+            assert abs(rate - rho) <= 0.1
 
 
 class TestCostCounts:

@@ -88,14 +88,15 @@ class TestComposites:
         out = restrict(np.ones((8, 7)), 4, 2)
         assert np.allclose(out[0], 1.0, atol=1e-15)  # interior coarse block
 
-    def test_adjoint_quarter_factor(self):
+    # P is mt times the interpolation mt * mx * R^T, so R = P^T / (mt**2 * mx)
+    def test_adjoint_factor_42(self):
         r, p = assembled_transfers(8, 7, 4, 2)
-        assert np.array_equal(r, 0.25 * p.T)
+        assert np.array_equal(r, p.T / 32)
 
-    def test_adjoint_half_factor_22_and_21(self):
+    def test_adjoint_factor_22_and_21(self):
         for (mt, mx) in [(2, 2), (2, 1)]:
             r, p = assembled_transfers(8, 7, mt, mx)
-            assert np.array_equal(r, 0.5 * p.T)
+            assert np.array_equal(r, p.T / (mt * mt * mx))
 
     def test_prolong_matches_assembled(self):
         rng = np.random.default_rng(6)
