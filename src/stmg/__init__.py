@@ -9,7 +9,7 @@ from .heat import (HeatOperator, ProblemData, apply_operator, assemble_operator,
 from .smoother import (SmootherConfig, jacobi_sweep, optimal_omega,
                        smoother_error_matrix_radius)
 from .transfer import prolong, prolong_space, prolong_time, restrict, restrict_space, restrict_time
-from .cycles import SCHEDULES, CostCounter, CyclePlan, RunResult, run_cycle, solve
+from .cycles import CostCounter, CyclePlan, RunResult, run_cycle, solve
 from .lfa import (Frequency, HarmonicGroup, LfaConfig, LowModeMap, RhoBarResult,
                   gamma2, gamma4, harmonic_group, low_mode_action, omega_opt_numeric,
                   operator_symbol, restriction_symbol, rho_bar_details,
