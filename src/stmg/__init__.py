@@ -11,10 +11,9 @@ from .smoother import (SmootherConfig, jacobi_sweep, optimal_omega,
 from .transfer import prolong, prolong_space, prolong_time, restrict, restrict_space, restrict_time
 from .cycles import CostCounter, CyclePlan, RunResult, run_cycle, solve
 from .lfa import (Frequency, HarmonicGroup, LfaConfig, LowModeMap, RhoBarResult,
-                  gamma2, gamma4, harmonic_group, low_mode_action, omega_opt_numeric,
-                  operator_symbol, restriction_symbol, rho_bar_details,
+                  gamma2, gamma4, harmonic_group, harmonic_matrix, low_mode_action,
+                  omega_opt_numeric, operator_symbol, restriction_symbol, rho_bar_details,
                   smoother_symbol, smoothing_factor, spectral_radius_bar,
-                  spectral_radius_over_groups, three_grid_matrix, two_grid_matrix,
-                  worst_smoothing_mode)
+                  spectral_radius_over_groups, worst_smoothing_mode)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -14,8 +14,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .core import CoarseningStrategy, SpaceTimeGrid
-from .cycles import CyclePlan, solve
+from .core import SCHEDULES, CoarseningStrategy, SpaceTimeGrid
+from .cycles import CyclePlan, check_grid, solve
 from .heat import assemble_operator, assemble_rhs, heat_benchmark_problem
 from .lfa import (LfaConfig, low_mode_action, omega_opt_numeric, resolve_omega,
                   rho_bar_details, smoothing_factor)
@@ -29,10 +29,7 @@ _SMOOTHING_STRATEGIES = {
     "new": CoarseningStrategy.NEW,
 }
 
-_CYCLE_STRATEGIES = {
-    "original": CoarseningStrategy.ORIGINAL,
-    "new": CoarseningStrategy.NEW,
-}
+_CYCLE_STRATEGIES = {strategy.value: strategy for strategy in SCHEDULES}
 
 
 def _fmt(v) -> str:
@@ -59,10 +56,9 @@ def _sigma_range(spec: str) -> np.ndarray:
         lo, hi, count = spec.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected MIN:MAX:COUNT for a log sigma grid, got {spec!r}") from None
+        raise ValueError(f"expected MIN:MAX:COUNT for a log sigma grid, got {spec!r}") from None
     if lo <= 0 or hi <= 0 or count < 1:
-        raise argparse.ArgumentTypeError("sigma range bounds must be positive")
+        raise ValueError("sigma range bounds must be positive")
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
@@ -73,11 +69,12 @@ def _sigma_range(spec: str) -> np.ndarray:
 def _cmd_solve(args) -> int:
     strategy = _CYCLE_STRATEGIES[args.strategy]
     grid = SpaceTimeGrid(n_x=args.nx, n_t=args.nt, horizon=args.T)
-    default_eta = 3 if strategy is CoarseningStrategy.ORIGINAL else 0
+    default_eta = 0 if len(SCHEDULES[strategy]) == 1 else 3
     eta1 = default_eta if args.eta1 is None else args.eta1
     eta2 = default_eta if args.eta2 is None else args.eta2
     plan = CyclePlan(strategy=strategy, nu1=args.nu1, nu2=args.nu2,
                      eta1=eta1, eta2=eta2, depth=args.depth)
+    check_grid(grid, strategy)
     op = assemble_operator(grid)
     cfg = LfaConfig(sigma=grid.sigma, nu1=args.nu1, nu2=args.nu2,
                     eta1=eta1, eta2=eta2, resolution=args.resolution)
@@ -111,7 +108,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_lfa_smoothing(args) -> int:
     strategy = _SMOOTHING_STRATEGIES[args.strategy]
-    sigmas = args.sigma_range
+    sigmas = _sigma_range(args.sigma_range)
     both = args.omega == "both"
     rows = []
     for sigma in sigmas:
@@ -126,7 +123,7 @@ def _cmd_lfa_smoothing(args) -> int:
             rows.append((sigma, omega, smoothing_factor(strategy, omega, sigma)))
     config = {
         "command": "lfa-smoothing", "stmg_version": __version__,
-        "strategy": args.strategy, "sigma_range": args.sigma_range_raw,
+        "strategy": args.strategy, "sigma_range": args.sigma_range,
         "omega_mode": args.omega,
     }
     header = (["sigma", "omega_used", "mu_S", "mu_S_half", "efficiency"]
@@ -141,7 +138,7 @@ def _cmd_lfa_smoothing(args) -> int:
 
 def _cmd_lfa_rho(args) -> int:
     rows = []
-    for sigma in args.sigma_range:
+    for sigma in _sigma_range(args.sigma_range):
         base = LfaConfig(sigma=sigma, nu1=args.nu1, nu2=args.nu2,
                          eta1=args.eta1, eta2=args.eta2, resolution=args.resolution)
         values = {}
@@ -150,16 +147,13 @@ def _cmd_lfa_rho(args) -> int:
                 omega, rho = omega_opt_numeric(strategy, base)
             else:
                 omega = resolve_omega(args.omega, strategy, base)
-                rho = rho_bar_details(
-                    strategy, LfaConfig(sigma=sigma, omega=omega, nu1=args.nu1,
-                                        nu2=args.nu2, eta1=args.eta1, eta2=args.eta2,
-                                        resolution=args.resolution)).value
+                rho = rho_bar_details(strategy, replace(base, omega=omega)).value
             values[name] = (omega, rho)
         rows.append((sigma, values["original"][1], values["new"][1],
                      values["original"][0], values["new"][0]))
     config = {
         "command": "lfa-rho", "stmg_version": __version__,
-        "sigma_range": args.sigma_range_raw, "omega_mode": args.omega,
+        "sigma_range": args.sigma_range, "omega_mode": args.omega,
         "nu1": args.nu1, "nu2": args.nu2, "eta1": args.eta1, "eta2": args.eta2,
         "resolution": args.resolution,
     }
@@ -176,8 +170,7 @@ def _cmd_lfa_modes(args) -> int:
     strategy = _CYCLE_STRATEGIES[args.strategy]
     base = LfaConfig(sigma=args.sigma, resolution=args.resolution)
     omega = resolve_omega(args.omega, strategy, base)
-    cfg = LfaConfig(sigma=args.sigma, omega=omega, resolution=args.resolution)
-    result = low_mode_action(strategy, cfg)
+    result = low_mode_action(strategy, replace(base, omega=omega))
     rows = zip(result.theta_t, result.theta_x, result.modulus)
     config = {
         "command": "lfa-modes", "stmg_version": __version__,
@@ -223,16 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("lfa-smoothing", help="smoothing factors over a sigma grid")
     pm.add_argument("--strategy", choices=sorted(_SMOOTHING_STRATEGIES), required=True)
-    pm.add_argument("--sigma-range", dest="sigma_range", type=_sigma_range,
-                    required=True, metavar="MIN:MAX:COUNT")
+    pm.add_argument("--sigma-range", required=True, metavar="MIN:MAX:COUNT")
     pm.add_argument("--omega", default="0.5",
                     help="a number, 'theorem', or 'both' for the efficiency column")
     pm.add_argument("--output", default=None)
     pm.set_defaults(func=_cmd_lfa_smoothing)
 
     pr = sub.add_parser("lfa-rho", help="two/three-grid convergence factors over sigma")
-    pr.add_argument("--sigma-range", dest="sigma_range", type=_sigma_range,
-                    required=True, metavar="MIN:MAX:COUNT")
+    pr.add_argument("--sigma-range", required=True, metavar="MIN:MAX:COUNT")
     pr.add_argument("--omega", default="0.5",
                     help="a number, 'theorem' or 'numeric'")
     pr.add_argument("--nu1", type=int, default=3)
@@ -257,15 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "sigma_range"):
-        raw = None
-        source = argv if argv is not None else sys.argv[1:]
-        for i, tok in enumerate(source):
-            if tok == "--sigma-range" and i + 1 < len(source):
-                raw = source[i + 1]
-            elif tok.startswith("--sigma-range="):
-                raw = tok.split("=", 1)[1]
-        args.sigma_range_raw = raw if raw is not None else "?"
     try:
         return args.func(args)
     except ValueError as exc:

@@ -24,6 +24,14 @@ class CoarseningStrategy(enum.Enum):
     ORIGINAL = "original"    # three-level: full coarsening then time semi-coarsening
 
 
+#: coarsening steps (mt, mx) of one stage, per cycle strategy: the one
+#: definition of a strategy that both the cycles and the LFA follow
+SCHEDULES = {
+    CoarseningStrategy.NEW: ((4, 2),),
+    CoarseningStrategy.ORIGINAL: ((2, 2), (2, 1)),
+}
+
+
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 

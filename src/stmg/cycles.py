@@ -1,15 +1,17 @@
 """One multigrid cycle engine driven by a coarsening schedule, and the solve driver.
 
-A strategy is a schedule: the list of (time, space) coarsening factors of
-one stage.  The direct strategy's stage is the single step (4, 2), a
-two-level method; the original strategy's stage is a full space-time
-step (2, 2) followed by a time semi-coarsening (2, 1), a three-level
-method.  Every level of a stage is smoothed: ``nu1``/``nu2`` sweeps on
-the stage's fine level and ``eta1``/``eta2`` sweeps on each intermediate
-one.  A deeper hierarchy repeats the stage on the coarsest grid of the
-previous one while ``depth`` allows and every grid of the next stage is
-a valid ``SpaceTimeGrid``; otherwise the coarsest system is solved
-exactly by sequential forward substitution.
+A strategy is a schedule, ``core.SCHEDULES[strategy]``: the list of
+(time, space) coarsening factors of one stage.  That table is the one
+place a strategy is defined; ``lfa`` analyses the same schedules.  The
+direct strategy's stage is the single step (4, 2), a two-level method;
+the original strategy's stage is a full space-time step (2, 2) followed
+by a time semi-coarsening (2, 1), a three-level method.  Every level
+of a stage is smoothed: ``nu1``/``nu2`` sweeps on the stage's fine level
+and ``eta1``/``eta2`` sweeps on each intermediate one.  A deeper
+hierarchy repeats the stage on the coarsest grid of the previous one
+while ``depth`` allows and every grid of the next stage is a valid
+``SpaceTimeGrid``; otherwise the coarsest system is solved exactly by
+sequential forward substitution.
 """
 
 from __future__ import annotations
@@ -19,16 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoarseningStrategy, SpaceTimeGrid, coarsen_grid, random_field
+from .core import SCHEDULES, CoarseningStrategy, SpaceTimeGrid, coarsen_grid, random_field
 from .heat import HeatOperator, apply_operator, assemble_operator, direct_solve, error_norm
 from .smoother import SmootherConfig, jacobi_sweep
 from .transfer import prolong, restrict
-
-#: coarsening steps (mt, mx) of one stage, per cycle strategy
-SCHEDULES = {
-    CoarseningStrategy.NEW: ((4, 2),),
-    CoarseningStrategy.ORIGINAL: ((2, 2), (2, 1)),
-}
 
 
 @dataclass
@@ -47,9 +43,9 @@ class CyclePlan:
     """Sweep counts, damping and hierarchy depth for one cycle type.
 
     ``depth`` counts coarsening stages, each one pass through the
-    strategy's schedule.  ``eta1``/``eta2`` are the sweeps on the
-    intermediate level of the original strategy; the direct strategy
-    has none.
+    strategy's schedule.  ``eta1``/``eta2`` are the sweeps on each
+    intermediate level of a stage; a one-step schedule, such as the
+    direct strategy's, has none.
     """
 
     strategy: CoarseningStrategy
@@ -69,7 +65,7 @@ class CyclePlan:
             raise ValueError("sweep counts must be nonnegative")
         if self.depth < 1:
             raise ValueError(f"depth must be at least 1, got {self.depth}")
-        if self.strategy is CoarseningStrategy.NEW and (self.eta1 or self.eta2):
+        if len(SCHEDULES[self.strategy]) == 1 and (self.eta1 or self.eta2):
             raise ValueError("the direct strategy has no intermediate level; "
                              "eta sweep counts must be zero")
         if min(self.eta1, self.eta2) < 0:
@@ -140,6 +136,14 @@ def _cycle(op: HeatOperator, u, rhs, plan: CyclePlan, level: int, stages_left: i
     return _smooth(op, u, rhs, plan.omega, post, counter)
 
 
+def check_grid(g: SpaceTimeGrid, strategy: CoarseningStrategy) -> None:
+    """Raise ``ValueError`` unless ``g`` can take one coarsening stage of ``strategy``."""
+    why = _stage_error(g, SCHEDULES[strategy])
+    if why is not None:
+        raise ValueError(f"grid n_x={g.n_x}, n_t={g.n_t} is too small for one "
+                         f"{strategy.value} coarsening stage: {why}")
+
+
 def run_cycle(op: HeatOperator, u, rhs, plan: CyclePlan,
               counter: CostCounter | None = None):
     """One iteration of the plan's cycle; returns the new field.
@@ -147,11 +151,7 @@ def run_cycle(op: HeatOperator, u, rhs, plan: CyclePlan,
     Raises ``ValueError`` before any work if the grid cannot take even
     one coarsening stage of the strategy.
     """
-    why = _stage_error(op.grid, SCHEDULES[plan.strategy])
-    if why is not None:
-        g = op.grid
-        raise ValueError(f"grid n_x={g.n_x}, n_t={g.n_t} is too small for one "
-                         f"{plan.strategy.value} coarsening stage: {why}")
+    check_grid(op.grid, plan.strategy)
     return _cycle(op, u, rhs, plan, 0, plan.depth, counter)
 
 

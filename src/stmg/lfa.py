@@ -5,7 +5,10 @@ Everything here operates on angular frequencies (theta_t, theta_x) in
 by the frequency folding maps for factor-4 time and factor-2 space
 coarsening; smoother, operator and transfer symbols assemble 8x8 complex
 matrices whose spectral radii, maximized over the low-frequency domain,
-predict the asymptotic convergence factor of the cycles.
+predict the asymptotic convergence factor of the cycles.  A cycle's
+matrix follows its coarsening schedule, ``core.SCHEDULES[strategy]``,
+the same table the solver in ``cycles`` runs: that table is the one
+place a strategy is defined.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CoarseningStrategy
+from .core import SCHEDULES, CoarseningStrategy
 from .smoother import optimal_omega
 
 #: coarse symbols with modulus below this are treated as non-invertible
@@ -111,10 +114,10 @@ def harmonic_group(theta_t: float, theta_x: float) -> HarmonicGroup:
 # symbols
 # ---------------------------------------------------------------------------
 
-def smoother_symbol(omega, sigma, theta_t, theta_x):
-    """Fourier symbol of one damped block-Jacobi sweep."""
-    cx = 1.0 + 2.0 * sigma * (1.0 - np.cos(theta_x))
-    return 1.0 - omega + omega * np.exp(-1j * np.asarray(theta_t)) / cx
+def smoother_symbol(omega, sigma, theta_t, theta_x, mt: int = 1, mx: int = 1):
+    """Fourier symbol of one damped block-Jacobi sweep at scale (mt, mx)."""
+    cx = 1.0 + 2.0 * sigma * mt / mx**2 * (1.0 - np.cos(mx * np.asarray(theta_x)))
+    return 1.0 - omega + omega * np.exp(-1j * mt * np.asarray(theta_t)) / cx
 
 
 def operator_symbol(sigma, theta_t, theta_x, mt: int = 1, mx: int = 1):
@@ -125,24 +128,12 @@ def operator_symbol(sigma, theta_t, theta_x, mt: int = 1, mx: int = 1):
     """
     tt = np.asarray(theta_t)
     tx = np.asarray(theta_x)
-    if (mt, mx) == (1, 1):
-        return 1.0 - np.exp(-1j * tt) + 2.0 * sigma * (1.0 - np.cos(tx))
-    if (mt, mx) == (2, 2):
-        return 1.0 - np.exp(-2j * tt) + sigma * (1.0 - np.cos(2.0 * tx))
-    if (mt, mx) == (4, 2):
-        return 1.0 - np.exp(-4j * tt) + 2.0 * sigma * (1.0 - np.cos(2.0 * tx))
-    raise ValueError(f"unsupported operator scale ({mt}, {mx})")
+    return 1.0 - np.exp(-1j * mt * tt) + 2.0 * sigma * mt / mx**2 * (1.0 - np.cos(mx * tx))
 
 
 def restriction_symbol(theta):
     """Per-direction full-weighting symbol (1 + cos(theta)) / 2."""
     return (1.0 + np.cos(np.asarray(theta))) / 2.0
-
-
-def _mid_smoother_symbol(omega, sigma, theta_t2, theta_x2):
-    """Block-Jacobi symbol on the (2tau, 2h) level; arguments are doubled angles."""
-    return 1.0 - omega + omega * np.exp(-1j * np.asarray(theta_t2)) / (
-        1.0 + sigma * (1.0 - np.cos(theta_x2)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,75 +191,70 @@ def smoothing_factor(strategy: CoarseningStrategy, omega: float, sigma: float) -
 # harmonic-space matrices
 # ---------------------------------------------------------------------------
 
-#: coarse-time class of each companion: components 0, 2 fold onto the low
-#: coarse time frequency, components 1, 3 onto its factor-4 companion
-_TIME_CLASS = np.array([0, 1, 0, 1, 0, 1, 0, 1])
+def _cycle_matrices(steps, cfg: LfaConfig, tt: np.ndarray, tx: np.ndarray):
+    """Batched harmonic matrices of one cycle over ``steps``: (N, 8, 8).
 
-
-def _matrices_new(cfg: LfaConfig, tt: np.ndarray, tx: np.ndarray):
-    """Batched two-grid matrices of the direct (4,2) cycle: (N, 8, 8)."""
+    Level k has the scale (Mt, Mx) of the steps before it.  The fine
+    level takes ``nu1``/``nu2`` sweeps, each intermediate level one
+    ``eta1``/``eta2``-smoothed cycle from zero, and the coarsest level,
+    a single mode, is inverted.  Restriction multiplies one full-weighting
+    symbol per halving and P = mt * R^T.  Also returns the mask of groups
+    where some coarse symbol is below ``SINGULAR_TOL``.
+    """
+    scales = [(1, 1)]
+    for mt, mx in steps:
+        scales.append((scales[-1][0] * mt, scales[-1][1] * mx))
+    if scales[-1] != (4, 2):
+        raise ValueError(f"schedule {steps} must coarsen by (4, 2) in all, "
+                         f"not {scales[-1]}: the eight-mode group resolves no other scale")
+    # level (Mt, Mx) keeps (4/Mt)*(2/Mx) of the eight companions, and
+    # companion i aliases onto its kept mode folds[k][i]
+    kept, folds = [], []
+    for mt, mx in scales:
+        nt, nx = 4 // mt, 2 // mx
+        kept.append([(j // nt) * 4 + j % nt for j in range(nt * nx)])
+        folds.append(np.array([(i // 4) % nx * nt + (i % 4) % nt for i in range(8)]))
     t8, x8 = _group_arrays(tt, tx)
+    freqs = [(t8[..., k], x8[..., k]) for k in kept]
+    ls = [operator_symbol(cfg.sigma, t, x, *scale) for (t, x), scale in zip(freqs, scales)]
+    singular = np.zeros(t8.shape[:-1], dtype=bool)
+    for l in ls[1:]:
+        singular |= np.any(np.abs(l) < SINGULAR_TOL, axis=-1)
+    ls = ls[:1] + [np.where(singular[..., None], 1.0, l) for l in ls[1:]]
+
+    weights = []
+    for (t, x), (mt0, mx0), (mt, mx) in zip(freqs, scales, steps):
+        w = 1.0
+        for k in range(mt.bit_length() - 1):
+            w = w * restriction_symbol(mt0 * 2**k * t)
+        if mx == 2:
+            w = w * restriction_symbol(mx0 * x)
+        weights.append(w)
+
+    # the coarsest level is one mode, so its correction P L_c^{-1} R L is
+    # a rank-one outer product; a broadcast product rather than `@` keeps
+    # its rounding independent of the BLAS build
+    mt = steps[-1][0]
+    w = weights[-1]
+    corr = (mt * w / ls[-1])[..., :, None] * (w * ls[-2])[..., None, :]
+    for k in range(len(steps) - 1, 0, -1):
+        s = smoother_symbol(cfg.omega, cfg.sigma, *freqs[k], *scales[k])
+        eye = np.eye(len(kept[k]), dtype=complex)
+        smoothed = (s ** cfg.eta2)[..., :, None] * (eye - corr) * (s ** cfg.eta1)[..., None, :]
+        approx = (eye - smoothed) / ls[k][..., None, :]
+        onehot = np.arange(len(kept[k]))[:, None] == folds[k][kept[k - 1]][None, :]
+        r = onehot.astype(float) * weights[k - 1][..., None, :]
+        p = steps[k - 1][0] * np.swapaxes(r, -1, -2)
+        corr = p @ approx @ (r * ls[k - 1][..., None, :])
     s = smoother_symbol(cfg.omega, cfg.sigma, t8, x8)
-    l = operator_symbol(cfg.sigma, t8, x8)
-    r42 = restriction_symbol(t8) * restriction_symbol(2.0 * t8) * restriction_symbol(x8)
-    l4 = operator_symbol(cfg.sigma, tt, tx, 4, 2)
-    singular = np.abs(l4) < SINGULAR_TOL
-    l4safe = np.where(singular, 1.0, l4)
-    # I - P L4^{-1} R L with P = 4 R^T: a rank-one update per group
-    mid = np.broadcast_to(np.eye(8, dtype=complex), t8.shape + (8,)).copy()
-    mid -= (4.0 * r42 / l4safe[..., None])[..., :, None] * (r42 * l)[..., None, :]
-    mats = (s ** cfg.nu2)[..., :, None] * mid * (s ** cfg.nu1)[..., None, :]
-    return mats, singular
+    np.subtract(np.eye(8, dtype=complex), corr, out=corr)  # in place: one fewer (N, 8, 8) buffer
+    return (s ** cfg.nu2)[..., :, None] * corr * (s ** cfg.nu1)[..., None, :], singular
 
 
-def _matrices_original(cfg: LfaConfig, tt: np.ndarray, tx: np.ndarray):
-    """Batched three-grid matrices of the full-then-time cycle: (N, 8, 8)."""
-    t8, x8 = _group_arrays(tt, tx)
-    s = smoother_symbol(cfg.omega, cfg.sigma, t8, x8)
-    l = operator_symbol(cfg.sigma, t8, x8)
-    onehot = (np.arange(2)[:, None] == _TIME_CLASS[None, :]).astype(float)
-    r22 = onehot * (restriction_symbol(t8) * restriction_symbol(x8))[..., None, :]
-    p22 = 2.0 * np.swapaxes(r22, -1, -2)
-    tc = np.stack([np.asarray(tt, dtype=float), gamma4(tt)], axis=-1)
-    txc = np.asarray(tx, dtype=float)[..., None]
-    l2 = operator_symbol(cfg.sigma, tc, txc, 2, 2)
-    s2 = _mid_smoother_symbol(cfg.omega, cfg.sigma, 2.0 * tc, 2.0 * txc)
-    r21 = restriction_symbol(2.0 * tc)
-    l4 = operator_symbol(cfg.sigma, tt, tx, 4, 2)
-    singular = (np.abs(l4) < SINGULAR_TOL) | np.any(np.abs(l2) < SINGULAR_TOL, axis=-1)
-    l4safe = np.where(singular, 1.0, l4)
-    l2safe = np.where(singular[..., None], 1.0, l2)
-    eye2 = np.broadcast_to(np.eye(2, dtype=complex), tc.shape + (2,)).copy()
-    # one V-cycle from zero initial guess approximating the (2tau,2h) inverse
-    inner = eye2 - (2.0 * r21 / l4safe[..., None])[..., :, None] * (r21 * l2safe)[..., None, :]
-    approx = eye2 - (s2 ** cfg.eta2)[..., :, None] * inner * (s2 ** cfg.eta1)[..., None, :]
-    approx = approx / l2safe[..., None, :]
-    cgc = p22 @ approx @ (r22 * l[..., None, :])
-    mid = np.broadcast_to(np.eye(8, dtype=complex), t8.shape + (8,)).copy() - cgc
-    mats = (s ** cfg.nu2)[..., :, None] * mid * (s ** cfg.nu1)[..., None, :]
-    return mats, singular
-
-
-def _cycle_matrices(strategy: CoarseningStrategy, cfg: LfaConfig,
-                    tt: np.ndarray, tx: np.ndarray):
-    if strategy is CoarseningStrategy.NEW:
-        return _matrices_new(cfg, tt, tx)
-    if strategy is CoarseningStrategy.ORIGINAL:
-        return _matrices_original(cfg, tt, tx)
-    raise ValueError(f"no cycle matrix for strategy {strategy}")
-
-
-def two_grid_matrix(cfg: LfaConfig, low: Frequency) -> np.ndarray:
-    """8x8 harmonic matrix of the direct (4,2) two-grid cycle at one low frequency."""
-    mats, singular = _matrices_new(cfg, np.asarray(low.theta_t), np.asarray(low.theta_x))
-    if singular:
-        raise ZeroDivisionError(f"coarse symbol singular at {low}")
-    return mats
-
-
-def three_grid_matrix(cfg: LfaConfig, low: Frequency) -> np.ndarray:
-    """8x8 harmonic matrix of the three-level original cycle at one low frequency."""
-    mats, singular = _matrices_original(cfg, np.asarray(low.theta_t), np.asarray(low.theta_x))
+def harmonic_matrix(strategy: CoarseningStrategy, cfg: LfaConfig,
+                    low: Frequency) -> np.ndarray:
+    """8x8 harmonic matrix of the strategy's cycle at one low frequency."""
+    mats, singular = _cycle_matrices(SCHEDULES[strategy], cfg, low.theta_t, low.theta_x)
     if singular:
         raise ZeroDivisionError(f"coarse symbol singular at {low}")
     return mats
@@ -303,33 +289,20 @@ class RhoBarResult:
     argmax: Frequency
 
 
-def _radii_on_grid(strategy: CoarseningStrategy, cfg: LfaConfig,
-                   tt: np.ndarray, tx: np.ndarray):
-    mats, singular = _cycle_matrices(strategy, cfg, tt, tx)
-    radii = spectral_radius_batch(mats)
-    radii = np.where(singular, -np.inf, radii)
-    return radii, singular
-
-
-def rho_bar_details(strategy: CoarseningStrategy, cfg: LfaConfig,
-                    use_symmetry: bool = True) -> RhoBarResult:
+def rho_bar_details(strategy: CoarseningStrategy, cfg: LfaConfig) -> RhoBarResult:
     """Maximize the harmonic-matrix spectral radius over the sampled low domain.
 
-    ``use_symmetry`` restricts the sweep to the positive-frequency quadrant;
-    the symbol moduli are even in both angles, so on the symmetric offset
-    grid this changes nothing but the work (verified by tests).
+    The sweep covers the positive-frequency quadrant only: the symbol
+    moduli are even in both angles, so on the symmetric offset grid the
+    other three quadrants repeat its spectra (verified by tests).
     """
     tg, xg = low_frequency_grid(cfg.resolution)
-    if use_symmetry:
-        tg = tg[tg > 0]
-        xg = xg[xg > 0]
-    tt, tx = np.meshgrid(tg, xg, indexing="ij")
-    radii, singular = _radii_on_grid(strategy, cfg, tt.ravel(), tx.ravel())
+    tt, tx = np.meshgrid(tg[tg > 0], xg[xg > 0], indexing="ij")
+    radii, singular = spectral_radius_over_groups(strategy, cfg, tt.ravel(), tx.ravel())
     k = int(np.argmax(radii))
-    scale = 4 if use_symmetry else 1
     return RhoBarResult(
         value=float(radii[k]),
-        excluded=int(singular.sum()) * scale,
+        excluded=int(singular.sum()) * 4,
         argmax=Frequency(float(tt.ravel()[k]), float(tx.ravel()[k])),
     )
 
@@ -342,9 +315,8 @@ def spectral_radius_bar(strategy: CoarseningStrategy, cfg: LfaConfig) -> float:
 def spectral_radius_over_groups(strategy: CoarseningStrategy, cfg: LfaConfig,
                                 theta_t: np.ndarray, theta_x: np.ndarray):
     """Spectral radii at explicit low frequencies; singular groups get -inf."""
-    radii, singular = _radii_on_grid(
-        strategy, cfg, np.asarray(theta_t, dtype=float), np.asarray(theta_x, dtype=float))
-    return radii, singular
+    mats, singular = _cycle_matrices(SCHEDULES[strategy], cfg, theta_t, theta_x)
+    return np.where(singular, -np.inf, spectral_radius_batch(mats)), singular
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +328,7 @@ _GOLDEN_TOL = 1e-5
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def omega_opt_numeric(strategy: CoarseningStrategy, cfg: LfaConfig,
-                      use_symmetry: bool = True):
+def omega_opt_numeric(strategy: CoarseningStrategy, cfg: LfaConfig):
     """Damping parameter minimizing the cycle convergence factor.
 
     Runs a 64-point scan over (0, 1] followed by golden-section refinement
@@ -365,7 +336,7 @@ def omega_opt_numeric(strategy: CoarseningStrategy, cfg: LfaConfig,
     omega stored in ``cfg`` is ignored.  Returns (omega_opt, rho_bar).
     """
     def objective(om: float) -> float:
-        return rho_bar_details(strategy, replace(cfg, omega=om), use_symmetry).value
+        return rho_bar_details(strategy, replace(cfg, omega=om)).value
 
     omegas = np.arange(1, _SCAN_POINTS + 1) / _SCAN_POINTS
     values = np.array([objective(om) for om in omegas])
@@ -449,6 +420,6 @@ def low_mode_action(strategy: CoarseningStrategy, cfg: LfaConfig) -> LowModeMap:
     tt, tx = np.meshgrid(tg, xg, indexing="ij")
     tt = tt.ravel()
     tx = tx.ravel()
-    mats, singular = _cycle_matrices(strategy, cfg, tt, tx)
+    mats, singular = _cycle_matrices(SCHEDULES[strategy], cfg, tt, tx)
     t8, x8 = _group_arrays(tt, tx)
     return _scatter_first_columns(mats, t8, x8, singular)

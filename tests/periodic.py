@@ -111,38 +111,28 @@ def prolongation_matrix(n_t: int, n_x: int, mt: int, mx: int) -> np.ndarray:
     return mt * mt * mx * restriction_matrix(n_t, n_x, mt, mx).T
 
 
-def cycle_matrix(strategy: str, n_t: int, n_x: int, sigma: float, omega: float,
+def cycle_matrix(steps, n_t: int, n_x: int, sigma: float, omega: float,
                  nu1: int, nu2: int, eta1: int = 0, eta2: int = 0) -> np.ndarray:
-    """Dense error-propagation matrix of one cycle on the torus.
+    """Dense error-propagation matrix of one cycle over ``steps`` on the torus.
 
-    The periodic coarse operators are singular (constants); their inverse
-    is taken as the pseudoinverse, which agrees with the true inverse on
-    every harmonic group except the zero mode.
+    ``steps`` lists the (mt, mx) coarsening factors of the stage.  The
+    fine level takes ``nu1``/``nu2`` sweeps, each intermediate level one
+    ``eta1``/``eta2``-smoothed cycle from zero, and the coarsest level is
+    inverted.  The periodic coarse operators are singular (constants);
+    their inverse is taken as the pseudoinverse, which agrees with the
+    true inverse on every harmonic group except the zero mode.
     """
-    n = n_t * n_x
-    l = operator_matrix(n_t, n_x, sigma)
+    (mt, mx), rest = steps[0], steps[1:]
+    n_tc, n_xc, sigma_c = n_t // mt, n_x // mx, sigma * mt / mx**2
+    coarse_inv = np.linalg.pinv(operator_matrix(n_tc, n_xc, sigma_c))
+    if rest:
+        inner = cycle_matrix(rest, n_tc, n_xc, sigma_c, omega, eta1, eta2, eta1, eta2)
+        coarse_inv = (np.eye(n_tc * n_xc) - inner) @ coarse_inv
+    r = restriction_matrix(n_t, n_x, mt, mx)
+    p = prolongation_matrix(n_t, n_x, mt, mx)
+    cgc = np.eye(n_t * n_x) - p @ coarse_inv @ r @ operator_matrix(n_t, n_x, sigma)
     s = smoother_matrix(n_t, n_x, sigma, omega)
-    l4 = operator_matrix(n_t // 4, n_x // 2, sigma)
-    if strategy == "new":
-        r = restriction_matrix(n_t, n_x, 4, 2)
-        p = prolongation_matrix(n_t, n_x, 4, 2)
-        cgc = np.eye(n) - p @ np.linalg.pinv(l4) @ r @ l
-    elif strategy == "original":
-        r22 = restriction_matrix(n_t, n_x, 2, 2)
-        p22 = prolongation_matrix(n_t, n_x, 2, 2)
-        n2 = (n_t // 2) * (n_x // 2)
-        l2 = operator_matrix(n_t // 2, n_x // 2, sigma / 2)
-        s2 = smoother_matrix(n_t // 2, n_x // 2, sigma / 2, omega)
-        r21 = restriction_matrix(n_t // 2, n_x // 2, 2, 1)
-        p21 = prolongation_matrix(n_t // 2, n_x // 2, 2, 1)
-        inner = np.eye(n2) - p21 @ np.linalg.pinv(l4) @ r21 @ l2
-        approx = (np.eye(n2)
-                  - np.linalg.matrix_power(s2, eta2) @ inner
-                  @ np.linalg.matrix_power(s2, eta1)) @ np.linalg.pinv(l2)
-        cgc = np.eye(n) - p22 @ approx @ r22 @ l
-    else:
-        raise ValueError(f"unknown cycle strategy {strategy!r}")
-    return (np.linalg.matrix_power(s, nu2) @ cgc @ np.linalg.matrix_power(s, nu1))
+    return np.linalg.matrix_power(s, nu2) @ cgc @ np.linalg.matrix_power(s, nu1)
 
 
 def harmonic_block(m: np.ndarray, n_t: int, n_x: int,

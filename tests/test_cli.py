@@ -1,5 +1,6 @@
 import pytest
 
+from stmg import lfa
 from stmg.cli import main
 
 
@@ -58,6 +59,17 @@ class TestSolve:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "too small" in err
 
+    def test_grid_checked_before_numeric_omega(self, capsys, monkeypatch):
+        def search(*args):
+            raise AssertionError("omega search ran before the grid check")
+        monkeypatch.setattr(lfa, "omega_opt_numeric", search)
+        code, out, err = run(capsys, "solve", "--nx", "3", "--nt", "16",
+                             "--strategy", "new", "--omega", "numeric")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "too small" in err
+
     def test_zero_depth(self, capsys):
         code, _, err = run(capsys, "solve", "--nx", "15", "--nt", "64",
                            "--strategy", "new", "--depth", "0")
@@ -82,6 +94,22 @@ class TestLfa:
         assert config["sigma_range"] == "0.1:10:3"
         assert header == ["sigma", "omega_used", "mu_S", "mu_S_half", "efficiency"]
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("spelling", [["--sigma", "0.1:10:2"], ["--sigma-r=0.1:10:2"]])
+    def test_sigma_range_echo_from_parsed_argument(self, capsys, spelling):
+        # argparse accepts unambiguous prefixes and the '=' form
+        code, out, _ = run(capsys, "lfa-smoothing", "--strategy", "full", *spelling)
+        assert code == 0
+        config, _, rows = split_csv(out)
+        assert config["sigma_range"] == "0.1:10:2"
+        assert len(rows) == 2
+
+    @pytest.mark.parametrize("spec", ["0.1:10", "0:10:2"])
+    def test_bad_sigma_range_exits_2(self, capsys, spec):
+        code, out, err = run(capsys, "lfa-rho", "--sigma-range", spec)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_rho(self, capsys):
         code, out, _ = run(capsys, "lfa-rho", "--sigma-range", "0.1:10:2",

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stmg import core
 from stmg.core import CoarseningStrategy as CS
 from stmg.core import SpaceTimeGrid
 from stmg.cycles import CostCounter, CyclePlan, run_cycle, solve
@@ -27,6 +28,17 @@ class TestContraction:
     @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
     @pytest.mark.parametrize("sigma", [0.1, 1.0, 10.0])
     def test_rate_matches_lfa(self, strategy, sigma):
+        self.check_rate(strategy, sigma)
+
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 10.0])
+    def test_time_first_schedule_rate_matches_lfa(self, sigma, monkeypatch):
+        # a schedule defined by its table entry alone: the solver and the
+        # LFA both follow time semi-coarsening, then full coarsening
+        monkeypatch.setitem(core.SCHEDULES, CS.ORIGINAL, ((2, 1), (2, 2)))
+        self.check_rate(CS.ORIGINAL, sigma)
+
+    @staticmethod
+    def check_rate(strategy, sigma):
         g = SpaceTimeGrid(n_x=31, n_t=128, horizon=sigma * 128 / 32**2)
         op = assemble_operator(g)
         rhs = assemble_rhs(g, heat_benchmark_problem(g.horizon))

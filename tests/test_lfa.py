@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from oracles import smoothing_factor_grid
+from stmg.core import SCHEDULES
 from stmg.core import CoarseningStrategy as CS
-from stmg.lfa import (Frequency, LfaConfig, gamma2, gamma4, harmonic_group,
-                      low_mode_action, omega_opt_numeric, operator_symbol,
-                      restriction_symbol, rho_bar_details, smoother_symbol,
-                      smoothing_factor, spectral_radius_bar, three_grid_matrix,
-                      two_grid_matrix, worst_smoothing_mode)
-from stmg.lfa import _group_arrays, _scatter_first_columns
+from stmg.lfa import (Frequency, LfaConfig, gamma2, gamma4, harmonic_group, harmonic_matrix,
+                      low_frequency_grid, low_mode_action, omega_opt_numeric,
+                      operator_symbol, restriction_symbol, rho_bar_details,
+                      smoother_symbol, smoothing_factor, spectral_radius_bar,
+                      spectral_radius_over_groups, worst_smoothing_mode)
+from stmg.lfa import _cycle_matrices, _group_arrays, _scatter_first_columns
 from stmg.smoother import optimal_omega
 
 
@@ -34,8 +35,8 @@ class TestSymbols:
     def test_operator_symbol_coarse_scales(self):
         got = operator_symbol(1.0, np.pi / 4, np.pi / 2, 4, 2)
         assert got == pytest.approx(6.0, abs=1e-14)
-        with pytest.raises(ValueError):
-            operator_symbol(1.0, 0.0, 0.0, 2, 1)
+        got = operator_symbol(1.0, np.pi / 4, np.pi / 2, 2, 1)
+        assert got == pytest.approx(5.0 + 1.0j, abs=1e-14)
 
     def test_restriction_symbol_endpoints(self):
         assert restriction_symbol(0.0) == 1.0
@@ -131,7 +132,7 @@ class TestHarmonicMatrices:
     def test_two_grid_block_assembly(self):
         cfg = LfaConfig(sigma=0.7, omega=0.6, nu1=2, nu2=1)
         low = Frequency(0.2, -0.4)
-        got = two_grid_matrix(cfg, low)
+        got = harmonic_matrix(CS.NEW, cfg, low)
         t8, x8 = _group_arrays(low.theta_t, low.theta_x)
         s = smoother_symbol(cfg.omega, cfg.sigma, t8, x8)
         l = operator_symbol(cfg.sigma, t8, x8)
@@ -145,13 +146,20 @@ class TestHarmonicMatrices:
     def test_matrices_finite(self):
         cfg = LfaConfig(sigma=123.0, omega=1.0, nu1=5, nu2=5, eta1=4, eta2=4)
         for tt, tx in [(0.1, 0.3), (np.pi / 4, np.pi / 2), (-0.2, -1.2)]:
-            assert np.isfinite(two_grid_matrix(cfg, Frequency(tt, tx))).all()
-            assert np.isfinite(three_grid_matrix(cfg, Frequency(tt, tx))).all()
+            for strat in SCHEDULES:
+                assert np.isfinite(harmonic_matrix(strat, cfg, Frequency(tt, tx))).all()
+
+    def test_schedule_must_reach_group_scale(self):
+        # the eight-mode group resolves a stage of total scale (4, 2) only
+        cfg = LfaConfig(sigma=1.0)
+        for steps in [((2, 2),), ((4, 2), (2, 1)), ((2, 1), (2, 1))]:
+            with pytest.raises(ValueError, match="must coarsen by"):
+                _cycle_matrices(steps, cfg, np.array([0.1]), np.array([0.2]))
 
     def test_zero_frequency_group_is_singular(self):
         cfg = LfaConfig(sigma=1.0)
         with pytest.raises(ZeroDivisionError):
-            two_grid_matrix(cfg, Frequency(0.0, 0.0))
+            harmonic_matrix(CS.NEW, cfg, Frequency(0.0, 0.0))
 
     def test_equivalence_without_intermediate_sweeps(self):
         rng = np.random.default_rng(5)
@@ -163,8 +171,8 @@ class TestHarmonicMatrices:
                             eta1=0, eta2=0)
             low = Frequency(rng.uniform(-np.pi / 4, np.pi / 4),
                             rng.uniform(-np.pi / 2, np.pi / 2))
-            a = two_grid_matrix(cfg, low)
-            b = three_grid_matrix(cfg, low)
+            a = harmonic_matrix(CS.NEW, cfg, low)
+            b = harmonic_matrix(CS.ORIGINAL, cfg, low)
             worst = max(worst, np.abs(a - b).max())
         assert worst < 1e-13
 
@@ -179,7 +187,7 @@ class TestHarmonicMatrices:
         p = 4 * r.T
         l = np.diag(operator_symbol(cfg.sigma, t8, x8))
         l4 = operator_symbol(cfg.sigma, low.theta_t, low.theta_x, 4, 2)
-        m = two_grid_matrix(cfg, low)
+        m = harmonic_matrix(CS.NEW, cfg, low)
         w = 0.37
         lhs = m @ (p * w).ravel()
         rhs = (p * w).ravel() - (p @ (r @ l @ (p * w).ravel()).reshape(1) / l4).ravel()
@@ -193,20 +201,23 @@ class TestSpectralRadiusBar:
         assert spectral_radius_bar(CS.NEW, heavy) <= spectral_radius_bar(CS.NEW, light)
 
     def test_symmetry_reduction_is_exact(self):
+        # rho_bar_details sweeps one quadrant; the reference sweeps all four
+        tg, xg = low_frequency_grid(32)
+        tt, tx = [a.ravel() for a in np.meshgrid(tg, xg, indexing="ij")]
         for sigma in (0.05, 1.0, 50.0):
             cfg = LfaConfig(sigma=sigma, omega=0.5, resolution=32)
             for strat in (CS.NEW, CS.ORIGINAL):
-                full = rho_bar_details(strat, cfg, use_symmetry=False)
-                quad = rho_bar_details(strat, cfg, use_symmetry=True)
-                assert abs(full.value - quad.value) < 1e-12
+                full, _ = spectral_radius_over_groups(strat, cfg, tt, tx)
+                quad = rho_bar_details(strat, cfg)
+                assert abs(full.max() - quad.value) < 1e-12
 
     def test_reflected_groups_share_spectrum(self):
         cfg = LfaConfig(sigma=0.8, omega=0.6)
         for tt, tx in [(0.2, 0.9), (0.11, -0.3)]:
-            for strat_matrix in (two_grid_matrix, three_grid_matrix):
-                a = strat_matrix(cfg, Frequency(tt, tx))
-                b = strat_matrix(cfg, Frequency(-tt, tx))
-                c = strat_matrix(cfg, Frequency(tt, -tx))
+            for strat in SCHEDULES:
+                a = harmonic_matrix(strat, cfg, Frequency(tt, tx))
+                b = harmonic_matrix(strat, cfg, Frequency(-tt, tx))
+                c = harmonic_matrix(strat, cfg, Frequency(tt, -tx))
                 sa = np.sort(np.abs(np.linalg.eigvals(a)))
                 sb = np.sort(np.abs(np.linalg.eigvals(b)))
                 sc = np.sort(np.abs(np.linalg.eigvals(c)))

@@ -4,9 +4,14 @@ import pytest
 from periodic import (cycle_matrix, discrete_low_frequencies, fourier_mode, harmonic_block,
                       operator_matrix, prolongation_matrix, restriction_matrix,
                       smoother_matrix, time_frequencies)
+from stmg.core import SCHEDULES
 from stmg.core import CoarseningStrategy as CS
-from stmg.lfa import (LfaConfig, _group_arrays, operator_symbol, restriction_symbol,
-                      smoother_symbol, three_grid_matrix, two_grid_matrix, Frequency)
+from stmg.lfa import (LfaConfig, _cycle_matrices, _group_arrays, operator_symbol,
+                      restriction_symbol, smoother_symbol)
+
+#: the strategies' schedules and two more that only the schedule defines:
+#: time semi-coarsening first, and space semi-coarsening then factor 4 in time
+SCHEDULES_UNDER_TEST = [*SCHEDULES.values(), ((2, 1), (2, 2)), ((1, 2), (4, 1))]
 
 
 class TestSymbolConsistency:
@@ -32,16 +37,14 @@ class TestSymbolConsistency:
             assert np.abs(s @ phi - lam * phi).max() < 1e-12
 
     def test_coarse_operator_symbols(self):
-        # (2,2): half sigma on the coarse grid; (4,2): sigma preserved
-        l2 = operator_matrix(self.n_t // 2, self.n_x // 2, self.sigma / 2)
-        l4 = operator_matrix(self.n_t // 4, self.n_x // 2, self.sigma)
-        for tt, tx in discrete_low_frequencies(self.n_t, self.n_x):
-            phi2 = fourier_mode(self.n_t // 2, self.n_x // 2, 2 * tt, 2 * tx)
-            lam2 = operator_symbol(self.sigma, tt, tx, 2, 2)
-            assert np.abs(l2 @ phi2 - lam2 * phi2).max() < 1e-12
-            phi4 = fourier_mode(self.n_t // 4, self.n_x // 2, 4 * tt, 2 * tx)
-            lam4 = operator_symbol(self.sigma, tt, tx, 4, 2)
-            assert np.abs(l4 @ phi4 - lam4 * phi4).max() < 1e-12
+        # sigma scales by mt/mx**2: (2,2) halves it, (4,2) keeps it, (2,1) doubles it
+        for mt, mx in [(2, 2), (4, 2), (2, 1)]:
+            n_t, n_x = self.n_t // mt, self.n_x // mx
+            lc = operator_matrix(n_t, n_x, self.sigma * mt / mx**2)
+            for tt, tx in discrete_low_frequencies(self.n_t, self.n_x):
+                phi = fourier_mode(n_t, n_x, mt * tt, mx * tx)
+                lam = operator_symbol(self.sigma, tt, tx, mt, mx)
+                assert np.abs(lc @ phi - lam * phi).max() < 1e-12
 
     def test_restriction_symbols(self):
         r22 = restriction_matrix(self.n_t, self.n_x, 2, 2)
@@ -73,25 +76,28 @@ class TestSymbolConsistency:
 
 
 class TestCycleHarmonicBlocks:
+    # The schedules run in a loop rather than a parametrization, which
+    # keeps one test per sigma; the assertion message names the schedule.
     @pytest.mark.parametrize("sigma", [0.1, 0.7, 10.0])
     def test_blocks_match_lfa_matrices(self, sigma):
         n_t = n_x = 16
         cfg = LfaConfig(sigma=sigma, omega=0.6, nu1=2, nu2=1, eta1=2, eta2=1)
-        mn = cycle_matrix("new", n_t, n_x, sigma, 0.6, 2, 1)
-        mo = cycle_matrix("original", n_t, n_x, sigma, 0.6, 2, 1, 2, 1)
-        for tt, tx in discrete_low_frequencies(n_t, n_x):
-            if abs(operator_symbol(sigma, tt, tx, 4, 2)) < 1e-12:
-                continue
-            t8, x8 = _group_arrays(tt, tx)
-            bn = harmonic_block(mn, n_t, n_x, t8, x8)
-            bo = harmonic_block(mo, n_t, n_x, t8, x8)
-            assert np.abs(bn - two_grid_matrix(cfg, Frequency(tt, tx))).max() < 1e-12
-            assert np.abs(bo - three_grid_matrix(cfg, Frequency(tt, tx))).max() < 1e-12
+        lows = discrete_low_frequencies(n_t, n_x)
+        for steps in SCHEDULES_UNDER_TEST:
+            dense = cycle_matrix(steps, n_t, n_x, sigma, 0.6, 2, 1, 2, 1)
+            mats, singular = _cycle_matrices(steps, cfg, *np.array(lows).T)
+            assert singular.sum() == 1, steps  # only the group of the zero mode
+            for (tt, tx), mat, skip in zip(lows, mats, singular):
+                if skip:
+                    continue
+                t8, x8 = _group_arrays(tt, tx)
+                block = harmonic_block(dense, n_t, n_x, t8, x8)
+                assert np.abs(block - mat).max() < 1e-12, steps
 
     def test_zero_mode_untouched_by_cycle(self):
         # the kernel mode of the singular periodic operator is invariant,
         # which is why the zero group is excluded from the analysis
-        m = cycle_matrix("new", 8, 8, 1.0, 0.5, 3, 3)
+        m = cycle_matrix(SCHEDULES[CS.NEW], 8, 8, 1.0, 0.5, 3, 3)
         const = np.ones(64)
         assert np.abs(m @ const - const).max() < 1e-10
 
