@@ -191,8 +191,8 @@ def smoothing_factor(strategy: CoarseningStrategy, omega: float, sigma: float) -
 # harmonic-space matrices
 # ---------------------------------------------------------------------------
 
-def _cycle_matrices(steps, cfg: LfaConfig, tt: np.ndarray, tx: np.ndarray):
-    """Batched harmonic matrices of one cycle over ``steps``: (N, 8, 8).
+def _cycle_matrices(steps, cfg: LfaConfig, t8: np.ndarray, x8: np.ndarray):
+    """Batched harmonic matrices (N, 8, 8) of one cycle at the companions ``t8``/``x8``.
 
     Level k has the scale (Mt, Mx) of the steps before it.  The fine
     level takes ``nu1``/``nu2`` sweeps, each intermediate level one
@@ -214,7 +214,6 @@ def _cycle_matrices(steps, cfg: LfaConfig, tt: np.ndarray, tx: np.ndarray):
         nt, nx = 4 // mt, 2 // mx
         kept.append([(j // nt) * 4 + j % nt for j in range(nt * nx)])
         folds.append(np.array([(i // 4) % nx * nt + (i % 4) % nt for i in range(8)]))
-    t8, x8 = _group_arrays(tt, tx)
     freqs = [(t8[..., k], x8[..., k]) for k in kept]
     ls = [operator_symbol(cfg.sigma, t, x, *scale) for (t, x), scale in zip(freqs, scales)]
     singular = np.zeros(t8.shape[:-1], dtype=bool)
@@ -254,7 +253,7 @@ def _cycle_matrices(steps, cfg: LfaConfig, tt: np.ndarray, tx: np.ndarray):
 def harmonic_matrix(strategy: CoarseningStrategy, cfg: LfaConfig,
                     low: Frequency) -> np.ndarray:
     """8x8 harmonic matrix of the strategy's cycle at one low frequency."""
-    mats, singular = _cycle_matrices(SCHEDULES[strategy], cfg, low.theta_t, low.theta_x)
+    mats, singular = _cycle_matrices(SCHEDULES[strategy], cfg, *_group_arrays(*low))
     if singular:
         raise ZeroDivisionError(f"coarse symbol singular at {low}")
     return mats
@@ -315,7 +314,7 @@ def spectral_radius_bar(strategy: CoarseningStrategy, cfg: LfaConfig) -> float:
 def spectral_radius_over_groups(strategy: CoarseningStrategy, cfg: LfaConfig,
                                 theta_t: np.ndarray, theta_x: np.ndarray):
     """Spectral radii at explicit low frequencies; singular groups get -inf."""
-    mats, singular = _cycle_matrices(SCHEDULES[strategy], cfg, theta_t, theta_x)
+    mats, singular = _cycle_matrices(SCHEDULES[strategy], cfg, *_group_arrays(theta_t, theta_x))
     return np.where(singular, -np.inf, spectral_radius_batch(mats)), singular
 
 
@@ -360,21 +359,22 @@ def omega_opt_numeric(strategy: CoarseningStrategy, cfg: LfaConfig):
     return float(best[1]), float(best[0])
 
 
+#: the smoother analysis of each coarsening step (mt, mx)
+_STEP_SMOOTHING = {(2, 1): CoarseningStrategy.TIME2, (4, 1): CoarseningStrategy.TIME4,
+                   (1, 2): CoarseningStrategy.SPACE, (2, 2): CoarseningStrategy.FULL,
+                   (4, 2): CoarseningStrategy.NEW}
+
+
 def resolve_omega(mode, strategy: CoarseningStrategy, cfg: LfaConfig) -> float:
     """Map an omega mode ('0.5' | 'theorem' | 'numeric' | number) to a value.
 
-    The theorem value uses the smoother analysis of the strategy's own
-    fine-level coarsening: full space-time coarsening for the original
-    cycle, direct (4,2) coarsening for the new one.
+    The theorem value uses the smoother analysis of the first step of
+    ``core.SCHEDULES[strategy]``, the coarsening of the fine level.
     """
     if isinstance(mode, (int, float)):
         return float(mode)
     if mode == "theorem":
-        smoothing = {
-            CoarseningStrategy.ORIGINAL: CoarseningStrategy.FULL,
-            CoarseningStrategy.NEW: CoarseningStrategy.NEW,
-        }.get(strategy, strategy)
-        return optimal_omega(smoothing, cfg.sigma)
+        return optimal_omega(_STEP_SMOOTHING[SCHEDULES[strategy][0]], cfg.sigma)
     if mode == "numeric":
         return omega_opt_numeric(strategy, cfg)[0]
     try:
@@ -418,8 +418,6 @@ def low_mode_action(strategy: CoarseningStrategy, cfg: LfaConfig) -> LowModeMap:
     """
     tg, xg = low_frequency_grid(cfg.resolution)
     tt, tx = np.meshgrid(tg, xg, indexing="ij")
-    tt = tt.ravel()
-    tx = tx.ravel()
-    mats, singular = _cycle_matrices(SCHEDULES[strategy], cfg, tt, tx)
-    t8, x8 = _group_arrays(tt, tx)
+    t8, x8 = _group_arrays(tt.ravel(), tx.ravel())
+    mats, singular = _cycle_matrices(SCHEDULES[strategy], cfg, t8, x8)
     return _scatter_first_columns(mats, t8, x8, singular)

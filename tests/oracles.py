@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from stmg.core import thomas_solve
+
 # ---------------------------------------------------------------------------
 # dense assemblies of the heat system (explicit stencil loops)
 # ---------------------------------------------------------------------------
@@ -43,6 +45,20 @@ def dense_block_jacobi_error_matrix(n_t: int, n_x: int, sigma: float,
     l = dense_heat_matrix(n_t, n_x, sigma)
     d = np.kron(np.eye(n_t), dense_q_matrix(n_x, sigma))
     return np.eye(n_t * n_x) - omega * np.linalg.solve(d, l)
+
+
+def time_stepping_solve(op, rhs: np.ndarray) -> np.ndarray:
+    """Sequential block forward substitution u_n = Q^{-1}(rhs_n + u_{n-1}).
+
+    The classical time-stepping loop, one Thomas solve with Q per step:
+    the reference for the library's sine-basis ``heat.direct_solve``.
+    """
+    u = np.empty_like(rhs, dtype=float)
+    prev = np.zeros(op.grid.n_x)
+    for n in range(op.grid.n_t):
+        prev = thomas_solve(op.q, rhs[n] + prev)
+        u[n] = prev
+    return u
 
 
 # ---------------------------------------------------------------------------

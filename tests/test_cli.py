@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from stmg import lfa
 from stmg.cli import main
+from stmg.core import CoarseningStrategy as CS
 
 
 def run(capsys, *argv):
@@ -126,3 +128,14 @@ class TestLfa:
         _, header, rows = split_csv(out)
         assert header == ["theta_t", "theta_x", "coeff_modulus"]
         assert len(rows) == 8 * 16 * 16  # eight companions per sampled low frequency
+
+    def test_modes_sweeps(self, capsys):
+        code, out, _ = run(capsys, "lfa-modes", "--strategy", "new", "--sigma", "1",
+                           "--nu1", "1", "--nu2", "1")
+        assert code == 0
+        config, _, rows = split_csv(out)
+        assert (config["nu1"], config["nu2"]) == ("1", "1")
+        assert len(rows) == 8 * 128 * 128  # the default resolution
+        cfg = lfa.LfaConfig(sigma=1.0, omega=float(config["omega"]), nu1=1, nu2=1)
+        want = lfa.low_mode_action(CS.NEW, cfg).modulus
+        assert np.array_equal(np.array([float(row[2]) for row in rows]), want)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import dense_heat_matrix
+from oracles import dense_heat_matrix, time_stepping_solve
 from periodic import assemble_periodic_operator, fourier_mode, time_frequencies
 from stmg.core import SpaceTimeGrid, random_field
 from stmg.heat import (ProblemData, apply_operator, assemble_operator, assemble_rhs,
@@ -104,6 +106,23 @@ class TestDirectSolve:
         u = direct_solve(op, rhs)
         res = np.abs(apply_operator(op, u) - rhs).max()
         assert res <= 1e-10 * max(np.abs(rhs).max(), 1e-300)
+
+
+class TestSineSolveOracle:
+    """The sine-basis solve against the Thomas time-stepping oracle."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(2, 9), m=st.integers(2, 10),
+           log_sigma=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    @example(k=2, m=2, log_sigma=0.0, seed=0)      # 3x4
+    @example(k=9, m=10, log_sigma=3.0, seed=1)     # 511x1024
+    def test_matches_time_stepping(self, k, m, log_sigma, seed):
+        g = grid_for_sigma(2**k - 1, 2**m, 10.0 ** log_sigma)
+        op = assemble_operator(g)
+        rhs = np.random.default_rng(seed).standard_normal((g.n_t, g.n_x))
+        want = time_stepping_solve(op, rhs)
+        diff = np.abs(direct_solve(op, rhs) - want).max()
+        assert diff <= 1e-12 * np.abs(want).max()
 
 
 class TestErrorNorm:

@@ -6,7 +6,7 @@ from stmg.core import SCHEDULES
 from stmg.core import CoarseningStrategy as CS
 from stmg.lfa import (Frequency, LfaConfig, gamma2, gamma4, harmonic_group, harmonic_matrix,
                       low_frequency_grid, low_mode_action, omega_opt_numeric,
-                      operator_symbol, restriction_symbol, rho_bar_details,
+                      operator_symbol, resolve_omega, restriction_symbol, rho_bar_details,
                       smoother_symbol, smoothing_factor, spectral_radius_bar,
                       spectral_radius_over_groups, worst_smoothing_mode)
 from stmg.lfa import _cycle_matrices, _group_arrays, _scatter_first_columns
@@ -154,7 +154,7 @@ class TestHarmonicMatrices:
         cfg = LfaConfig(sigma=1.0)
         for steps in [((2, 2),), ((4, 2), (2, 1)), ((2, 1), (2, 1))]:
             with pytest.raises(ValueError, match="must coarsen by"):
-                _cycle_matrices(steps, cfg, np.array([0.1]), np.array([0.2]))
+                _cycle_matrices(steps, cfg, *_group_arrays(0.1, 0.2))
 
     def test_zero_frequency_group_is_singular(self):
         cfg = LfaConfig(sigma=1.0)
@@ -247,6 +247,20 @@ class TestOmegaOptNumeric:
                     CS.NEW, LfaConfig(sigma=sigma, omega=fixed, resolution=32))
                 assert rho_opt <= rho_fixed + 1e-9
             assert 0.0 < w_opt <= 1.0
+
+
+class TestResolveOmega:
+    @pytest.mark.parametrize("sigma", [0.01, 0.1, 1.0])
+    def test_theorem_uses_first_step(self, sigma):
+        cfg = LfaConfig(sigma=sigma)
+        assert resolve_omega("theorem", CS.NEW, cfg) == optimal_omega(CS.NEW, sigma)
+        assert resolve_omega("theorem", CS.ORIGINAL, cfg) == optimal_omega(CS.FULL, sigma)
+
+    def test_theorem_follows_the_schedule(self, monkeypatch):
+        # a time-first schedule smooths for time semi-coarsening on the fine
+        # level, whose optimum is 1/2 (full coarsening's is 0.845 at sigma 0.1)
+        monkeypatch.setitem(SCHEDULES, CS.ORIGINAL, ((2, 1), (2, 2)))
+        assert resolve_omega("theorem", CS.ORIGINAL, LfaConfig(sigma=0.1)) == 0.5
 
 
 class TestLowModeAction:

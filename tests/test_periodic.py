@@ -85,7 +85,7 @@ class TestCycleHarmonicBlocks:
         lows = discrete_low_frequencies(n_t, n_x)
         for steps in SCHEDULES_UNDER_TEST:
             dense = cycle_matrix(steps, n_t, n_x, sigma, 0.6, 2, 1, 2, 1)
-            mats, singular = _cycle_matrices(steps, cfg, *np.array(lows).T)
+            mats, singular = _cycle_matrices(steps, cfg, *_group_arrays(*np.array(lows).T))
             assert singular.sum() == 1, steps  # only the group of the zero mode
             for (tt, tx), mat, skip in zip(lows, mats, singular):
                 if skip:
