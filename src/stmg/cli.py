@@ -14,20 +14,16 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .core import SCHEDULES, CoarseningStrategy, SpaceTimeGrid
+from .core import SCHEDULES, SpaceTimeGrid
 from .cycles import CyclePlan, check_grid, solve
 from .heat import assemble_operator, assemble_rhs, heat_benchmark_problem
 from .lfa import (LfaConfig, low_mode_action, omega_opt_numeric, resolve_omega,
                   rho_bar_details, smoothing_factor)
 from .smoother import optimal_omega
 
-_SMOOTHING_STRATEGIES = {
-    "time2": CoarseningStrategy.TIME2,
-    "time4": CoarseningStrategy.TIME4,
-    "space": CoarseningStrategy.SPACE,
-    "full": CoarseningStrategy.FULL,
-    "new": CoarseningStrategy.NEW,
-}
+#: the coarsening step (mt, mx) that each ``lfa-smoothing`` name analyses
+_SMOOTHING_STEPS = {"time2": (2, 1), "time4": (4, 1), "space": (1, 2), "full": (2, 2),
+                    "new": (4, 2)}
 
 _CYCLE_STRATEGIES = {strategy.value: strategy for strategy in SCHEDULES}
 
@@ -107,20 +103,20 @@ def _cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_lfa_smoothing(args) -> int:
-    strategy = _SMOOTHING_STRATEGIES[args.strategy]
+    step = _SMOOTHING_STEPS[args.strategy]
     sigmas = _sigma_range(args.sigma_range)
     both = args.omega == "both"
     rows = []
     for sigma in sigmas:
-        omega_star = optimal_omega(strategy, sigma)
+        omega_star = optimal_omega(step, sigma)
         if both:
-            mu_star = smoothing_factor(strategy, omega_star, sigma)
-            mu_half = smoothing_factor(strategy, 0.5, sigma)
+            mu_star = smoothing_factor(step, omega_star, sigma)
+            mu_half = smoothing_factor(step, 0.5, sigma)
             eff = 1.0 if mu_half >= 1.0 else np.log(mu_star) / np.log(mu_half)
             rows.append((sigma, omega_star, mu_star, mu_half, eff))
         else:
             omega = omega_star if args.omega == "theorem" else float(args.omega)
-            rows.append((sigma, omega, smoothing_factor(strategy, omega, sigma)))
+            rows.append((sigma, omega, smoothing_factor(step, omega, sigma)))
     config = {
         "command": "lfa-smoothing", "stmg_version": __version__,
         "strategy": args.strategy, "sigma_range": args.sigma_range,
@@ -175,7 +171,8 @@ def _cmd_lfa_modes(args) -> int:
     config = {
         "command": "lfa-modes", "stmg_version": __version__,
         "strategy": args.strategy, "sigma": args.sigma, "omega_mode": args.omega,
-        "omega": omega, "nu1": args.nu1, "nu2": args.nu2, "resolution": args.resolution,
+        "omega": omega, "nu1": args.nu1, "nu2": args.nu2,
+        "eta1": base.eta1, "eta2": base.eta2, "resolution": args.resolution,
     }
     _emit(args.output, config, ["theta_t", "theta_x", "coeff_modulus"], rows)
     return 0
@@ -215,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=_cmd_solve)
 
     pm = sub.add_parser("lfa-smoothing", help="smoothing factors over a sigma grid")
-    pm.add_argument("--strategy", choices=sorted(_SMOOTHING_STRATEGIES), required=True)
+    pm.add_argument("--strategy", choices=sorted(_SMOOTHING_STEPS), required=True)
     pm.add_argument("--sigma-range", required=True, metavar="MIN:MAX:COUNT")
     pm.add_argument("--omega", default="0.5",
                     help="a number, 'theorem', or 'both' for the efficiency column")

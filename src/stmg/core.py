@@ -14,12 +14,8 @@ import numpy as np
 
 
 class CoarseningStrategy(enum.Enum):
-    """Tagged coarsening choices used across the smoother, LFA and cycles."""
+    """The two cycle strategies; ``SCHEDULES`` gives each its coarsening steps."""
 
-    TIME2 = "time2"          # semi-coarsening in time, factor 2
-    TIME4 = "time4"          # semi-coarsening in time, factor 4
-    SPACE = "space"          # semi-coarsening in space, factor 2
-    FULL = "full"            # simultaneous factor-2 coarsening in time and space
     NEW = "new"              # direct factor-4 time / factor-2 space coarsening
     ORIGINAL = "original"    # three-level: full coarsening then time semi-coarsening
 
@@ -30,6 +26,18 @@ SCHEDULES = {
     CoarseningStrategy.NEW: ((4, 2),),
     CoarseningStrategy.ORIGINAL: ((2, 2), (2, 1)),
 }
+
+
+def check_step(mt: int, mx: int) -> None:
+    """Raise ``ValueError`` unless (mt, mx) is a supported coarsening step.
+
+    Time factors are 1, 2 or 4 and space factors 1 or 2, so a factor m
+    is ``m.bit_length() - 1`` factor-2 halvings in its direction.
+    """
+    if mt not in (1, 2, 4):
+        raise ValueError(f"time factor must be 1, 2 or 4, got {mt}")
+    if mx not in (1, 2):
+        raise ValueError(f"space factor must be 1 or 2, got {mx}")
 
 
 def _is_pow2(n: int) -> bool:
@@ -90,10 +98,7 @@ def coarsen_grid(g: SpaceTimeGrid, mt: int, mx: int) -> SpaceTimeGrid:
     cases: the direct (4, 2) step keeps sigma, full (2, 2) coarsening
     halves it and time semi-coarsening (2, 1) doubles it.
     """
-    if mt not in (1, 2, 4):
-        raise ValueError(f"time factor must be 1, 2 or 4, got {mt}")
-    if mx not in (1, 2):
-        raise ValueError(f"space factor must be 1 or 2, got {mx}")
+    check_step(mt, mx)
     if g.n_t % mt != 0:
         raise ValueError(f"n_t={g.n_t} not divisible by time factor {mt}")
     if (g.n_x + 1) % mx != 0:

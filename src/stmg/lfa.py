@@ -8,7 +8,8 @@ matrices whose spectral radii, maximized over the low-frequency domain,
 predict the asymptotic convergence factor of the cycles.  A cycle's
 matrix follows its coarsening schedule, ``core.SCHEDULES[strategy]``,
 the same table the solver in ``cycles`` runs: that table is the one
-place a strategy is defined.
+place a strategy is defined.  The smoothing analysis takes a single
+coarsening step (mt, mx), such as a schedule's first step.
 """
 
 from __future__ import annotations
@@ -20,13 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import SCHEDULES, CoarseningStrategy
-from .smoother import optimal_omega
+from .smoother import _crossing, optimal_omega
 
 #: coarse symbols with modulus below this are treated as non-invertible
 #: and their frequency group is excluded from maximization
 SINGULAR_TOL = 1e-12
-
-_SQRT2 = math.sqrt(2.0)
 
 
 class Frequency(NamedTuple):
@@ -140,50 +139,26 @@ def restriction_symbol(theta):
 # smoothing factor and its worst modes
 # ---------------------------------------------------------------------------
 
-def _space_dominates(strategy: CoarseningStrategy, omega: float, sigma: float) -> bool:
-    c = 1.0 + 2.0 * sigma
-    if strategy is CoarseningStrategy.FULL:
-        return omega <= 2.0 * c / (c * c + 2.0 * c - 1.0)
-    if strategy is CoarseningStrategy.NEW:
-        if c > _SQRT2:
-            return False
-        bound = (_SQRT2 * c * c - 2.0 * c) / ((_SQRT2 - 1.0) * c * c - 2.0 * c + 1.0)
-        return omega <= bound
-    raise ValueError(strategy)
+def worst_smoothing_mode(step, omega: float, sigma: float) -> Frequency:
+    """High frequency maximizing the smoother symbol modulus for ``step`` = (mt, mx).
 
-
-def worst_smoothing_mode(strategy: CoarseningStrategy, omega: float,
-                         sigma: float) -> Frequency:
-    """High frequency maximizing the smoother symbol modulus.
-
-    For the mixed strategies the answer switches between the space- and
-    time-dominated candidates depending on whether (c, omega) falls in
-    the corresponding dominance region.
+    The answer is the space mode (0, pi/mx) while omega is at most the
+    crossing of the space- and time-dominated branches, and the time mode
+    (pi/mt, 0) above it.
     """
     if not 0.0 < omega <= 1.0:
         raise ValueError("omega must lie in (0, 1]")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if strategy is CoarseningStrategy.TIME2:
-        return Frequency(np.pi / 2, 0.0)
-    if strategy is CoarseningStrategy.TIME4:
-        return Frequency(np.pi / 4, 0.0)
-    if strategy is CoarseningStrategy.SPACE:
-        return Frequency(0.0, np.pi / 2)
-    if strategy is CoarseningStrategy.FULL:
-        if _space_dominates(strategy, omega, sigma):
-            return Frequency(0.0, np.pi / 2)
-        return Frequency(np.pi / 2, 0.0)
-    if strategy is CoarseningStrategy.NEW:
-        if _space_dominates(strategy, omega, sigma):
-            return Frequency(0.0, np.pi / 2)
-        return Frequency(np.pi / 4, 0.0)
-    raise ValueError(f"no smoothing factor for strategy {strategy}")
+    mt, mx = step
+    if omega <= _crossing(step, sigma):
+        return Frequency(0.0, np.pi / mx)
+    return Frequency(np.pi / mt, 0.0)
 
 
-def smoothing_factor(strategy: CoarseningStrategy, omega: float, sigma: float) -> float:
-    """Worst smoother symbol modulus over the strategy's high frequencies."""
-    mode = worst_smoothing_mode(strategy, omega, sigma)
+def smoothing_factor(step, omega: float, sigma: float) -> float:
+    """Worst smoother symbol modulus over the high frequencies of ``step`` = (mt, mx)."""
+    mode = worst_smoothing_mode(step, omega, sigma)
     return float(abs(smoother_symbol(omega, sigma, mode.theta_t, mode.theta_x)))
 
 
@@ -359,22 +334,16 @@ def omega_opt_numeric(strategy: CoarseningStrategy, cfg: LfaConfig):
     return float(best[1]), float(best[0])
 
 
-#: the smoother analysis of each coarsening step (mt, mx)
-_STEP_SMOOTHING = {(2, 1): CoarseningStrategy.TIME2, (4, 1): CoarseningStrategy.TIME4,
-                   (1, 2): CoarseningStrategy.SPACE, (2, 2): CoarseningStrategy.FULL,
-                   (4, 2): CoarseningStrategy.NEW}
-
-
 def resolve_omega(mode, strategy: CoarseningStrategy, cfg: LfaConfig) -> float:
     """Map an omega mode ('0.5' | 'theorem' | 'numeric' | number) to a value.
 
-    The theorem value uses the smoother analysis of the first step of
+    The theorem value is the optimal damping of the first step of
     ``core.SCHEDULES[strategy]``, the coarsening of the fine level.
     """
     if isinstance(mode, (int, float)):
         return float(mode)
     if mode == "theorem":
-        return optimal_omega(_STEP_SMOOTHING[SCHEDULES[strategy][0]], cfg.sigma)
+        return optimal_omega(SCHEDULES[strategy][0], cfg.sigma)
     if mode == "numeric":
         return omega_opt_numeric(strategy, cfg)[0]
     try:

@@ -7,14 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoarseningStrategy, thomas_solve
+from .core import check_step, thomas_solve
 from .heat import HeatOperator, apply_operator
-
-#: sigma above which full space-time coarsening keeps omega* = 1/2
-FULL_THRESHOLD = 1.0 / math.sqrt(2.0)
-
-#: sigma above which the direct (4,2) coarsening keeps omega* = 1/2
-NEW_THRESHOLD = (math.sqrt(2.0) - 2.0 + math.sqrt(2.0 - math.sqrt(2.0))) / 2.0
 
 
 @dataclass(frozen=True)
@@ -61,30 +55,44 @@ def smoother_error_matrix_radius(omega: float) -> float:
     return abs(1.0 - omega)
 
 
-def optimal_omega(strategy: CoarseningStrategy, sigma: float) -> float:
-    """Closed-form damping parameter minimizing the smoothing factor.
+def _crossing(step, sigma: float) -> float:
+    """Damping up to which the space mode is the worst high mode of ``step``.
 
-    Time semi-coarsening (either factor) gives 1/2 and space
-    semi-coarsening gives 1 for every sigma.  Full and direct (4,2)
-    coarsening return 1/2 above their sigma thresholds and otherwise the
-    value where the time- and space-dominated branches of the smoothing
-    factor cross, written with c = 1 + 2*sigma.  The result always lies
-    in [1/2, 1].
+    The smoother symbol modulus over the high frequencies of the step
+    (mt, mx) peaks at the time mode (pi/mt, 0) or the space mode
+    (0, pi/mx).  The space mode is the worst for omega up to the value
+    returned here and the time mode above it: 0 for time
+    semi-coarsening, 1 for space semi-coarsening, and for mixed steps the
+    omega where the two branches cross, written with c = 1 + 2*sigma.
+    The (4, 2) branches cross only for c <= sqrt(2).
+    """
+    mt, mx = step
+    check_step(mt, mx)
+    if (mt, mx) == (1, 1):
+        raise ValueError("step (1, 1) coarsens nothing, so it has no high frequencies")
+    if mx == 1:
+        return 0.0
+    if mt == 1:
+        return 1.0
+    c = 1.0 + 2.0 * sigma
+    if mt == 2:
+        return 2.0 * c / (c * c + 2.0 * c - 1.0)
+    r2 = math.sqrt(2.0)
+    if c > r2:
+        return 0.0
+    return (r2 * c * c - 2.0 * c) / ((r2 - 1.0) * c * c - 2.0 * c + 1.0)
+
+
+def optimal_omega(step, sigma: float) -> float:
+    """Closed-form damping minimizing the smoothing factor of ``step`` = (mt, mx).
+
+    The time-mode branch of the smoothing factor is least at omega = 1/2
+    and the space-mode branch decreases in omega, so the optimum is the
+    branch crossing, kept at least 1/2.  Time semi-coarsening (either
+    factor) gives 1/2 and space semi-coarsening 1 for every sigma; full
+    (2, 2) and direct (4, 2) coarsening give 1/2 above a sigma threshold
+    and the crossing below it.  The result always lies in [1/2, 1].
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    c = 1.0 + 2.0 * sigma
-    if strategy in (CoarseningStrategy.TIME2, CoarseningStrategy.TIME4):
-        return 0.5
-    if strategy is CoarseningStrategy.SPACE:
-        return 1.0
-    if strategy is CoarseningStrategy.FULL:
-        if sigma > FULL_THRESHOLD:
-            return 0.5
-        return 2.0 * c / (c * c + 2.0 * c - 1.0)
-    if strategy is CoarseningStrategy.NEW:
-        if sigma > NEW_THRESHOLD:
-            return 0.5
-        r2 = math.sqrt(2.0)
-        return (r2 * c * c - 2.0 * c) / ((r2 - 1.0) * c * c - 2.0 * c + 1.0)
-    raise ValueError(f"no smoother damping rule for strategy {strategy}")
+    return max(0.5, _crossing(step, sigma))

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import check_step
+
 
 # ---------------------------------------------------------------------------
 # single-direction stencils
@@ -79,17 +81,12 @@ def prolong_time(coarse: np.ndarray) -> np.ndarray:
 
 def restrict(fine: np.ndarray, mt: int, mx: int) -> np.ndarray:
     """Composite full-weighting restriction by factors (mt, mx)."""
+    check_step(mt, mx)
     out = fine
-    if mt == 2:
+    for _ in range(mt.bit_length() - 1):
         out = restrict_time(out)
-    elif mt == 4:
-        out = restrict_time(restrict_time(out))
-    elif mt != 1:
-        raise ValueError(f"time factor must be 1, 2 or 4, got {mt}")
     if mx == 2:
         out = restrict_space(out)
-    elif mx != 1:
-        raise ValueError(f"space factor must be 1 or 2, got {mx}")
     return out
 
 
@@ -99,15 +96,10 @@ def prolong(coarse: np.ndarray, mt: int, mx: int) -> np.ndarray:
     Returns mt times the composed per-direction interpolations, which is
     mt**2 * mx times the transposed composite restriction.
     """
+    check_step(mt, mx)
     out = coarse
     if mx == 2:
         out = prolong_space(out)
-    elif mx != 1:
-        raise ValueError(f"space factor must be 1 or 2, got {mx}")
-    if mt == 2:
+    for _ in range(mt.bit_length() - 1):
         out = prolong_time(out)
-    elif mt == 4:
-        out = prolong_time(prolong_time(out))
-    elif mt != 1:
-        raise ValueError(f"time factor must be 1, 2 or 4, got {mt}")
     return mt * out

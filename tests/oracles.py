@@ -111,28 +111,26 @@ def dense_transfer_pair(n_t: int, n_x: int, mt: int, mx: int):
 # ---------------------------------------------------------------------------
 
 
-def _high_mask(strategy: str, tt: np.ndarray, tx: np.ndarray) -> np.ndarray:
-    # closed high sets on the positive quadrant; |S_hat| is even in both
-    # angles so the quadrant search covers (-pi, pi]^2
-    if strategy == "time2":
-        return tt >= np.pi / 2
-    if strategy == "time4":
-        return tt >= np.pi / 4
-    if strategy == "space":
-        return tx >= np.pi / 2
-    if strategy == "full":
-        return (tt >= np.pi / 2) | (tx >= np.pi / 2)
-    if strategy == "new":
-        return (tt >= np.pi / 4) | (tx >= np.pi / 2)
-    raise ValueError(strategy)
+#: the five coarsening steps (mt, mx) of the smoothing analysis, by their
+#: ``stmg lfa-smoothing`` names
+SMOOTHING_STEPS = {"time2": (2, 1), "time4": (4, 1), "space": (1, 2), "full": (2, 2),
+                   "new": (4, 2)}
 
 
-def smoothing_factor_grid(strategy: str, omega: float, sigma: float,
-                          n: int = 257) -> float:
-    """Dense max of the smoother symbol modulus over the high frequencies."""
+def _high_mask(step, tt: np.ndarray, tx: np.ndarray) -> np.ndarray:
+    # closed high sets {theta_t >= pi/mt} | {theta_x >= pi/mx} on the
+    # positive quadrant; |S_hat| is even in both angles so the quadrant
+    # search covers (-pi, pi]^2.  A direction with factor 1 is not
+    # coarsened and adds no high frequencies (not even its endpoint pi).
+    mt, mx = step
+    return ((mt > 1) & (tt >= np.pi / mt)) | ((mx > 1) & (tx >= np.pi / mx))
+
+
+def smoothing_factor_grid(step, omega: float, sigma: float, n: int = 257) -> float:
+    """Dense max of the smoother symbol modulus over the high frequencies of ``step``."""
     th = np.linspace(0.0, np.pi, n)
     tt, tx = np.meshgrid(th, th, indexing="ij")
-    mask = _high_mask(strategy, tt, tx)
+    mask = _high_mask(step, tt, tx)
     cx = 1.0 + 2.0 * sigma * (1.0 - np.cos(tx[mask]))
     mod2 = ((1.0 - omega) ** 2
             + 2.0 * omega * (1.0 - omega) * np.cos(tt[mask]) / cx
@@ -140,7 +138,7 @@ def smoothing_factor_grid(strategy: str, omega: float, sigma: float,
     return float(np.sqrt(mod2.max()))
 
 
-def omega_star_bruteforce(strategy: str, sigma: float, n_theta: int = 513,
+def omega_star_bruteforce(step, sigma: float, n_theta: int = 513,
                           omega_step: float = 1e-4) -> float:
     """Argmin over a 1e-4 omega grid of the grid-searched smoothing factor.
 
@@ -152,7 +150,7 @@ def omega_star_bruteforce(strategy: str, sigma: float, n_theta: int = 513,
     """
     th = np.linspace(0.0, np.pi, n_theta)
     tt, tx = np.meshgrid(th, th, indexing="ij")
-    mask = _high_mask(strategy, tt, tx)
+    mask = _high_mask(step, tt, tx)
     v = 1.0 / (1.0 + 2.0 * sigma * (1.0 - np.cos(tx[mask])))
     x = np.cos(tt[mask]) * v
     y = v * v

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import SMOOTHING_STEPS
 from stmg import lfa
 from stmg.cli import main
 from stmg.core import CoarseningStrategy as CS
+from stmg.smoother import optimal_omega
 
 
 def run(capsys, *argv):
@@ -97,6 +99,19 @@ class TestLfa:
         assert header == ["sigma", "omega_used", "mu_S", "mu_S_half", "efficiency"]
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("name", SMOOTHING_STEPS)
+    def test_smoothing_names_map_to_steps(self, capsys, name):
+        # 17 significant digits round-trip, so the rows compare exactly
+        step = SMOOTHING_STEPS[name]
+        code, out, _ = run(capsys, "lfa-smoothing", "--strategy", name,
+                           "--sigma-range", "1e-3:1e3:13", "--omega", "theorem")
+        assert code == 0
+        _, _, rows = split_csv(out)
+        assert len(rows) == 13
+        for sigma, omega, mu in ([float(v) for v in row] for row in rows):
+            assert omega == optimal_omega(step, sigma)
+            assert mu == lfa.smoothing_factor(step, omega, sigma)
+
     @pytest.mark.parametrize("spelling", [["--sigma", "0.1:10:2"], ["--sigma-r=0.1:10:2"]])
     def test_sigma_range_echo_from_parsed_argument(self, capsys, spelling):
         # argparse accepts unambiguous prefixes and the '=' form
@@ -128,6 +143,12 @@ class TestLfa:
         _, header, rows = split_csv(out)
         assert header == ["theta_t", "theta_x", "coeff_modulus"]
         assert len(rows) == 8 * 16 * 16  # eight companions per sampled low frequency
+        # the original cycle smooths its intermediate level at the fixed eta = (3, 3)
+        code, out, _ = run(capsys, "lfa-modes", "--strategy", "original", "--sigma", "1",
+                           "--resolution", "16")
+        assert code == 0
+        config, _, _ = split_csv(out)
+        assert (config["eta1"], config["eta2"]) == ("3", "3")
 
     def test_modes_sweeps(self, capsys):
         code, out, _ = run(capsys, "lfa-modes", "--strategy", "new", "--sigma", "1",

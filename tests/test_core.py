@@ -115,4 +115,4 @@ class TestCoarsenGrid:
 
     def test_strategy_tags(self):
         assert CoarseningStrategy("new") is CoarseningStrategy.NEW
-        assert len(CoarseningStrategy) == 6
+        assert len(CoarseningStrategy) == 2

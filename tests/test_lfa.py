@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import smoothing_factor_grid
+from oracles import SMOOTHING_STEPS, smoothing_factor_grid
 from stmg.core import SCHEDULES
 from stmg.core import CoarseningStrategy as CS
 from stmg.lfa import (Frequency, LfaConfig, gamma2, gamma4, harmonic_group, harmonic_matrix,
@@ -91,39 +91,51 @@ class TestFrequencyFolding:
 
 class TestWorstModes:
     def test_time_semi(self):
-        assert worst_smoothing_mode(CS.TIME2, 0.7, 3.0) == Frequency(np.pi / 2, 0.0)
-        assert worst_smoothing_mode(CS.TIME4, 0.7, 3.0) == Frequency(np.pi / 4, 0.0)
+        assert worst_smoothing_mode((2, 1), 0.7, 3.0) == Frequency(np.pi / 2, 0.0)
+        assert worst_smoothing_mode((4, 1), 0.7, 3.0) == Frequency(np.pi / 4, 0.0)
 
     def test_space_semi(self):
-        assert worst_smoothing_mode(CS.SPACE, 0.7, 3.0) == Frequency(0.0, np.pi / 2)
+        assert worst_smoothing_mode((1, 2), 0.7, 3.0) == Frequency(0.0, np.pi / 2)
 
     def test_full_region_membership(self):
         # c = 2: the space-dominated region reaches up to omega = 4/7
-        assert worst_smoothing_mode(CS.FULL, 0.5, 0.5) == Frequency(0.0, np.pi / 2)
-        assert worst_smoothing_mode(CS.FULL, 1.0, 0.5) == Frequency(np.pi / 2, 0.0)
+        assert worst_smoothing_mode((2, 2), 0.5, 0.5) == Frequency(0.0, np.pi / 2)
+        assert worst_smoothing_mode((2, 2), 1.0, 0.5) == Frequency(np.pi / 2, 0.0)
+
+    @pytest.mark.parametrize("step", [(1, 1), (3, 1)])
+    def test_unsupported_steps(self, step):
+        # (1, 1) coarsens nothing, so it has no high frequencies
+        with pytest.raises(ValueError):
+            worst_smoothing_mode(step, 0.5, 1.0)
+        with pytest.raises(ValueError):
+            smoothing_factor(step, 0.5, 1.0)
+        with pytest.raises(ValueError):
+            optimal_omega(step, 1.0)
 
 
 class TestSmoothingFactor:
     def test_time2_at_half(self):
-        assert smoothing_factor(CS.TIME2, 0.5, 7.7) == pytest.approx(np.sqrt(0.5), abs=1e-15)
+        assert smoothing_factor((2, 1), 0.5, 7.7) == pytest.approx(np.sqrt(0.5), abs=1e-15)
 
     def test_tends_to_one_for_small_damping(self):
-        assert smoothing_factor(CS.NEW, 1e-9, 1.0) == pytest.approx(1.0, abs=1e-8)
+        assert smoothing_factor((4, 2), 1e-9, 1.0) == pytest.approx(1.0, abs=1e-8)
 
-    @pytest.mark.parametrize("strategy", ["time2", "time4", "space", "full", "new"])
+    @pytest.mark.parametrize("step", SMOOTHING_STEPS.values(), ids=SMOOTHING_STEPS.keys())
     @pytest.mark.parametrize("omega", [0.1, 0.4, 0.7, 1.0])
-    def test_matches_dense_grid_search(self, strategy, omega):
-        for sigma in (0.01, 0.5, 20.0):
-            closed = smoothing_factor(CS(strategy), omega, sigma)
-            grid = smoothing_factor_grid(strategy, omega, sigma)
+    def test_matches_dense_grid_search(self, step, omega):
+        # 0.05, 0.15 and 3.0 fall in the three regimes of the (4, 2) closed
+        # form (see test_smoother's brute-force omega* test)
+        for sigma in (0.01, 0.05, 0.15, 0.5, 3.0, 20.0):
+            closed = smoothing_factor(step, omega, sigma)
+            grid = smoothing_factor_grid(step, omega, sigma)
             assert abs(closed - grid) < 1e-6
 
     def test_efficiency_at_least_one(self):
-        for strat in (CS.FULL, CS.NEW):
+        for step in ((2, 2), (4, 2)):
             for sigma in np.logspace(-3, 1, 9):
-                ws = optimal_omega(strat, sigma)
-                mu_star = smoothing_factor(strat, ws, sigma)
-                mu_half = smoothing_factor(strat, 0.5, sigma)
+                ws = optimal_omega(step, sigma)
+                mu_star = smoothing_factor(step, ws, sigma)
+                mu_half = smoothing_factor(step, 0.5, sigma)
                 assert mu_star <= mu_half + 1e-15
                 assert np.log(mu_star) / np.log(mu_half) >= 1.0 - 1e-12
 
@@ -242,7 +254,7 @@ class TestOmegaOptNumeric:
         for sigma in (0.05, 1.0):
             cfg = LfaConfig(sigma=sigma, resolution=32)
             w_opt, rho_opt = omega_opt_numeric(CS.NEW, cfg)
-            for fixed in (0.5, optimal_omega(CS.NEW, sigma)):
+            for fixed in (0.5, optimal_omega((4, 2), sigma)):
                 rho_fixed = spectral_radius_bar(
                     CS.NEW, LfaConfig(sigma=sigma, omega=fixed, resolution=32))
                 assert rho_opt <= rho_fixed + 1e-9
@@ -253,8 +265,8 @@ class TestResolveOmega:
     @pytest.mark.parametrize("sigma", [0.01, 0.1, 1.0])
     def test_theorem_uses_first_step(self, sigma):
         cfg = LfaConfig(sigma=sigma)
-        assert resolve_omega("theorem", CS.NEW, cfg) == optimal_omega(CS.NEW, sigma)
-        assert resolve_omega("theorem", CS.ORIGINAL, cfg) == optimal_omega(CS.FULL, sigma)
+        assert resolve_omega("theorem", CS.NEW, cfg) == optimal_omega((4, 2), sigma)
+        assert resolve_omega("theorem", CS.ORIGINAL, cfg) == optimal_omega((2, 2), sigma)
 
     def test_theorem_follows_the_schedule(self, monkeypatch):
         # a time-first schedule smooths for time semi-coarsening on the fine
@@ -286,7 +298,7 @@ class TestLowModeAction:
     @staticmethod
     def _new_peak(**sweeps):
         sigma = 1.0
-        cfg = LfaConfig(sigma=sigma, omega=optimal_omega(CS.NEW, sigma), resolution=64, **sweeps)
+        cfg = LfaConfig(sigma=sigma, omega=optimal_omega((4, 2), sigma), resolution=64, **sweeps)
         out = low_mode_action(CS.NEW, cfg)
         k = int(np.argmax(out.modulus))
         return out.theta_t[k], out.theta_x[k]
@@ -303,7 +315,7 @@ class TestLowModeAction:
 
     def test_small_sigma_peaks_near_low_boundary(self):
         sigma = 1e-2
-        cfg = LfaConfig(sigma=sigma, omega=optimal_omega(CS.NEW, sigma), resolution=64)
+        cfg = LfaConfig(sigma=sigma, omega=optimal_omega((4, 2), sigma), resolution=64)
         out = low_mode_action(CS.NEW, cfg)
         k = int(np.argmax(out.modulus))
         near_t = abs(abs(out.theta_t[k]) - np.pi / 4) <= 0.2 * np.pi / 4

@@ -3,12 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (dense_block_jacobi_error_matrix, dense_heat_matrix,
+from oracles import (SMOOTHING_STEPS, dense_block_jacobi_error_matrix, dense_heat_matrix,
                      omega_star_bruteforce, squared_power_radius)
-from stmg.core import CoarseningStrategy, SpaceTimeGrid
+from stmg.core import SpaceTimeGrid
 from stmg.heat import apply_operator, assemble_operator, direct_solve
-from stmg.smoother import (FULL_THRESHOLD, NEW_THRESHOLD, SmootherConfig,
-                           jacobi_sweep, optimal_omega, smoother_error_matrix_radius)
+from stmg.smoother import (SmootherConfig, jacobi_sweep, optimal_omega,
+                           smoother_error_matrix_radius)
+
+#: sigma above which full (2, 2) coarsening keeps omega* = 1/2 (the paper's bound)
+FULL_THRESHOLD = 1.0 / math.sqrt(2.0)
+
+#: sigma above which direct (4, 2) coarsening keeps omega* = 1/2 (the paper's bound)
+NEW_THRESHOLD = (math.sqrt(2.0) - 2.0 + math.sqrt(2.0 - math.sqrt(2.0))) / 2.0
 
 
 def grid_for_sigma(n_x, n_t, sigma):
@@ -88,45 +94,49 @@ class TestErrorMatrixRadius:
 class TestOptimalOmega:
     def test_time_semi_always_half(self):
         for sigma in (1e-3, 0.3, 7.0, 1e3):
-            assert optimal_omega(CoarseningStrategy.TIME2, sigma) == 0.5
-            assert optimal_omega(CoarseningStrategy.TIME4, sigma) == 0.5
+            assert optimal_omega((2, 1), sigma) == 0.5
+            assert optimal_omega((4, 1), sigma) == 0.5
 
     def test_space_semi_always_one(self):
         for sigma in (1e-3, 1.0, 1e3):
-            assert optimal_omega(CoarseningStrategy.SPACE, sigma) == 1.0
+            assert optimal_omega((1, 2), sigma) == 1.0
 
     def test_full_above_threshold(self):
-        assert optimal_omega(CoarseningStrategy.FULL, 1.0) == 0.5
+        assert optimal_omega((2, 2), 1.0) == 0.5
 
     def test_full_below_threshold_exact_fraction(self):
-        assert optimal_omega(CoarseningStrategy.FULL, 0.25) == pytest.approx(12 / 17, abs=1e-15)
+        assert optimal_omega((2, 2), 0.25) == pytest.approx(12 / 17, abs=1e-15)
 
     def test_new_below_threshold(self):
         # crossing point of the time- and space-dominated branches at c = 1.08
-        assert optimal_omega(CoarseningStrategy.NEW, 0.04) == pytest.approx(0.7541594, abs=1e-6)
+        assert optimal_omega((4, 2), 0.04) == pytest.approx(0.7541594, abs=1e-6)
 
     def test_branch_continuity_at_thresholds(self):
-        c = 1.0 + 2.0 * FULL_THRESHOLD
-        formula = 2 * c / (c * c + 2 * c - 1)
-        assert abs(formula - 0.5) < 1e-9
-        c = 1.0 + 2.0 * NEW_THRESHOLD
-        r2 = math.sqrt(2.0)
-        formula = (r2 * c * c - 2 * c) / ((r2 - 1) * c * c - 2 * c + 1)
-        assert abs(formula - 0.5) < 1e-9
+        # omega* is 1/2 above the paper's thresholds and the branch crossing
+        # below them, which meets 1/2 continuously at the threshold
+        for step, threshold in (((2, 2), FULL_THRESHOLD), ((4, 2), NEW_THRESHOLD)):
+            for eps in (1e-3, 1e-6, 1e-9):
+                assert optimal_omega(step, threshold * (1.0 + eps)) == 0.5
+                below = optimal_omega(step, threshold * (1.0 - eps))
+                assert 0.5 < below < 0.5 + eps
 
     def test_range_between_half_and_one(self):
-        for strat in (CoarseningStrategy.FULL, CoarseningStrategy.NEW):
+        for step in ((2, 2), (4, 2)):
             for sigma in np.logspace(-3, 3, 13):
-                w = optimal_omega(strat, sigma)
+                w = optimal_omega(step, sigma)
                 assert 0.5 - 1e-12 <= w <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("strategy", ["time2", "time4", "space", "full", "new"])
-    def test_against_bruteforce_oracle_spot(self, strategy):
-        for sigma in (0.01, 0.3, 5.0):
-            closed = optimal_omega(CoarseningStrategy(strategy), sigma)
-            brute = omega_star_bruteforce(strategy, sigma)
+    @pytest.mark.parametrize("step", SMOOTHING_STEPS.values(), ids=SMOOTHING_STEPS.keys())
+    def test_against_bruteforce_oracle_spot(self, step):
+        # 0.05, 0.15 and 3.0 fall in the three regimes of the (4, 2) closed
+        # form: below its threshold, between it and c = sqrt(2) where the
+        # crossing is below 1/2, and past c = 4.26 where only the
+        # c > sqrt(2) guard rejects a spurious crossing
+        for sigma in (0.01, 0.05, 0.15, 0.3, 3.0, 5.0):
+            closed = optimal_omega(step, sigma)
+            brute = omega_star_bruteforce(step, sigma)
             assert abs(closed - brute) <= 2e-3
 
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
-            optimal_omega(CoarseningStrategy.FULL, 0.0)
+            optimal_omega((2, 2), 0.0)

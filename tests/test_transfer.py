@@ -120,3 +120,10 @@ class TestComposites:
         for (mt, mx) in [(2, 2), (2, 1), (4, 2)]:
             out = restrict(np.ones((16, 15)), mt, mx)
             assert np.allclose(out[:-1], 1.0, atol=1e-15)
+
+    @pytest.mark.parametrize("step", [(3, 1), (8, 1), (1, 4)])
+    def test_unsupported_steps(self, step):
+        with pytest.raises(ValueError):
+            restrict(np.ones((16, 15)), *step)
+        with pytest.raises(ValueError):
+            prolong(np.ones((2, 7)), *step)
