@@ -164,7 +164,8 @@ def _cmd_lfa_rho(args) -> int:
 
 def _cmd_lfa_modes(args) -> int:
     strategy = _CYCLE_STRATEGIES[args.strategy]
-    base = LfaConfig(sigma=args.sigma, nu1=args.nu1, nu2=args.nu2, resolution=args.resolution)
+    base = LfaConfig(sigma=args.sigma, nu1=args.nu1, nu2=args.nu2,
+                     eta1=args.eta1, eta2=args.eta2, resolution=args.resolution)
     omega = resolve_omega(args.omega, strategy, base)
     result = low_mode_action(strategy, replace(base, omega=omega))
     rows = zip(result.theta_t, result.theta_x, result.modulus)
@@ -172,7 +173,7 @@ def _cmd_lfa_modes(args) -> int:
         "command": "lfa-modes", "stmg_version": __version__,
         "strategy": args.strategy, "sigma": args.sigma, "omega_mode": args.omega,
         "omega": omega, "nu1": args.nu1, "nu2": args.nu2,
-        "eta1": base.eta1, "eta2": base.eta2, "resolution": args.resolution,
+        "eta1": args.eta1, "eta2": args.eta2, "resolution": args.resolution,
     }
     _emit(args.output, config, ["theta_t", "theta_x", "coeff_modulus"], rows)
     return 0
@@ -237,6 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--omega", default="theorem")
     pl.add_argument("--nu1", type=int, default=3)
     pl.add_argument("--nu2", type=int, default=3)
+    pl.add_argument("--eta1", type=int, default=3)
+    pl.add_argument("--eta2", type=int, default=3)
     pl.add_argument("--resolution", type=int, default=128)
     pl.add_argument("--output", default=None)
     pl.set_defaults(func=_cmd_lfa_modes)

@@ -156,9 +156,10 @@ def thomas_solve(m: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve ``m @ x = rhs`` by the Thomas algorithm.
 
     ``rhs`` may carry leading batch axes; the system is solved along the
-    last axis for every batch row with a single factorization.  The input
-    is left untouched.  Requires a diagonally dominant (or otherwise
-    LU-stable) matrix, which holds for I - tau*A_h.
+    last axis for every batch row with a single factorization.  The
+    elimination and back-substitution run in place on a private copy of
+    ``rhs``, so the input is never written.  Requires a diagonally
+    dominant (or otherwise LU-stable) matrix, which holds for I - tau*A_h.
     """
     n = m.n
     rhs = np.asarray(rhs, dtype=float)
@@ -176,5 +177,6 @@ def thomas_solve(m: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
         x[..., i] -= w[i - 1] * x[..., i - 1]
     x[..., n - 1] /= dd[n - 1]
     for i in range(n - 2, -1, -1):
-        x[..., i] = (x[..., i] - m.sup[i] * x[..., i + 1]) / dd[i]
+        x[..., i] -= m.sup[i] * x[..., i + 1]
+        x[..., i] /= dd[i]
     return x

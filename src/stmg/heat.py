@@ -107,8 +107,10 @@ def direct_solve(op: HeatOperator, rhs: np.ndarray) -> np.ndarray:
     lam = 1.0 + 4.0 * g.sigma * np.sin(np.pi * k / (2 * m)) ** 2
     v = rhs @ s
     v[0] /= lam
-    for n in range(1, g.n_t):
-        np.divide(v[n] + v[n - 1], lam, out=v[n])
+    # in place on row views; ``v[n] += ...`` would also copy each row back into v
+    for prev, row in zip(v, v[1:]):
+        row += prev
+        row /= lam
     return v @ s
 
 

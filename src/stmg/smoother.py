@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_step, thomas_solve
-from .heat import HeatOperator, apply_operator
+from .heat import HeatOperator
 
 
 @dataclass(frozen=True)
@@ -29,17 +29,33 @@ def jacobi_sweep(op: HeatOperator, u: np.ndarray, rhs: np.ndarray,
                  cfg: SmootherConfig) -> np.ndarray:
     """Run ``cfg.sweeps`` damped block-Jacobi sweeps and return the new field.
 
-    Each sweep is u <- u + omega * D^{-1} (rhs - L u), where D^{-1} solves
-    with Q per time block.  The per-block solves within one sweep are
-    independent (here they share one batched tridiagonal solve); sweeps
-    are sequential.
+    The block diagonal D of L = D - shift holds Q in every time block and
+    the shift moves block n-1 to block n, so D^{-1}(rhs - L u) is
+    Q^{-1}(rhs_n + u_{n-1}) - u_n and the residual form
+    u <- u + omega * D^{-1}(rhs - L u) of a sweep is the fused update
+
+        u_n <- (1 - omega) u_n + omega * Q^{-1}(rhs_n + u_{n-1}),
+
+    one batched tridiagonal solve per sweep and no operator apply.  The
+    per-block solves within one sweep are independent; sweeps are
+    sequential.  The arithmetic runs in place on buffers the sweep owns
+    (its right-hand side and each solve's result), so neither ``u`` nor
+    ``rhs`` is ever written.
     """
     g = op.grid
     if u.shape != (g.n_t, g.n_x) or rhs.shape != (g.n_t, g.n_x):
         raise ValueError("field shapes do not match the operator grid")
+    omega = cfg.omega
+    b = np.empty((g.n_t, g.n_x))
     for _ in range(cfg.sweeps):
-        r = rhs - apply_operator(op, u)
-        u = u + cfg.omega * thomas_solve(op.q, r)
+        b[0] = rhs[0]
+        np.add(rhs[1:], u[:-1], out=b[1:])
+        x = thomas_solve(op.q, b)
+        if omega != 1.0:
+            # b is free once solved: it takes (1 - omega) u
+            x *= omega
+            x += np.multiply(u, 1.0 - omega, out=b)
+        u = x
     return u
 
 

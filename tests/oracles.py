@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from stmg.core import thomas_solve
+from stmg.heat import apply_operator
 
 # ---------------------------------------------------------------------------
 # dense assemblies of the heat system (explicit stencil loops)
@@ -58,6 +59,17 @@ def time_stepping_solve(op, rhs: np.ndarray) -> np.ndarray:
     for n in range(op.grid.n_t):
         prev = thomas_solve(op.q, rhs[n] + prev)
         u[n] = prev
+    return u
+
+
+def residual_form_sweep(op, u: np.ndarray, rhs: np.ndarray, cfg) -> np.ndarray:
+    """Damped block-Jacobi in residual form, u <- u + omega Q^{-1}(rhs - L u).
+
+    One operator apply and one Thomas solve per sweep: the reference for
+    the library's fused ``smoother.jacobi_sweep``.
+    """
+    for _ in range(cfg.sweeps):
+        u = u + cfg.omega * thomas_solve(op.q, rhs - apply_operator(op, u))
     return u
 
 

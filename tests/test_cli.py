@@ -143,12 +143,22 @@ class TestLfa:
         _, header, rows = split_csv(out)
         assert header == ["theta_t", "theta_x", "coeff_modulus"]
         assert len(rows) == 8 * 16 * 16  # eight companions per sampled low frequency
-        # the original cycle smooths its intermediate level at the fixed eta = (3, 3)
+        # the original cycle smooths its intermediate level at eta = (3, 3) by default
         code, out, _ = run(capsys, "lfa-modes", "--strategy", "original", "--sigma", "1",
                            "--resolution", "16")
         assert code == 0
-        config, _, _ = split_csv(out)
+        config, _, default_rows = split_csv(out)
         assert (config["eta1"], config["eta2"]) == ("3", "3")
+        code, out, _ = run(capsys, "lfa-modes", "--strategy", "original", "--sigma", "1",
+                           "--resolution", "16", "--eta1", "1", "--eta2", "1")
+        assert code == 0
+        config, _, rows = split_csv(out)
+        assert (config["eta1"], config["eta2"]) == ("1", "1")
+        assert rows != default_rows
+        cfg = lfa.LfaConfig(sigma=1.0, omega=float(config["omega"]), eta1=1, eta2=1,
+                            resolution=16)
+        want = lfa.low_mode_action(CS.ORIGINAL, cfg).modulus
+        assert np.array_equal(np.array([float(row[2]) for row in rows]), want)
 
     def test_modes_sweeps(self, capsys):
         code, out, _ = run(capsys, "lfa-modes", "--strategy", "new", "--sigma", "1",

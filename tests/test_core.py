@@ -54,6 +54,18 @@ class TestThomasSolve:
         rhs = np.array([1.0, 1.0])
         thomas_solve(m, rhs)
         assert np.array_equal(rhs, [1.0, 1.0])
+        # batches too: the elimination runs in place on a private copy
+        rng = np.random.default_rng(8)
+        m = tri(rng.uniform(-1, 1, 6), 3.0 + rng.uniform(0, 1, 7), rng.uniform(-1, 1, 6))
+        for shape in ((16, 7), (3, 5, 7)):
+            rhs = rng.standard_normal(shape)
+            before = rhs.copy()
+            x = thomas_solve(m, rhs)
+            assert np.array_equal(rhs, before)
+            assert not np.shares_memory(x, rhs)
+        # the 3-D batch against its rows solved one by one
+        rows = np.stack([[thomas_solve(m, r) for r in block] for block in rhs])
+        assert np.array_equal(x, rows)
 
     def test_dimension_mismatch(self):
         m = tri([-1.0], [2.0, 2.0], [-1.0])

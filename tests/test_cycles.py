@@ -71,6 +71,28 @@ class TestCostCounts:
         assert (counter.block_solves, counter.transfer_blocks) == (solves, transfers)
 
 
+class TestCyclesToTolerance:
+    """Cycles from the seeded guess to an L_inf(L2) error of 1e-5 on 63x256, T = 0.1.
+
+    A rounding change in the smoother or the solves must not move these
+    counts.
+    """
+
+    @pytest.mark.parametrize("strategy,depth,iters", [
+        (CS.NEW, 1, 16),
+        (CS.NEW, 5, 20),
+        (CS.ORIGINAL, 1, 7),
+        (CS.ORIGINAL, 5, 7),
+    ])
+    def test_pinned_iterations(self, strategy, depth, iters):
+        g = SpaceTimeGrid(n_x=63, n_t=256, horizon=0.1)
+        op = assemble_operator(g)
+        rhs = assemble_rhs(g, heat_benchmark_problem(0.1))
+        run = solve(op, rhs, plan_for(strategy, depth), max_iters=40, tol=1e-5, seed=1)
+        assert run.iterations == iters
+        assert run.error_history[-1] <= 1e-5 < run.error_history[-2]
+
+
 class TestGridRobustness:
     """Every valid grid either cycles or is rejected before any work."""
 

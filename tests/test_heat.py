@@ -108,6 +108,24 @@ class TestDirectSolve:
         assert res <= 1e-10 * max(np.abs(rhs).max(), 1e-300)
 
 
+    @pytest.mark.parametrize("nx,nt", [(63, 256), (63, 4096), (31, 256)])
+    def test_in_place_recurrence_bit_identical(self, nx, nt):
+        # the recurrence v_n = (v_n + v_{n-1}) / lam with a temporary per
+        # step: the same IEEE operations as the in-place loop
+        g = SpaceTimeGrid(n_x=nx, n_t=nt, horizon=0.1)
+        op = assemble_operator(g)
+        rhs = assemble_rhs(g, heat_benchmark_problem(0.1))
+        m = nx + 1
+        k = np.arange(1, m)
+        s = np.sqrt(2.0 / m) * np.sin(np.pi * (np.outer(k, k) % (2 * m)) / m)
+        lam = 1.0 + 4.0 * g.sigma * np.sin(np.pi * k / (2 * m)) ** 2
+        v = rhs @ s
+        v[0] /= lam
+        for n in range(1, nt):
+            np.divide(v[n] + v[n - 1], lam, out=v[n])
+        assert np.array_equal(direct_solve(op, rhs), v @ s)
+
+
 class TestSineSolveOracle:
     """The sine-basis solve against the Thomas time-stepping oracle."""
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (SMOOTHING_STEPS, dense_block_jacobi_error_matrix, dense_heat_matrix,
-                     omega_star_bruteforce, squared_power_radius)
+                     omega_star_bruteforce, residual_form_sweep, squared_power_radius)
 from stmg.core import SpaceTimeGrid
 from stmg.heat import apply_operator, assemble_operator, direct_solve
 from stmg.smoother import (SmootherConfig, jacobi_sweep, optimal_omega,
@@ -73,6 +73,34 @@ class TestJacobiSweep:
             SmootherConfig(omega=1.2, sweeps=1)
         with pytest.raises(ValueError):
             SmootherConfig(omega=0.5, sweeps=-1)
+
+
+class TestFusedSweep:
+    """The fused update against the residual form it rewrites."""
+
+    @pytest.mark.parametrize("nx,nt", [(3, 4), (7, 8), (63, 256)])
+    @pytest.mark.parametrize("omega", [0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("sweeps", [1, 2, 3])
+    def test_matches_residual_form(self, nx, nt, omega, sweeps):
+        op = assemble_operator(SpaceTimeGrid(n_x=nx, n_t=nt, horizon=0.1))
+        rng = np.random.default_rng(nx + nt + sweeps)
+        u = rng.standard_normal((nt, nx))
+        rhs = rng.standard_normal((nt, nx))
+        cfg = SmootherConfig(omega=omega, sweeps=sweeps)
+        got = jacobi_sweep(op, u, rhs, cfg)
+        want = residual_form_sweep(op, u, rhs, cfg)
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("omega", [0.5, 1.0])
+    def test_inputs_never_written(self, omega):
+        op = assemble_operator(SpaceTimeGrid(n_x=15, n_t=16, horizon=0.1))
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal((16, 15))
+        rhs = rng.standard_normal((16, 15))
+        u0, rhs0 = u.copy(), rhs.copy()
+        out = jacobi_sweep(op, u, rhs, SmootherConfig(omega=omega, sweeps=3))
+        assert np.array_equal(u, u0) and np.array_equal(rhs, rhs0)
+        assert not np.shares_memory(out, u) and not np.shares_memory(out, rhs)
 
 
 class TestErrorMatrixRadius:
