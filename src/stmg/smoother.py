@@ -51,10 +51,9 @@ def jacobi_sweep(op: HeatOperator, u: np.ndarray, rhs: np.ndarray,
         b[0] = rhs[0]
         np.add(rhs[1:], u[:-1], out=b[1:])
         x = thomas_solve(op.q, b)
-        if omega != 1.0:
-            # b is free once solved: it takes (1 - omega) u
-            x *= omega
-            x += np.multiply(u, 1.0 - omega, out=b)
+        # b is free once solved: it takes (1 - omega) u
+        x *= omega
+        x += np.multiply(u, 1.0 - omega, out=b)
         u = x
     return u
 
