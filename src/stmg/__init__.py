@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .core import (CoarseningStrategy, SpaceTimeGrid, TridiagonalMatrix,
-                   coarsen_grid, random_field, thomas_solve, zero_field)
+                   coarsen_grid, random_field, zero_field)
 from .heat import (HeatOperator, ProblemData, apply_operator, assemble_operator,
                    assemble_rhs, direct_solve, error_norm, heat_benchmark_problem)
 from .smoother import (SmootherConfig, jacobi_sweep, optimal_omega,

@@ -1,4 +1,4 @@
-"""Grids, space-time fields and the tridiagonal solver shared by all modules.
+"""Cycle strategies and their schedules, grids, space-time fields and tridiagonal matrices.
 
 A space-time field is stored as a plain ``numpy`` array of shape
 ``(n_t, n_x)``: one contiguous block of spatial values per time step,
@@ -151,32 +151,3 @@ class TridiagonalMatrix:
                 + np.diag(self.sup, 1)
                 + np.diag(self.sub, -1))
 
-
-def thomas_solve(m: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``m @ x = rhs`` by the Thomas algorithm.
-
-    ``rhs`` may carry leading batch axes; the system is solved along the
-    last axis for every batch row with a single factorization.  The
-    elimination and back-substitution run in place on a private copy of
-    ``rhs``, so the input is never written.  Requires a diagonally
-    dominant (or otherwise LU-stable) matrix, which holds for I - tau*A_h.
-    """
-    n = m.n
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[-1] != n:
-        raise ValueError(f"rhs last axis {rhs.shape[-1]} does not match n={n}")
-    # forward elimination of the subdiagonal; multipliers depend on m only
-    dd = np.empty(n)
-    w = np.empty(max(n - 1, 0))
-    dd[0] = m.diag[0]
-    for i in range(1, n):
-        w[i - 1] = m.sub[i - 1] / dd[i - 1]
-        dd[i] = m.diag[i] - w[i - 1] * m.sup[i - 1]
-    x = rhs.copy()
-    for i in range(1, n):
-        x[..., i] -= w[i - 1] * x[..., i - 1]
-    x[..., n - 1] /= dd[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[..., i] -= m.sup[i] * x[..., i + 1]
-        x[..., i] /= dd[i]
-    return x

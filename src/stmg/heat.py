@@ -2,12 +2,15 @@
 
 Assembles the all-at-once lower block bidiagonal system, its right-hand
 side, its exact solve in the sine basis (the reference solution and the
-cycles' coarsest solve), and the discrete L_inf(0,T; L2) error norm.
+cycles' coarsest solve), and the discrete L_inf(0,T; L2) error norm.  The
+operator caches the sine basis and the dense Q^{-1} that the smoother
+applies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -45,6 +48,8 @@ class HeatOperator:
 
     Q = I - tau*A_h is tridiagonal with diagonal 1 + 2*sigma and
     off-diagonals -sigma (Dirichlet rows drop the outside neighbor).
+    Its sine basis and its dense inverse are built on first use and
+    cached on the operator; the cached arrays are read-only.
     """
 
     grid: SpaceTimeGrid
@@ -53,6 +58,30 @@ class HeatOperator:
     @property
     def sigma(self) -> float:
         return self.grid.sigma
+
+    @cached_property
+    def sine_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(S, lam)`` with Q = S diag(lam) S.
+
+        The orthogonal, symmetric DST-I matrix S[j, k] = sqrt(2/m) sin(pi j k/m),
+        m = n_x + 1, diagonalizes the constant-coefficient Dirichlet Q of
+        ``assemble_operator``, with eigenvalues lam_k = 1 + 4 sigma sin^2(pi k/2m).
+        """
+        m = self.grid.n_x + 1
+        k = np.arange(1, m)
+        # j*k modulo the period 2m keeps the sine's argument small
+        s = np.sqrt(2.0 / m) * np.sin(np.pi * (np.outer(k, k) % (2 * m)) / m)
+        lam = 1.0 + 4.0 * self.sigma * np.sin(np.pi * k / (2 * m)) ** 2
+        s.flags.writeable = lam.flags.writeable = False
+        return s, lam
+
+    @cached_property
+    def q_inv(self) -> np.ndarray:
+        """The dense inverse Q^{-1} = S diag(1/lam) S, symmetric up to rounding."""
+        s, lam = self.sine_basis
+        q_inv = (s / lam) @ s
+        q_inv.flags.writeable = False
+        return q_inv
 
 
 def assemble_operator(g: SpaceTimeGrid) -> HeatOperator:
@@ -92,19 +121,13 @@ def apply_operator(op: HeatOperator, u: np.ndarray) -> np.ndarray:
 def direct_solve(op: HeatOperator, rhs: np.ndarray) -> np.ndarray:
     """Exact solve u_n = Q^{-1}(rhs_n + u_{n-1}) of the system, in the sine basis.
 
-    Relies on the constant-coefficient Dirichlet Q of ``assemble_operator``:
-    the orthogonal, symmetric DST-I matrix S[j, k] = sqrt(2/m) sin(pi j k/m),
-    m = n_x + 1, diagonalizes it with eigenvalues 1 + 4 sigma sin^2(pi k/2m),
-    so time stepping is a diagonal recurrence between two products with S.
+    With the operator's cached ``sine_basis`` Q = S diag(lam) S, time
+    stepping is a diagonal recurrence between two products with S.
     """
     g = op.grid
     if rhs.shape != (g.n_t, g.n_x):
         raise ValueError(f"rhs shape {rhs.shape} does not match grid ({g.n_t}, {g.n_x})")
-    m = g.n_x + 1
-    k = np.arange(1, m)
-    # j*k modulo the period 2m keeps the sine's argument small
-    s = np.sqrt(2.0 / m) * np.sin(np.pi * (np.outer(k, k) % (2 * m)) / m)
-    lam = 1.0 + 4.0 * g.sigma * np.sin(np.pi * k / (2 * m)) ** 2
+    s, lam = op.sine_basis
     v = rhs @ s
     v[0] /= lam
     # in place on row views; ``v[n] += ...`` would also copy each row back into v

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_step, thomas_solve
+from .core import check_step
 from .heat import HeatOperator
 
 
@@ -36,11 +36,13 @@ def jacobi_sweep(op: HeatOperator, u: np.ndarray, rhs: np.ndarray,
 
         u_n <- (1 - omega) u_n + omega * Q^{-1}(rhs_n + u_{n-1}),
 
-    one batched tridiagonal solve per sweep and no operator apply.  The
-    per-block solves within one sweep are independent; sweeps are
-    sequential.  The arithmetic runs in place on buffers the sweep owns
-    (its right-hand side and each solve's result), so neither ``u`` nor
-    ``rhs`` is ever written.
+    one matrix product per sweep with the operator's cached dense
+    Q^{-1} = S diag(1/lam) S (``HeatOperator.q_inv``; Q^{-1} is
+    symmetric, so the rows of ``b @ q_inv`` are the block solves) and no
+    operator apply.  The per-block solves within one sweep are
+    independent; sweeps are sequential.  The arithmetic runs in place on
+    buffers the sweep owns (its right-hand side and each product), so
+    neither ``u`` nor ``rhs`` is ever written.
     """
     g = op.grid
     if u.shape != (g.n_t, g.n_x) or rhs.shape != (g.n_t, g.n_x):
@@ -50,8 +52,8 @@ def jacobi_sweep(op: HeatOperator, u: np.ndarray, rhs: np.ndarray,
     for _ in range(cfg.sweeps):
         b[0] = rhs[0]
         np.add(rhs[1:], u[:-1], out=b[1:])
-        x = thomas_solve(op.q, b)
-        # b is free once solved: it takes (1 - omega) u
+        x = b @ op.q_inv
+        # b is free after the product: it takes (1 - omega) u
         x *= omega
         x += np.multiply(u, 1.0 - omega, out=b)
         u = x

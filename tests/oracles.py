@@ -1,16 +1,16 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is assembled from first principles (explicit loops over
-stencil definitions, dense linear algebra, exhaustive grid searches) so
-the fast library paths are checked against genuinely independent
-computations.
+stencil definitions, dense linear algebra, exhaustive grid searches, the
+Thomas algorithm for tridiagonal solves) so the fast library paths are
+checked against genuinely independent computations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from stmg.core import thomas_solve
+from stmg.core import TridiagonalMatrix
 from stmg.heat import apply_operator
 
 # ---------------------------------------------------------------------------
@@ -46,6 +46,36 @@ def dense_block_jacobi_error_matrix(n_t: int, n_x: int, sigma: float,
     l = dense_heat_matrix(n_t, n_x, sigma)
     d = np.kron(np.eye(n_t), dense_q_matrix(n_x, sigma))
     return np.eye(n_t * n_x) - omega * np.linalg.solve(d, l)
+
+
+def thomas_solve(m: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``m @ x = rhs`` by the Thomas algorithm.
+
+    ``rhs`` may carry leading batch axes; the system is solved along the
+    last axis for every batch row with a single factorization.  The
+    elimination and back-substitution run in place on a private copy of
+    ``rhs``, so the input is never written.  Requires a diagonally
+    dominant (or otherwise LU-stable) matrix, which holds for I - tau*A_h.
+    """
+    n = m.n
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape[-1] != n:
+        raise ValueError(f"rhs last axis {rhs.shape[-1]} does not match n={n}")
+    # forward elimination of the subdiagonal; multipliers depend on m only
+    dd = np.empty(n)
+    w = np.empty(max(n - 1, 0))
+    dd[0] = m.diag[0]
+    for i in range(1, n):
+        w[i - 1] = m.sub[i - 1] / dd[i - 1]
+        dd[i] = m.diag[i] - w[i - 1] * m.sup[i - 1]
+    x = rhs.copy()
+    for i in range(1, n):
+        x[..., i] -= w[i - 1] * x[..., i - 1]
+    x[..., n - 1] /= dd[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[..., i] -= m.sup[i] * x[..., i + 1]
+        x[..., i] /= dd[i]
+    return x
 
 
 def time_stepping_solve(op, rhs: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import thomas_solve
 from stmg.core import (CoarseningStrategy, SpaceTimeGrid, TridiagonalMatrix,
-                       coarsen_grid, random_field, thomas_solve, zero_field)
+                       coarsen_grid, random_field, zero_field)
 
 
 def tri(sub, diag, sup):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stmg import core
+from stmg import core, cycles
 from stmg.core import CoarseningStrategy as CS
 from stmg.core import SpaceTimeGrid
 from stmg.cycles import CostCounter, CyclePlan, run_cycle, solve
@@ -69,6 +69,32 @@ class TestCostCounts:
         counter = CostCounter()
         run_cycle(op, np.zeros((g.n_t, g.n_x)), rhs, plan_for(strategy, depth), counter)
         assert (counter.block_solves, counter.transfer_blocks) == (solves, transfers)
+
+
+class TestCoarseOperatorCache:
+    """Two cycles on 63x256 assemble each coarse grid's operator exactly once."""
+
+    @pytest.mark.parametrize("strategy,depth,grids", [
+        (CS.NEW, 5, [(31, 64), (15, 16), (7, 4)]),
+        # (2, 2) then (2, 1): the intermediate 31x128 level is smoothed too
+        (CS.ORIGINAL, 1, [(31, 128), (31, 64)]),
+    ])
+    def test_each_grid_assembled_once(self, strategy, depth, grids, monkeypatch):
+        built = []
+
+        def counting(g):
+            built.append((g.n_x, g.n_t))
+            return assemble_operator(g)
+
+        cycles._coarse_operator.cache_clear()
+        monkeypatch.setattr(cycles, "assemble_operator", counting)
+        g = SpaceTimeGrid(n_x=63, n_t=256, horizon=0.1)
+        op = assemble_operator(g)
+        rhs = assemble_rhs(g, heat_benchmark_problem(0.1))
+        u = np.zeros((g.n_t, g.n_x))
+        for _ in range(2):
+            u = run_cycle(op, u, rhs, plan_for(strategy, depth))
+        assert built == grids
 
 
 class TestCyclesToTolerance:

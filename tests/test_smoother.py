@@ -78,11 +78,18 @@ class TestJacobiSweep:
 class TestFusedSweep:
     """The fused update against the residual form it rewrites."""
 
-    @pytest.mark.parametrize("nx,nt", [(3, 4), (7, 8), (63, 256)])
+    @pytest.mark.parametrize("nx,nt,horizon", [
+        pytest.param(3, 4, 0.1, id="3-4"),
+        pytest.param(7, 8, 0.1, id="7-8"),
+        pytest.param(63, 256, 0.1, id="63-256"),
+        # sigma 1e-3 and 1e3: Q^{-1} near I and far from it, with n_x**2 terms per row
+        pytest.param(255, 64, 1e-3 * 64 / 256**2, id="255-64-sigma1e-3"),
+        pytest.param(255, 64, 1e3 * 64 / 256**2, id="255-64-sigma1e3"),
+    ])
     @pytest.mark.parametrize("omega", [0.5, 0.7, 1.0])
     @pytest.mark.parametrize("sweeps", [1, 2, 3])
-    def test_matches_residual_form(self, nx, nt, omega, sweeps):
-        op = assemble_operator(SpaceTimeGrid(n_x=nx, n_t=nt, horizon=0.1))
+    def test_matches_residual_form(self, nx, nt, horizon, omega, sweeps):
+        op = assemble_operator(SpaceTimeGrid(n_x=nx, n_t=nt, horizon=horizon))
         rng = np.random.default_rng(nx + nt + sweeps)
         u = rng.standard_normal((nt, nx))
         rhs = rng.standard_normal((nt, nx))
