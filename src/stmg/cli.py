@@ -53,8 +53,8 @@ def _sigma_range(spec: str) -> np.ndarray:
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise ValueError(f"expected MIN:MAX:COUNT for a log sigma grid, got {spec!r}") from None
-    if lo <= 0 or hi <= 0 or count < 1:
-        raise ValueError("sigma range bounds must be positive")
+    if not (0.0 < lo < np.inf and 0.0 < hi < np.inf) or count < 1:
+        raise ValueError(f"sigma range bounds must be finite and positive, got {spec!r}")
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
@@ -71,6 +71,8 @@ def _cmd_solve(args) -> int:
     plan = CyclePlan(strategy=strategy, nu1=args.nu1, nu2=args.nu2,
                      eta1=eta1, eta2=eta2, depth=args.depth)
     check_grid(grid, strategy)
+    if args.iters < 0:
+        raise ValueError(f"--iters must be nonnegative, got {args.iters}")
     op = assemble_operator(grid)
     cfg = LfaConfig(sigma=grid.sigma, nu1=args.nu1, nu2=args.nu2,
                     eta1=eta1, eta2=eta2, resolution=args.resolution)

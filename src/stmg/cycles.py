@@ -186,6 +186,8 @@ def solve(op: HeatOperator, rhs: np.ndarray, plan: CyclePlan, max_iters: int,
     is recorded for diagnostics.  Non-convergence is reported through the
     history, never as an error.  Wall seconds time the cycle alone.
     """
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     g = op.grid
     reference = direct_solve(op, rhs)  # precomputation, not counted
     rng = np.random.default_rng(seed)

@@ -110,6 +110,6 @@ def optimal_omega(step, sigma: float) -> float:
     (2, 2) and direct (4, 2) coarsening give 1/2 above a sigma threshold
     and the crossing below it.  The result always lies in [1/2, 1].
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     return max(0.5, _crossing(step, sigma))

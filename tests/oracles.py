@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from stmg import lfa
 from stmg.core import TridiagonalMatrix
 from stmg.heat import apply_operator
 
@@ -238,3 +239,21 @@ def squared_power_radius(a: np.ndarray, squarings: int = 50) -> float:
         log_scale = 2.0 * log_scale + np.log(norm)
         k *= 2.0
     return float(np.exp(log_scale / k))
+
+
+# ---------------------------------------------------------------------------
+# rho_bar by eigenvalues of every group
+# ---------------------------------------------------------------------------
+
+
+def rho_bar_full(strategy, cfg) -> lfa.RhoBarResult:
+    """``lfa.rho_bar_details`` with no pruning: eigvals of every quadrant group."""
+    tg, xg = lfa.low_frequency_grid(cfg.resolution)
+    tt, tx = np.meshgrid(tg[tg > 0], xg[xg > 0], indexing="ij")
+    radii, singular = lfa.spectral_radius_over_groups(strategy, cfg, tt.ravel(), tx.ravel())
+    k = int(np.argmax(radii))
+    return lfa.RhoBarResult(
+        value=float(radii[k]),
+        excluded=int(singular.sum()) * 4,
+        argmax=lfa.Frequency(float(tt.ravel()[k]), float(tx.ravel()[k])),
+    )

@@ -80,6 +80,18 @@ class TestSolve:
         assert code == 2
         assert "depth must be at least 1" in err
 
+    def test_negative_iters(self, capsys, monkeypatch):
+        def search(*args):
+            raise AssertionError("omega search ran before the iteration check")
+        monkeypatch.setattr(lfa, "omega_opt_numeric", search)
+        for omega in ("0.5", "numeric"):
+            code, out, err = run(capsys, "solve", "--nx", "15", "--nt", "64",
+                                 "--strategy", "new", "--iters", "-3", "--omega", omega)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "--iters must be nonnegative" in err
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "solve.csv"
         code, out, _ = run(capsys, "solve", "--nx", "7", "--nt", "16",
@@ -121,12 +133,24 @@ class TestLfa:
         assert config["sigma_range"] == "0.1:10:2"
         assert len(rows) == 2
 
-    @pytest.mark.parametrize("spec", ["0.1:10", "0:10:2"])
+    @pytest.mark.parametrize("spec", ["0.1:10", "0:10:2", "nan:1:2", "1:inf:2"])
     def test_bad_sigma_range_exits_2(self, capsys, spec):
         code, out, err = run(capsys, "lfa-rho", "--sigma-range", spec)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["lfa-modes", "--strategy", "new", "--sigma", "nan"],
+        ["lfa-modes", "--strategy", "original", "--sigma", "inf"],
+        ["lfa-smoothing", "--strategy", "full", "--sigma-range", "nan:1:2"],
+    ])
+    def test_non_finite_sigma_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite and positive" in err
 
     def test_rho(self, capsys):
         code, out, _ = run(capsys, "lfa-rho", "--sigma-range", "0.1:10:2",

@@ -118,6 +118,13 @@ class TestCyclesToTolerance:
         assert run.iterations == iters
         assert run.error_history[-1] <= 1e-5 < run.error_history[-2]
 
+    def test_negative_iterations_rejected(self):
+        g = SpaceTimeGrid(n_x=15, n_t=64, horizon=0.1)
+        op = assemble_operator(g)
+        rhs = assemble_rhs(g, heat_benchmark_problem(0.1))
+        with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+            solve(op, rhs, plan_for(CS.NEW, 1), max_iters=-3, tol=0.0, seed=0)
+
 
 class TestGridRobustness:
     """Every valid grid either cycles or is rejected before any work."""

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from oracles import SMOOTHING_STEPS, smoothing_factor_grid
+from oracles import SMOOTHING_STEPS, rho_bar_full, smoothing_factor_grid
+from stmg import lfa
 from stmg.core import SCHEDULES
 from stmg.core import CoarseningStrategy as CS
 from stmg.lfa import (Frequency, LfaConfig, gamma2, gamma4, harmonic_group, harmonic_matrix,
                       low_frequency_grid, low_mode_action, omega_opt_numeric,
                       operator_symbol, resolve_omega, restriction_symbol, rho_bar_details,
                       smoother_symbol, smoothing_factor, spectral_radius_bar,
-                      spectral_radius_over_groups, worst_smoothing_mode)
-from stmg.lfa import _cycle_matrices, _group_arrays, _scatter_first_columns
+                      spectral_radius_batch, spectral_radius_over_groups,
+                      worst_smoothing_mode)
+from stmg.lfa import _cycle_matrices, _group_arrays, _radius_bound, _scatter_first_columns
 from stmg.smoother import optimal_omega
 
 
@@ -101,6 +103,11 @@ class TestWorstModes:
         # c = 2: the space-dominated region reaches up to omega = 4/7
         assert worst_smoothing_mode((2, 2), 0.5, 0.5) == Frequency(0.0, np.pi / 2)
         assert worst_smoothing_mode((2, 2), 1.0, 0.5) == Frequency(np.pi / 2, 0.0)
+
+    @pytest.mark.parametrize("sigma", [0.0, np.nan, np.inf])
+    def test_sigma_must_be_finite_and_positive(self, sigma):
+        with pytest.raises(ValueError, match="finite and positive"):
+            worst_smoothing_mode((2, 2), 0.5, sigma)
 
     @pytest.mark.parametrize("step", [(1, 1), (3, 1)])
     def test_unsupported_steps(self, step):
@@ -249,6 +256,76 @@ class TestSpectralRadiusBar:
         assert -np.pi / 4 < res.argmax.theta_t <= np.pi / 4
 
 
+def _quadrant_stack(strategy, cfg):
+    """Harmonic matrices of every group that ``rho_bar_details`` sweeps."""
+    tg, xg = low_frequency_grid(cfg.resolution)
+    tt, tx = np.meshgrid(tg[tg > 0], xg[xg > 0], indexing="ij")
+    return _cycle_matrices(SCHEDULES[strategy], cfg, *_group_arrays(tt.ravel(), tx.ravel()))[0]
+
+
+class TestPrunedSweep:
+    """rho_bar_details eigen-solves only the groups whose bound can reach the maximum."""
+
+    CASES = [dict(sigma=sigma, omega=omega, nu1=nu1, nu2=nu2)
+             for sigma in np.logspace(-3, 3, 7) for omega in (0.1, 0.5, 1.0)
+             for nu1, nu2 in ((0, 0), (1, 0), (3, 3))]
+
+    @pytest.mark.parametrize("resolution", [16, 32, 128])
+    @pytest.mark.parametrize("strategy", list(SCHEDULES))
+    def test_equals_full_sweep(self, strategy, resolution):
+        for case in self.CASES:
+            cfg = LfaConfig(resolution=resolution, **case)
+            assert rho_bar_details(strategy, cfg) == rho_bar_full(strategy, cfg), case
+
+    @pytest.mark.parametrize("sigma", [0.1, 1.6])
+    @pytest.mark.parametrize("strategy", list(SCHEDULES))
+    def test_numeric_omega_unchanged(self, strategy, sigma, monkeypatch):
+        cfg = LfaConfig(sigma=sigma, resolution=32)
+        pruned = omega_opt_numeric(strategy, cfg)
+        calls = []
+
+        def full(*args):
+            calls.append(args)
+            return rho_bar_full(*args)
+        monkeypatch.setattr(lfa, "rho_bar_details", full)
+        assert omega_opt_numeric(strategy, cfg) == pruned
+        assert calls
+
+    @pytest.mark.parametrize("resolution", [16, 32, 128])
+    @pytest.mark.parametrize("strategy", list(SCHEDULES))
+    def test_bound_above_radius(self, strategy, resolution):
+        for case in self.CASES:
+            mats = _quadrant_stack(strategy, LfaConfig(resolution=resolution, **case))
+            assert (_radius_bound(mats) >= spectral_radius_batch(mats)).all(), case
+
+    def test_bound_on_hostile_stacks(self):
+        stack = _quadrant_stack(CS.NEW, LfaConfig(sigma=1.0, resolution=16))
+        jordan = np.eye(8, k=1)  # nilpotent: radius 0
+        skewed = np.diag(np.linspace(0.1, 0.9, 8)) + 1e6 * np.triu(np.ones((8, 8)), 1)
+        for mats in (np.zeros((1, 8, 8)), jordan[None], skewed[None],
+                     1e-200 * stack, 1e200 * stack):
+            bound = _radius_bound(mats)
+            assert np.isfinite(bound).all() and (bound > 0).all()
+            assert (bound >= spectral_radius_batch(mats)).all()
+        # scaling the stack scales the bound: no overflow or underflow inside
+        for scale in (1e-200, 1e200):
+            ratio = _radius_bound(scale * stack) / (scale * _radius_bound(stack))
+            assert np.abs(ratio - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("strategy", list(SCHEDULES))
+    def test_few_groups_eigen_solved(self, strategy, monkeypatch):
+        rows = []
+
+        def counting(mats):
+            rows.append(len(mats))
+            return spectral_radius_batch(mats)
+        monkeypatch.setattr(lfa, "spectral_radius_batch", counting)
+        for sigma in np.logspace(-2, 2, 5):
+            rows.clear()
+            rho_bar_details(strategy, LfaConfig(sigma=sigma, omega=0.5, resolution=128))
+            assert 0 < sum(rows) <= 0.05 * 64 * 64, (sigma, rows)
+
+
 class TestOmegaOptNumeric:
     def test_dominates_fixed_choices(self):
         for sigma in (0.05, 1.0):
@@ -337,5 +414,8 @@ class TestConfigValidation:
     def test_sigma_and_omega(self):
         with pytest.raises(ValueError):
             LfaConfig(sigma=-1.0)
+        for sigma in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                LfaConfig(sigma=sigma)
         with pytest.raises(ValueError):
             LfaConfig(sigma=1.0, omega=0.0)

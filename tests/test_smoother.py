@@ -173,5 +173,6 @@ class TestOptimalOmega:
             assert abs(closed - brute) <= 2e-3
 
     def test_invalid_sigma(self):
-        with pytest.raises(ValueError):
-            optimal_omega((2, 2), 0.0)
+        for sigma in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                optimal_omega((2, 2), sigma)
