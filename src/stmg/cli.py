@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .core import SCHEDULES, SpaceTimeGrid
+from .core import SCHEDULES, SpaceTimeGrid, check_sigma
 from .cycles import CyclePlan, check_grid, solve
 from .heat import assemble_operator, assemble_rhs, heat_benchmark_problem
 from .lfa import (LfaConfig, low_mode_action, omega_opt_numeric, resolve_omega,
@@ -53,8 +53,10 @@ def _sigma_range(spec: str) -> np.ndarray:
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise ValueError(f"expected MIN:MAX:COUNT for a log sigma grid, got {spec!r}") from None
-    if not (0.0 < lo < np.inf and 0.0 < hi < np.inf) or count < 1:
-        raise ValueError(f"sigma range bounds must be finite and positive, got {spec!r}")
+    if count < 1:
+        raise ValueError(f"sigma range count must be at least 1, got {spec!r}")
+    check_sigma(lo)
+    check_sigma(hi)
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 

@@ -28,6 +28,19 @@ SCHEDULES = {
 }
 
 
+#: largest accepted sigma.  The symbols form 2 sigma mt before dividing
+#: by mx**2, 8 sigma at mt = 4; this keeps that finite, and with it every
+#: symbol at the scales a schedule reaches and every value built from them
+SIGMA_MAX = float(np.finfo(float).max) / 8
+
+
+def check_sigma(sigma: float) -> None:
+    """Raise ``ValueError`` unless 0 < sigma <= ``SIGMA_MAX``; NaN and inf fail too."""
+    if not 0.0 < sigma <= SIGMA_MAX:
+        raise ValueError(f"sigma must be finite and positive, at most {SIGMA_MAX!r}, "
+                         f"got {sigma}")
+
+
 def check_step(mt: int, mx: int) -> None:
     """Raise ``ValueError`` unless (mt, mx) is a supported coarsening step.
 

@@ -19,6 +19,15 @@ other group whose bound, with a small margin, lies below their largest
 radius cannot hold the maximum and is skipped.  Every reported radius
 still comes from ``eigvals``, so the value, its argmax and the excluded
 count are those of a sweep over every group.
+
+The numeric damping search runs such a sweep only where its value could
+change the result.  rho_bar(omega) is a maximum over groups, so the
+radius of one group at omega bounds it from below, and a group's radius
+does not depend on the groups eigen-solved with it: at the argmax
+frequencies of earlier sweeps, ``spectral_radius_over_groups`` gives the
+very values a sweep would.  A point whose bound already exceeds the best
+value found cannot be picked, so skipping its sweep leaves the result
+bit-identical.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SCHEDULES, CoarseningStrategy
+from .core import SCHEDULES, CoarseningStrategy, check_sigma
 from .smoother import _crossing, optimal_omega
 
 #: coarse symbols with modulus below this are treated as non-invertible
@@ -40,17 +49,6 @@ SINGULAR_TOL = 1e-12
 class Frequency(NamedTuple):
     theta_t: float
     theta_x: float
-
-
-class HarmonicGroup(NamedTuple):
-    """Eight companion frequencies of one low frequency, in canonical order.
-
-    Index i pairs time component i % 4 of [low, g4(low), g2(low),
-    g2(g4(low))] with space component [low, g2(low)][i // 4].
-    """
-
-    theta_t: np.ndarray
-    theta_x: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -66,8 +64,7 @@ class LfaConfig:
     resolution: int = 128
 
     def __post_init__(self):
-        if not 0.0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        check_sigma(self.sigma)
         if not 0.0 < self.omega <= 1.0:
             raise ValueError("omega must lie in (0, 1]")
         if min(self.nu1, self.nu2, self.eta1, self.eta2) < 0:
@@ -105,17 +102,6 @@ def _group_arrays(theta_t, theta_x):
     t8 = np.concatenate([times, times], axis=-1)
     x8 = np.repeat(xs, 4, axis=-1)
     return t8, x8
-
-
-def harmonic_group(theta_t: float, theta_x: float) -> HarmonicGroup:
-    """The eight companion frequencies generated from one low frequency."""
-    eps = 1e-12
-    if not (-np.pi / 4 - eps < theta_t <= np.pi / 4 + eps):
-        raise ValueError(f"low time frequency {theta_t} outside (-pi/4, pi/4]")
-    if not (-np.pi / 2 - eps < theta_x <= np.pi / 2 + eps):
-        raise ValueError(f"low space frequency {theta_x} outside (-pi/2, pi/2]")
-    t8, x8 = _group_arrays(theta_t, theta_x)
-    return HarmonicGroup(theta_t=t8, theta_x=x8)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +143,7 @@ def worst_smoothing_mode(step, omega: float, sigma: float) -> Frequency:
     """
     if not 0.0 < omega <= 1.0:
         raise ValueError("omega must lie in (0, 1]")
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    check_sigma(sigma)
     mt, mx = step
     if omega <= _crossing(step, sigma):
         return Frequency(0.0, np.pi / mx)
@@ -232,15 +217,6 @@ def _cycle_matrices(steps, cfg: LfaConfig, t8: np.ndarray, x8: np.ndarray):
     s = smoother_symbol(cfg.omega, cfg.sigma, t8, x8)
     np.subtract(np.eye(8, dtype=complex), corr, out=corr)  # in place: one fewer (N, 8, 8) buffer
     return (s ** cfg.nu2)[..., :, None] * corr * (s ** cfg.nu1)[..., None, :], singular
-
-
-def harmonic_matrix(strategy: CoarseningStrategy, cfg: LfaConfig,
-                    low: Frequency) -> np.ndarray:
-    """8x8 harmonic matrix of the strategy's cycle at one low frequency."""
-    mats, singular = _cycle_matrices(SCHEDULES[strategy], cfg, *_group_arrays(*low))
-    if singular:
-        raise ZeroDivisionError(f"coarse symbol singular at {low}")
-    return mats
 
 
 # ---------------------------------------------------------------------------
@@ -371,27 +347,75 @@ def omega_opt_numeric(strategy: CoarseningStrategy, cfg: LfaConfig):
     Runs a 64-point scan over (0, 1] followed by golden-section refinement
     to a bracket of 1e-5; ties resolve toward the smallest omega.  The
     omega stored in ``cfg`` is ignored.  Returns (omega_opt, rho_bar).
+
+    The result is that of sweeping every scan and golden-section point,
+    but a full ``rho_bar_details`` sweep runs only where its value could
+    change it.  rho_bar(omega) is a maximum over groups, so the radius of
+    any one group bounds it from below; the groups used are the argmax
+    frequencies of the sweeps run so far, and ``spectral_radius_over_groups``
+    computes their radii bit for bit as a sweep would.  The scan sweeps
+    omega = 1/2, then always the unswept point with the smallest bound,
+    and stops once no bound lies below the best value (an equal bound
+    rules out only a point above the current argmin, which wins the tie).
+    A golden-section point whose bound alone decides the next comparison
+    against it is discarded by that comparison unswept; its bound stands
+    in for its value and is never the final pick.
     """
-    def objective(om: float) -> float:
-        return rho_bar_details(strategy, replace(cfg, omega=om)).value
+    probes = []  # argmax frequencies of the sweeps so far
+
+    def sweep(om: float) -> float:
+        res = rho_bar_details(strategy, replace(cfg, omega=om))
+        if res.argmax not in probes:
+            probes.append(res.argmax)
+        return res.value
+
+    def bound(om: float, first: int = 0) -> float:
+        """Lower bound on rho_bar(om): the largest radius at ``probes[first:]``."""
+        if first == len(probes):
+            return -math.inf
+        t, x = (np.array(a) for a in zip(*probes[first:]))
+        radii, _ = spectral_radius_over_groups(strategy, replace(cfg, omega=om), t, x)
+        return float(radii.max())
 
     omegas = np.arange(1, _SCAN_POINTS + 1) / _SCAN_POINTS
-    values = np.array([objective(om) for om in omegas])
-    i = int(np.argmin(values))
+    index = np.arange(_SCAN_POINTS)
+    values = np.full(_SCAN_POINTS, -np.inf)  # a lower bound, exact once swept
+    seen = np.zeros(_SCAN_POINTS, dtype=int)  # probes behind each bound
+    swept = np.zeros(_SCAN_POINTS, dtype=bool)
+    j = _SCAN_POINTS // 2 - 1  # the first sweep is at omega = 1/2
+    while True:
+        if seen[j] < len(probes):  # tighten a stale bound before sweeping
+            values[j] = max(values[j], bound(omegas[j], seen[j]))
+            seen[j] = len(probes)
+        else:
+            values[j] = sweep(omegas[j])
+            swept[j] = True
+        i = int(np.argmin(np.where(swept, values, np.inf)))
+        open_ = ~swept & ((values < values[i]) | (values == values[i]) & (index < i))
+        if not open_.any():
+            break
+        j = int(index[open_][np.argmin(values[open_])])
+
+    def refine(om: float, limit: float, ties: bool) -> float:
+        """rho_bar(om), or its bound if that is above ``limit`` (or equal, with ``ties``)."""
+        b = bound(om)
+        return b if b > limit or ties and b == limit else sweep(om)
+
     lo = omegas[i - 1] if i > 0 else omegas[0] / 2
     hi = omegas[i + 1] if i + 1 < len(omegas) else 1.0
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
+    f1 = sweep(x1)
+    f2 = refine(x2, f1, True)
     while hi - lo > _GOLDEN_TOL:
-        if f1 <= f2:
+        if f1 <= f2:  # the new x1 goes next, unswept, if its bound exceeds f2
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INVPHI * (hi - lo)
-            f1 = objective(x1)
-        else:
+            f1 = refine(x1, f2, False)
+        else:  # the new x2 goes next, unswept, if its bound reaches f1
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INVPHI * (hi - lo)
-            f2 = objective(x2)
+            f2 = refine(x2, f1, True)
     candidates = [(f1, x1), (f2, x2), (values[i], omegas[i])]
     best = min(candidates, key=lambda p: (p[0], p[1]))
     return float(best[1]), float(best[0])

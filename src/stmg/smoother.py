@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_step
+from .core import check_sigma, check_step
 from .heat import HeatOperator
 
 
@@ -60,18 +60,6 @@ def jacobi_sweep(op: HeatOperator, u: np.ndarray, rhs: np.ndarray,
     return u
 
 
-def smoother_error_matrix_radius(omega: float) -> float:
-    """Spectral radius of the block-Jacobi error matrix, |1 - omega|.
-
-    The error matrix (1-omega)I + omega*Gamma (x) Q^{-1} is block lower
-    triangular, so its spectrum is the single value 1-omega; the nilpotent
-    coupling only produces a transient.
-    """
-    if not 0.0 < omega < 2.0:
-        raise ValueError(f"omega must lie in (0, 2), got {omega}")
-    return abs(1.0 - omega)
-
-
 def _crossing(step, sigma: float) -> float:
     """Damping up to which the space mode is the worst high mode of ``step``.
 
@@ -91,7 +79,7 @@ def _crossing(step, sigma: float) -> float:
         return 0.0
     if mt == 1:
         return 1.0
-    c = 1.0 + 2.0 * sigma
+    c = 1.0 + 2.0 * float(sigma)  # a Python float: c * c may overflow to inf, unwarned
     if mt == 2:
         return 2.0 * c / (c * c + 2.0 * c - 1.0)
     r2 = math.sqrt(2.0)
@@ -110,6 +98,5 @@ def optimal_omega(step, sigma: float) -> float:
     (2, 2) and direct (4, 2) coarsening give 1/2 above a sigma threshold
     and the crossing below it.  The result always lies in [1/2, 1].
     """
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    check_sigma(sigma)
     return max(0.5, _crossing(step, sigma))

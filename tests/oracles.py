@@ -8,10 +8,13 @@ checked against genuinely independent computations.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import NamedTuple
+
 import numpy as np
 
 from stmg import lfa
-from stmg.core import TridiagonalMatrix
+from stmg.core import SCHEDULES, TridiagonalMatrix
 from stmg.heat import apply_operator
 
 # ---------------------------------------------------------------------------
@@ -242,6 +245,41 @@ def squared_power_radius(a: np.ndarray, squarings: int = 50) -> float:
 
 
 # ---------------------------------------------------------------------------
+# one harmonic group at a time
+# ---------------------------------------------------------------------------
+
+
+class HarmonicGroup(NamedTuple):
+    """Eight companion frequencies of one low frequency, in canonical order.
+
+    Index i pairs time component i % 4 of [low, g4(low), g2(low),
+    g2(g4(low))] with space component [low, g2(low)][i // 4].
+    """
+
+    theta_t: np.ndarray
+    theta_x: np.ndarray
+
+
+def harmonic_group(theta_t: float, theta_x: float) -> HarmonicGroup:
+    """The eight companion frequencies generated from one low frequency."""
+    eps = 1e-12
+    if not (-np.pi / 4 - eps < theta_t <= np.pi / 4 + eps):
+        raise ValueError(f"low time frequency {theta_t} outside (-pi/4, pi/4]")
+    if not (-np.pi / 2 - eps < theta_x <= np.pi / 2 + eps):
+        raise ValueError(f"low space frequency {theta_x} outside (-pi/2, pi/2]")
+    t8, x8 = lfa._group_arrays(theta_t, theta_x)
+    return HarmonicGroup(theta_t=t8, theta_x=x8)
+
+
+def harmonic_matrix(strategy, cfg, low) -> np.ndarray:
+    """8x8 harmonic matrix of the strategy's cycle at one low frequency."""
+    mats, singular = lfa._cycle_matrices(SCHEDULES[strategy], cfg, *lfa._group_arrays(*low))
+    if singular:
+        raise ZeroDivisionError(f"coarse symbol singular at {low}")
+    return mats
+
+
+# ---------------------------------------------------------------------------
 # rho_bar by eigenvalues of every group
 # ---------------------------------------------------------------------------
 
@@ -257,3 +295,42 @@ def rho_bar_full(strategy, cfg) -> lfa.RhoBarResult:
         excluded=int(singular.sum()) * 4,
         argmax=lfa.Frequency(float(tt.ravel()[k]), float(tx.ravel()[k])),
     )
+
+
+# ---------------------------------------------------------------------------
+# numeric damping by sweeping every scan point
+# ---------------------------------------------------------------------------
+
+
+def omega_opt_scan(strategy, cfg):
+    """``lfa.omega_opt_numeric`` with every scan and golden-section point swept.
+
+    A 64-point scan over (0, 1] and a golden-section refinement to a
+    bracket of 1e-5, 83 ``lfa.rho_bar_details`` sweeps in all; ties
+    resolve toward the smallest omega.  Returns (omega_opt, rho_bar).
+    """
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+
+    def objective(om: float) -> float:
+        return lfa.rho_bar_details(strategy, replace(cfg, omega=om)).value
+
+    omegas = np.arange(1, 65) / 64
+    values = np.array([objective(om) for om in omegas])
+    i = int(np.argmin(values))
+    lo = omegas[i - 1] if i > 0 else omegas[0] / 2
+    hi = omegas[i + 1] if i + 1 < len(omegas) else 1.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = objective(x1), objective(x2)
+    while hi - lo > 1e-5:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = objective(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = objective(x2)
+    candidates = [(f1, x1), (f2, x2), (values[i], omegas[i])]
+    best = min(candidates, key=lambda p: (p[0], p[1]))
+    return float(best[1]), float(best[0])

@@ -4,6 +4,7 @@ import pytest
 from oracles import SMOOTHING_STEPS
 from stmg import lfa
 from stmg.cli import main
+from stmg.core import SIGMA_MAX
 from stmg.core import CoarseningStrategy as CS
 from stmg.smoother import optimal_omega
 
@@ -151,6 +152,35 @@ class TestLfa:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "finite and positive" in err
+
+    @pytest.mark.parametrize("sigma", ["5e307", "1e308"])
+    @pytest.mark.parametrize("argv", [
+        ["lfa-modes", "--strategy", "new", "--resolution", "16", "--sigma", "{}"],
+        ["lfa-smoothing", "--strategy", "new", "--sigma-range", "1e300:{}:2"],
+        ["lfa-rho", "--resolution", "16", "--sigma-range", "1e300:{}:2"],
+    ], ids=["modes", "smoothing", "rho"])
+    def test_overflowing_sigma_exits_2(self, capsys, argv, sigma):
+        # the symbols form 2 sigma mt, 8 sigma for (4, 2), before dividing by mx**2
+        code, out, err = run(capsys, *(arg.format(sigma) for arg in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite and positive" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_accepted_sigmas_run(self, capsys):
+        top = repr(SIGMA_MAX)
+        runs = [["lfa-modes", "--strategy", name, "--resolution", "16", "--sigma", top]
+                for name in ("new", "original")]
+        runs += [["lfa-smoothing", "--strategy", name, "--sigma-range", "1e307:2e307:3",
+                  "--omega", "both"] for name in SMOOTHING_STEPS]
+        runs += [["lfa-rho", "--resolution", "16", "--sigma-range", "1e307:2e307:2",
+                  "--omega", omega] for omega in ("0.5", "theorem")]
+        for argv in runs:
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == "", argv
+            _, _, rows = split_csv(out)
+            assert rows and np.isfinite(np.array(rows, dtype=float)).all(), argv
 
     def test_rho(self, capsys):
         code, out, _ = run(capsys, "lfa-rho", "--sigma-range", "0.1:10:2",

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import SMOOTHING_STEPS, rho_bar_full, smoothing_factor_grid
+from oracles import (SMOOTHING_STEPS, harmonic_group, harmonic_matrix, omega_opt_scan,
+                     rho_bar_full, smoothing_factor_grid)
 from stmg import lfa
-from stmg.core import SCHEDULES
+from stmg.core import SCHEDULES, SIGMA_MAX
 from stmg.core import CoarseningStrategy as CS
-from stmg.lfa import (Frequency, LfaConfig, gamma2, gamma4, harmonic_group, harmonic_matrix,
-                      low_frequency_grid, low_mode_action, omega_opt_numeric,
+from stmg.lfa import (Frequency, LfaConfig, gamma2, gamma4, low_frequency_grid,
+                      low_mode_action, omega_opt_numeric,
                       operator_symbol, resolve_omega, restriction_symbol, rho_bar_details,
                       smoother_symbol, smoothing_factor, spectral_radius_bar,
                       spectral_radius_batch, spectral_radius_over_groups,
@@ -39,6 +40,16 @@ class TestSymbols:
         assert got == pytest.approx(6.0, abs=1e-14)
         got = operator_symbol(1.0, np.pi / 4, np.pi / 2, 2, 1)
         assert got == pytest.approx(5.0 + 1.0j, abs=1e-14)
+
+    def test_finite_at_largest_sigma(self):
+        # the level scales of both schedules and of the time-first ((2, 1), (2, 2))
+        th = np.linspace(-np.pi, np.pi, 65)
+        tt, tx = np.meshgrid(th, th)
+        for scale in ((1, 1), (2, 1), (2, 2), (4, 2)):
+            with np.errstate(over="raise", invalid="raise"):
+                l = operator_symbol(SIGMA_MAX, tt, tx, *scale)
+                s = smoother_symbol(0.5, SIGMA_MAX, tt, tx, *scale)
+            assert np.isfinite(l).all() and np.isfinite(s).all(), scale
 
     def test_restriction_symbol_endpoints(self):
         assert restriction_symbol(0.0) == 1.0
@@ -104,7 +115,7 @@ class TestWorstModes:
         assert worst_smoothing_mode((2, 2), 0.5, 0.5) == Frequency(0.0, np.pi / 2)
         assert worst_smoothing_mode((2, 2), 1.0, 0.5) == Frequency(np.pi / 2, 0.0)
 
-    @pytest.mark.parametrize("sigma", [0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("sigma", [0.0, np.nan, np.inf, 5e307, 1e308])
     def test_sigma_must_be_finite_and_positive(self, sigma):
         with pytest.raises(ValueError, match="finite and positive"):
             worst_smoothing_mode((2, 2), 0.5, sigma)
@@ -327,6 +338,45 @@ class TestPrunedSweep:
 
 
 class TestOmegaOptNumeric:
+    """omega_opt_numeric sweeps only where a one-group lower bound cannot settle the search."""
+
+    @pytest.mark.parametrize("resolution", [16, 32])
+    @pytest.mark.parametrize("strategy", list(SCHEDULES))
+    def test_equals_full_scan(self, strategy, resolution):
+        # nu = (0, 0) makes rho_bar independent of omega: every scan point ties
+        for sigma in np.logspace(-3, 3, 7):
+            for nu1, nu2 in ((0, 0), (1, 0), (1, 1), (3, 3)):
+                cfg = LfaConfig(sigma=sigma, nu1=nu1, nu2=nu2, resolution=resolution)
+                assert omega_opt_numeric(strategy, cfg) == omega_opt_scan(strategy, cfg), \
+                    (sigma, nu1, nu2)
+
+    @pytest.mark.parametrize("strategy", list(SCHEDULES))
+    def test_subset_radii_are_bit_identical(self, strategy):
+        # the bound is exact only if a group's radius does not depend on the
+        # other groups computed with it
+        rng = np.random.default_rng(11)
+        tg, xg = low_frequency_grid(32)
+        tt, tx = [a.ravel() for a in np.meshgrid(tg[tg > 0], xg[xg > 0], indexing="ij")]
+        for sigma, omega, nu in [(1e-3, 1.0, 0), (0.1, 0.3, 1), (1.6, 0.5, 3), (1e3, 0.9, 3)]:
+            cfg = LfaConfig(sigma=sigma, omega=omega, nu1=nu, nu2=nu, resolution=32)
+            whole, _ = spectral_radius_over_groups(strategy, cfg, tt, tx)
+            for size in (1, 1, 2, 3, 8, 50, 255):
+                pick = rng.choice(tt.size, size, replace=False)
+                part, _ = spectral_radius_over_groups(strategy, cfg, tt[pick], tx[pick])
+                assert np.array_equal(part, whole[pick]), (sigma, size)
+
+    @pytest.mark.parametrize("strategy", list(SCHEDULES))
+    def test_few_sweeps(self, strategy, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return rho_bar_details(*args)
+        monkeypatch.setattr(lfa, "rho_bar_details", counting)
+        cfg = LfaConfig(sigma=1.6, nu1=3, nu2=3, resolution=32)
+        omega_opt_numeric(strategy, cfg)
+        assert 0 < len(calls) <= 30  # the full scan runs 83
+
     def test_dominates_fixed_choices(self):
         for sigma in (0.05, 1.0):
             cfg = LfaConfig(sigma=sigma, resolution=32)
@@ -414,8 +464,9 @@ class TestConfigValidation:
     def test_sigma_and_omega(self):
         with pytest.raises(ValueError):
             LfaConfig(sigma=-1.0)
-        for sigma in (np.nan, np.inf):
+        for sigma in (np.nan, np.inf, 5e307, 1e308):
             with pytest.raises(ValueError, match="finite and positive"):
                 LfaConfig(sigma=sigma)
+        LfaConfig(sigma=SIGMA_MAX)
         with pytest.raises(ValueError):
             LfaConfig(sigma=1.0, omega=0.0)
