@@ -110,6 +110,12 @@ def _cmd_lfa_smoothing(args) -> int:
     step = _SMOOTHING_STEPS[args.strategy]
     sigmas = _sigma_range(args.sigma_range)
     both = args.omega == "both"
+    if args.omega not in ("theorem", "both"):
+        try:
+            fixed = float(args.omega)
+        except ValueError:
+            raise ValueError(f"--omega must be a number, 'theorem' or 'both', "
+                             f"got {args.omega!r}") from None
     rows = []
     for sigma in sigmas:
         omega_star = optimal_omega(step, sigma)
@@ -119,7 +125,7 @@ def _cmd_lfa_smoothing(args) -> int:
             eff = 1.0 if mu_half >= 1.0 else np.log(mu_star) / np.log(mu_half)
             rows.append((sigma, omega_star, mu_star, mu_half, eff))
         else:
-            omega = omega_star if args.omega == "theorem" else float(args.omega)
+            omega = omega_star if args.omega == "theorem" else fixed
             rows.append((sigma, omega, smoothing_factor(step, omega, sigma)))
     config = {
         "command": "lfa-smoothing", "stmg_version": __version__,

@@ -1,4 +1,4 @@
-"""Cycle strategies and their schedules, grids, space-time fields and tridiagonal matrices.
+"""Cycle strategies and their schedules, parameter checks, grids and space-time fields.
 
 A space-time field is stored as a plain ``numpy`` array of shape
 ``(n_t, n_x)``: one contiguous block of spatial values per time step,
@@ -8,7 +8,7 @@ so per-block operations (and block-Jacobi sweeps) work on contiguous rows.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +39,12 @@ def check_sigma(sigma: float) -> None:
     if not 0.0 < sigma <= SIGMA_MAX:
         raise ValueError(f"sigma must be finite and positive, at most {SIGMA_MAX!r}, "
                          f"got {sigma}")
+
+
+def check_omega(omega: float) -> None:
+    """Raise ``ValueError`` unless the damping satisfies 0 < omega <= 1; NaN fails too."""
+    if not 0.0 < omega <= 1.0:
+        raise ValueError(f"omega must lie in (0, 1], got {omega}")
 
 
 def check_step(mt: int, mx: int) -> None:
@@ -78,6 +84,7 @@ class SpaceTimeGrid:
             raise ValueError(f"n_t must be 2**m with m >= 2, got {self.n_t}")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
+        check_sigma(self.sigma)
 
     @property
     def h(self) -> float:
@@ -126,41 +133,3 @@ def zero_field(g: SpaceTimeGrid) -> np.ndarray:
 def random_field(g: SpaceTimeGrid, rng: np.random.Generator) -> np.ndarray:
     """Uniform[0, 1) field, one value per space-time unknown."""
     return rng.random((g.n_t, g.n_x))
-
-
-@dataclass(frozen=True)
-class TridiagonalMatrix:
-    """Real tridiagonal matrix given by its three diagonals.
-
-    ``sub`` and ``sup`` have length n-1, ``diag`` has length n.  The
-    matrix is symmetric exactly when ``sub == sup``.
-    """
-
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.diag)
-        if len(self.sub) != n - 1 or len(self.sup) != n - 1:
-            raise ValueError("off-diagonals must have length n-1")
-
-    @property
-    def n(self) -> int:
-        return len(self.diag)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product along the last axis of ``v``."""
-        v = np.asarray(v)
-        if v.shape[-1] != self.n:
-            raise ValueError(f"expected last axis {self.n}, got {v.shape[-1]}")
-        out = self.diag * v
-        out[..., :-1] += self.sup * v[..., 1:]
-        out[..., 1:] += self.sub * v[..., :-1]
-        return out
-
-    def dense(self) -> np.ndarray:
-        return (np.diag(self.diag)
-                + np.diag(self.sup, 1)
-                + np.diag(self.sub, -1))
-

@@ -24,7 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import SCHEDULES, CoarseningStrategy, SpaceTimeGrid, coarsen_grid, random_field
+from .core import (SCHEDULES, CoarseningStrategy, SpaceTimeGrid, check_omega, coarsen_grid,
+                   random_field)
 from .heat import HeatOperator, apply_operator, assemble_operator, direct_solve, error_norm
 from .smoother import SmootherConfig, jacobi_sweep
 from .transfer import prolong, restrict
@@ -36,9 +37,6 @@ class CostCounter:
 
     block_solves: int = 0
     transfer_blocks: int = 0
-
-    def total(self) -> int:
-        return self.block_solves + self.transfer_blocks
 
 
 @dataclass(frozen=True)
@@ -62,8 +60,7 @@ class CyclePlan:
     def __post_init__(self):
         if self.strategy not in SCHEDULES:
             raise ValueError("cycle strategy must be NEW or ORIGINAL")
-        if not 0.0 < self.omega <= 1.0:
-            raise ValueError("omega must lie in (0, 1]")
+        check_omega(self.omega)
         if min(self.nu1, self.nu2) < 0:
             raise ValueError("sweep counts must be nonnegative")
         if self.depth < 1:
@@ -91,33 +88,30 @@ def _coarse_operator(g: SpaceTimeGrid) -> HeatOperator:
     return assemble_operator(g)
 
 
-def _smooth(op: HeatOperator, u, rhs, omega, sweeps, counter: CostCounter | None):
+def _smooth(op: HeatOperator, u, rhs, omega, sweeps, counter: CostCounter):
     if sweeps == 0:
         return u
-    if counter is not None:
-        counter.block_solves += sweeps * op.grid.n_t
+    counter.block_solves += sweeps * op.grid.n_t
     return jacobi_sweep(op, u, rhs, SmootherConfig(omega=omega, sweeps=sweeps))
 
 
 # one transfer block per output time row of a time halving, per coarse row of a space halving
-def _restrict_counted(fine, mt, mx, counter: CostCounter | None):
-    if counter is not None:
-        n_t = fine.shape[0]
-        halvings = range(1, mt.bit_length())
-        counter.transfer_blocks += sum(n_t >> k for k in halvings) + (n_t // mt if mx == 2 else 0)
+def _restrict_counted(fine, mt, mx, counter: CostCounter):
+    n_t = fine.shape[0]
+    halvings = range(1, mt.bit_length())
+    counter.transfer_blocks += sum(n_t >> k for k in halvings) + (n_t // mt if mx == 2 else 0)
     return restrict(fine, mt, mx)
 
 
-def _prolong_counted(coarse, mt, mx, counter: CostCounter | None):
-    if counter is not None:
-        n_tc = coarse.shape[0]
-        halvings = range(1, mt.bit_length())
-        counter.transfer_blocks += sum(n_tc << k for k in halvings) + (n_tc if mx == 2 else 0)
+def _prolong_counted(coarse, mt, mx, counter: CostCounter):
+    n_tc = coarse.shape[0]
+    halvings = range(1, mt.bit_length())
+    counter.transfer_blocks += sum(n_tc << k for k in halvings) + (n_tc if mx == 2 else 0)
     return prolong(coarse, mt, mx)
 
 
 def _cycle(op: HeatOperator, u, rhs, plan: CyclePlan, level: int, stages_left: int,
-           counter: CostCounter | None):
+           counter: CostCounter):
     """Smooth on ``level`` of the current stage, correct from the next level, smooth."""
     steps = SCHEDULES[plan.strategy]
     pre, post = (plan.nu1, plan.nu2) if level == 0 else (plan.eta1, plan.eta2)
@@ -130,8 +124,7 @@ def _cycle(op: HeatOperator, u, rhs, plan: CyclePlan, level: int, stages_left: i
     elif stages_left > 1 and _stage_error(cop.grid, steps) is None:
         ec = _cycle(cop, np.zeros_like(rc), rc, plan, 0, stages_left - 1, counter)
     else:
-        if counter is not None:
-            counter.block_solves += cop.grid.n_t
+        counter.block_solves += cop.grid.n_t
         ec = direct_solve(cop, rc)
     u = u + _prolong_counted(ec, mt, mx, counter)
     return _smooth(op, u, rhs, plan.omega, post, counter)
@@ -149,10 +142,13 @@ def run_cycle(op: HeatOperator, u, rhs, plan: CyclePlan,
               counter: CostCounter | None = None):
     """One iteration of the plan's cycle; returns the new field.
 
-    Raises ``ValueError`` before any work if the grid cannot take even
-    one coarsening stage of the strategy.
+    The cycle's work is added to ``counter``, a fresh one if none is
+    given.  Raises ``ValueError`` before any work if the grid cannot take
+    even one coarsening stage of the strategy.
     """
     check_grid(op.grid, plan.strategy)
+    if counter is None:
+        counter = CostCounter()
     return _cycle(op, u, rhs, plan, 0, plan.depth, counter)
 
 

@@ -1,10 +1,11 @@
 """Backward Euler / centered difference discretization of the 1D heat equation.
 
-Assembles the all-at-once lower block bidiagonal system, its right-hand
-side, its exact solve in the sine basis (the reference solution and the
-cycles' coarsest solve), and the discrete L_inf(0,T; L2) error norm.  The
-operator caches the sine basis and the dense Q^{-1} that the smoother
-applies.
+The all-at-once lower block bidiagonal system is defined by its grid
+alone: every spatial block Q has the constant stencil of sigma, so the
+operator applies it from sigma and caches only the sine basis and the
+dense Q^{-1} that the smoother applies.  Also here: the right-hand side,
+the exact solve in the sine basis (the reference solution and the
+cycles' coarsest solve) and the discrete L_inf(0,T; L2) error norm.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SpaceTimeGrid, TridiagonalMatrix
+from .core import SpaceTimeGrid
 
 
 @dataclass(frozen=True)
@@ -44,16 +45,15 @@ def heat_benchmark_problem(horizon: float = 0.1) -> ProblemData:
 
 @dataclass(frozen=True)
 class HeatOperator:
-    """All-at-once operator: row n is Q u_n - B u_{n-1} with B = I.
+    """All-at-once operator of a grid: row n is Q u_n - B u_{n-1} with B = I.
 
-    Q = I - tau*A_h is tridiagonal with diagonal 1 + 2*sigma and
-    off-diagonals -sigma (Dirichlet rows drop the outside neighbor).
+    Q = I - tau*A_h is the stencil (1 + 2*sigma) u_j - sigma (u_{j-1} + u_{j+1})
+    (Dirichlet rows drop the outside neighbor), fixed by the grid's sigma.
     Its sine basis and its dense inverse are built on first use and
     cached on the operator; the cached arrays are read-only.
     """
 
     grid: SpaceTimeGrid
-    q: TridiagonalMatrix
 
     @property
     def sigma(self) -> float:
@@ -64,8 +64,8 @@ class HeatOperator:
         """``(S, lam)`` with Q = S diag(lam) S.
 
         The orthogonal, symmetric DST-I matrix S[j, k] = sqrt(2/m) sin(pi j k/m),
-        m = n_x + 1, diagonalizes the constant-coefficient Dirichlet Q of
-        ``assemble_operator``, with eigenvalues lam_k = 1 + 4 sigma sin^2(pi k/2m).
+        m = n_x + 1, diagonalizes the constant-coefficient Dirichlet Q,
+        with eigenvalues lam_k = 1 + 4 sigma sin^2(pi k/2m).
         """
         m = self.grid.n_x + 1
         k = np.arange(1, m)
@@ -85,13 +85,7 @@ class HeatOperator:
 
 
 def assemble_operator(g: SpaceTimeGrid) -> HeatOperator:
-    s = g.sigma
-    q = TridiagonalMatrix(
-        sub=np.full(g.n_x - 1, -s),
-        diag=np.full(g.n_x, 1.0 + 2.0 * s),
-        sup=np.full(g.n_x - 1, -s),
-    )
-    return HeatOperator(grid=g, q=q)
+    return HeatOperator(grid=g)
 
 
 def assemble_rhs(g: SpaceTimeGrid, p: ProblemData) -> np.ndarray:
@@ -113,7 +107,10 @@ def apply_operator(op: HeatOperator, u: np.ndarray) -> np.ndarray:
     g = op.grid
     if u.shape != (g.n_t, g.n_x):
         raise ValueError(f"field shape {u.shape} does not match grid ({g.n_t}, {g.n_x})")
-    out = op.q.apply(u)
+    s = op.sigma
+    out = (1.0 + 2.0 * s) * u
+    out[:, :-1] -= s * u[:, 1:]
+    out[:, 1:] -= s * u[:, :-1]
     out[1:] -= u[:-1]
     return out
 

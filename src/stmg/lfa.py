@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SCHEDULES, CoarseningStrategy, check_sigma
+from .core import SCHEDULES, CoarseningStrategy, check_omega, check_sigma
 from .smoother import _crossing, optimal_omega
 
 #: coarse symbols with modulus below this are treated as non-invertible
@@ -65,8 +65,7 @@ class LfaConfig:
 
     def __post_init__(self):
         check_sigma(self.sigma)
-        if not 0.0 < self.omega <= 1.0:
-            raise ValueError("omega must lie in (0, 1]")
+        check_omega(self.omega)
         if min(self.nu1, self.nu2, self.eta1, self.eta2) < 0:
             raise ValueError("sweep counts must be nonnegative")
         if self.resolution < 16 or self.resolution % 2 != 0:
@@ -141,8 +140,7 @@ def worst_smoothing_mode(step, omega: float, sigma: float) -> Frequency:
     crossing of the space- and time-dominated branches, and the time mode
     (pi/mt, 0) above it.
     """
-    if not 0.0 < omega <= 1.0:
-        raise ValueError("omega must lie in (0, 1]")
+    check_omega(omega)
     check_sigma(sigma)
     mt, mx = step
     if omega <= _crossing(step, sigma):
@@ -320,11 +318,6 @@ def rho_bar_details(strategy: CoarseningStrategy, cfg: LfaConfig) -> RhoBarResul
     )
 
 
-def spectral_radius_bar(strategy: CoarseningStrategy, cfg: LfaConfig) -> float:
-    """Predicted asymptotic convergence factor of the chosen cycle."""
-    return rho_bar_details(strategy, cfg).value
-
-
 def spectral_radius_over_groups(strategy: CoarseningStrategy, cfg: LfaConfig,
                                 theta_t: np.ndarray, theta_x: np.ndarray):
     """Spectral radii at explicit low frequencies; singular groups get -inf."""
@@ -436,7 +429,8 @@ def resolve_omega(mode, strategy: CoarseningStrategy, cfg: LfaConfig) -> float:
     try:
         return float(mode)
     except (TypeError, ValueError):
-        raise ValueError(f"unrecognized omega mode {mode!r}") from None
+        raise ValueError(f"omega must be a number, 'theorem' or 'numeric', "
+                         f"got {mode!r}") from None
 
 
 # ---------------------------------------------------------------------------

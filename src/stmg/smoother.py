@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_sigma, check_step
+from .core import check_omega, check_sigma, check_step
 from .heat import HeatOperator
 
 
@@ -19,8 +19,7 @@ class SmootherConfig:
     sweeps: int
 
     def __post_init__(self):
-        if not 0.0 < self.omega <= 1.0:
-            raise ValueError(f"omega must lie in (0, 1], got {self.omega}")
+        check_omega(self.omega)
         if self.sweeps < 0:
             raise ValueError("sweeps must be nonnegative")
 

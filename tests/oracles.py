@@ -8,13 +8,13 @@ checked against genuinely independent computations.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from stmg import lfa
-from stmg.core import SCHEDULES, TridiagonalMatrix
+from stmg.core import SCHEDULES
 from stmg.heat import apply_operator
 
 # ---------------------------------------------------------------------------
@@ -50,6 +50,49 @@ def dense_block_jacobi_error_matrix(n_t: int, n_x: int, sigma: float,
     l = dense_heat_matrix(n_t, n_x, sigma)
     d = np.kron(np.eye(n_t), dense_q_matrix(n_x, sigma))
     return np.eye(n_t * n_x) - omega * np.linalg.solve(d, l)
+
+
+@dataclass(frozen=True)
+class TridiagonalMatrix:
+    """Real tridiagonal matrix given by its three diagonals.
+
+    ``sub`` and ``sup`` have length n-1, ``diag`` has length n.  The
+    matrix is symmetric exactly when ``sub == sup``.
+    """
+
+    sub: np.ndarray
+    diag: np.ndarray
+    sup: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.diag)
+        if len(self.sub) != n - 1 or len(self.sup) != n - 1:
+            raise ValueError("off-diagonals must have length n-1")
+
+    @property
+    def n(self) -> int:
+        return len(self.diag)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """Matrix-vector product along the last axis of ``v``."""
+        v = np.asarray(v)
+        if v.shape[-1] != self.n:
+            raise ValueError(f"expected last axis {self.n}, got {v.shape[-1]}")
+        out = self.diag * v
+        out[..., :-1] += self.sup * v[..., 1:]
+        out[..., 1:] += self.sub * v[..., :-1]
+        return out
+
+    def dense(self) -> np.ndarray:
+        return (np.diag(self.diag)
+                + np.diag(self.sup, 1)
+                + np.diag(self.sub, -1))
+
+
+def tridiagonal_q(n_x: int, sigma: float) -> TridiagonalMatrix:
+    """Q = I - tau*A_h by its diagonals: 1 + 2*sigma on the diagonal, -sigma beside it."""
+    off = np.full(n_x - 1, -sigma)
+    return TridiagonalMatrix(sub=off, diag=np.full(n_x, 1.0 + 2.0 * sigma), sup=off)
 
 
 def thomas_solve(m: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
@@ -88,10 +131,11 @@ def time_stepping_solve(op, rhs: np.ndarray) -> np.ndarray:
     The classical time-stepping loop, one Thomas solve with Q per step:
     the reference for the library's sine-basis ``heat.direct_solve``.
     """
+    q = tridiagonal_q(op.grid.n_x, op.sigma)
     u = np.empty_like(rhs, dtype=float)
     prev = np.zeros(op.grid.n_x)
     for n in range(op.grid.n_t):
-        prev = thomas_solve(op.q, rhs[n] + prev)
+        prev = thomas_solve(q, rhs[n] + prev)
         u[n] = prev
     return u
 
@@ -102,8 +146,9 @@ def residual_form_sweep(op, u: np.ndarray, rhs: np.ndarray, cfg) -> np.ndarray:
     One operator apply and one Thomas solve per sweep: the reference for
     the library's fused ``smoother.jacobi_sweep``.
     """
+    q = tridiagonal_q(op.grid.n_x, op.sigma)
     for _ in range(cfg.sweeps):
-        u = u + cfg.omega * thomas_solve(op.q, rhs - apply_operator(op, u))
+        u = u + cfg.omega * thomas_solve(q, rhs - apply_operator(op, u))
     return u
 
 

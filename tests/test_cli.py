@@ -182,6 +182,20 @@ class TestLfa:
             _, _, rows = split_csv(out)
             assert rows and np.isfinite(np.array(rows, dtype=float)).all(), argv
 
+    @pytest.mark.parametrize("command,omega,accepted", [
+        ("lfa-smoothing", "numeric", "a number, 'theorem' or 'both'"),
+        ("lfa-smoothing", "half", "a number, 'theorem' or 'both'"),
+        ("lfa-rho", "both", "a number, 'theorem' or 'numeric'"),
+        ("lfa-rho", "half", "a number, 'theorem' or 'numeric'"),
+    ], ids=["smoothing-numeric", "smoothing-half", "rho-both", "rho-half"])
+    def test_unknown_omega_names_accepted_values(self, capsys, command, omega, accepted):
+        argv = ["--strategy", "new"] if command == "lfa-smoothing" else ["--resolution", "16"]
+        code, out, err = run(capsys, command, *argv, "--sigma-range", "1:2:2", "--omega", omega)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert accepted in err and repr(omega) in err
+
     def test_rho(self, capsys):
         code, out, _ = run(capsys, "lfa-rho", "--sigma-range", "0.1:10:2",
                            "--omega", "0.5", "--resolution", "16")

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import thomas_solve
-from stmg.core import (CoarseningStrategy, SpaceTimeGrid, TridiagonalMatrix,
-                       coarsen_grid, random_field, zero_field)
+from oracles import TridiagonalMatrix, thomas_solve
+from stmg.core import CoarseningStrategy, SpaceTimeGrid, coarsen_grid, random_field, zero_field
+from stmg.cycles import CyclePlan
+from stmg.lfa import LfaConfig, worst_smoothing_mode
+from stmg.smoother import SmootherConfig
 
 
 def tri(sub, diag, sup):
@@ -89,6 +91,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             SpaceTimeGrid(n_x=nx, n_t=nt, horizon=1.0)
 
+    @pytest.mark.parametrize("horizon", [1e308, float("inf")])
+    def test_infinite_sigma_rejected(self, horizon):
+        # sigma = tau/h**2 overflows to inf; before the check the solve returned NaN
+        with pytest.raises(ValueError, match="finite and positive"):
+            SpaceTimeGrid(n_x=7, n_t=16, horizon=horizon)
+
     def test_fields(self):
         g = SpaceTimeGrid(n_x=7, n_t=8, horizon=1.0)
         assert zero_field(g).shape == (8, 7)
@@ -129,3 +137,18 @@ class TestCoarsenGrid:
     def test_strategy_tags(self):
         assert CoarseningStrategy("new") is CoarseningStrategy.NEW
         assert len(CoarseningStrategy) == 2
+
+
+class TestCheckOmega:
+    """Every damping parameter is checked by ``core.check_omega``, with one message."""
+
+    @pytest.mark.parametrize("omega", [0.0, -0.5, 1.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("make", [
+        lambda om: SmootherConfig(omega=om, sweeps=1),
+        lambda om: CyclePlan(strategy=CoarseningStrategy.NEW, omega=om),
+        lambda om: LfaConfig(sigma=1.0, omega=om),
+        lambda om: worst_smoothing_mode((2, 2), om, 1.0),
+    ], ids=["SmootherConfig", "CyclePlan", "LfaConfig", "worst_smoothing_mode"])
+    def test_rejected_with_one_message(self, make, omega):
+        with pytest.raises(ValueError, match=rf"^omega must lie in \(0, 1\], got {omega}$"):
+            make(omega)

@@ -8,7 +8,7 @@ from stmg.core import CoarseningStrategy as CS
 from stmg.core import SpaceTimeGrid
 from stmg.cycles import CostCounter, CyclePlan, run_cycle, solve
 from stmg.heat import assemble_operator, assemble_rhs, heat_benchmark_problem
-from stmg.lfa import LfaConfig, spectral_radius_bar
+from stmg.lfa import LfaConfig, rho_bar_details
 
 
 def plan_for(strategy, depth, eta=3, **kw):
@@ -46,8 +46,8 @@ class TestContraction:
                     max_iters=20, tol=1e-13, seed=0)
         ratios = run.error_history[1:] / run.error_history[:-1]
         rate = float(np.exp(np.log(ratios[len(ratios) // 2:]).mean()))
-        rho = spectral_radius_bar(strategy, LfaConfig(sigma=g.sigma, omega=0.5, nu1=3,
-                                                      nu2=3, eta1=3, eta2=3, resolution=64))
+        rho = rho_bar_details(strategy, LfaConfig(sigma=g.sigma, omega=0.5, nu1=3, nu2=3,
+                                                  eta1=3, eta2=3, resolution=64)).value
         assert rate <= rho + 0.05
         if sigma < 10.0:
             assert abs(rate - rho) <= 0.1
@@ -69,6 +69,17 @@ class TestCostCounts:
         counter = CostCounter()
         run_cycle(op, np.zeros((g.n_t, g.n_x)), rhs, plan_for(strategy, depth), counter)
         assert (counter.block_solves, counter.transfer_blocks) == (solves, transfers)
+
+    @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
+    def test_counting_leaves_the_field_unchanged(self, strategy):
+        # with no counter given, run_cycle counts into a fresh one of its own
+        g = SpaceTimeGrid(n_x=63, n_t=256, horizon=0.1)
+        op = assemble_operator(g)
+        rhs = assemble_rhs(g, heat_benchmark_problem(0.1))
+        u = np.random.default_rng(2).random((g.n_t, g.n_x))
+        plan = plan_for(strategy, 5)
+        assert np.array_equal(run_cycle(op, u, rhs, plan, CostCounter()),
+                              run_cycle(op, u, rhs, plan))
 
 
 class TestCoarseOperatorCache:
@@ -148,7 +159,7 @@ class TestGridRobustness:
         if not fits:
             with pytest.raises(ValueError, match="too small for one"):
                 run_cycle(op, u, rhs, plan_for(strategy, depth), counter)
-            assert counter.total() == 0
+            assert (counter.block_solves, counter.transfer_blocks) == (0, 0)
             return
         out = run_cycle(op, u, rhs, plan_for(strategy, depth), counter)
         assert out.shape == (g.n_t, g.n_x)

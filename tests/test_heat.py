@@ -1,9 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_heat_matrix, time_stepping_solve
+from oracles import dense_heat_matrix, dense_q_matrix, time_stepping_solve, tridiagonal_q
 from periodic import assemble_periodic_operator, fourier_mode, time_frequencies
 from stmg.core import SpaceTimeGrid, random_field
 from stmg.heat import (ProblemData, apply_operator, assemble_operator, assemble_rhs,
@@ -15,17 +17,33 @@ def grid_for_sigma(n_x, n_t, sigma):
 
 
 class TestAssemble:
+    """The operator is its grid: Q comes from sigma, checked on unit fields."""
+
+    @staticmethod
+    def q_columns(op):
+        # a unit field in the last time block has Q's column there and nothing else
+        g = op.grid
+        cols = []
+        for j in range(g.n_x):
+            u = np.zeros((g.n_t, g.n_x))
+            u[-1, j] = 1.0
+            out = apply_operator(op, u)
+            assert not out[:-1].any()
+            cols.append(out[-1])
+        return np.column_stack(cols)
+
     def test_unit_sigma_stencil(self):
         g = grid_for_sigma(3, 4, 1.0)
         op = assemble_operator(g)
-        assert np.allclose(op.q.diag, [3.0, 3.0, 3.0], atol=0)
-        assert np.allclose(op.q.sub, [-1.0, -1.0], atol=0)
-        assert np.array_equal(op.q.sub, op.q.sup)
+        assert [f.name for f in fields(op)] == ["grid"]
+        q = self.q_columns(op)
+        assert np.array_equal(q, dense_q_matrix(3, 1.0))
 
     def test_half_sigma_diagonal(self):
         g = grid_for_sigma(7, 8, 0.5)
-        op = assemble_operator(g)
-        assert np.allclose(op.q.diag, 2.0, atol=1e-15)
+        q = self.q_columns(assemble_operator(g))
+        assert np.array_equal(q, dense_q_matrix(7, g.sigma))
+        assert np.allclose(np.diag(q), 2.0, atol=1e-15)
 
 
 class TestApplyOperator:
@@ -59,6 +77,20 @@ class TestApplyOperator:
         g = grid_for_sigma(7, 8, 1.0)
         with pytest.raises(ValueError):
             apply_operator(assemble_operator(g), np.zeros((8, 8)))
+
+    @pytest.mark.parametrize("nx,nt", [(3, 4), (63, 256), (63, 4096)])
+    @pytest.mark.parametrize("sigma", [1e-3, 0.1, 1.6, 1e3])
+    def test_stencil_bit_identical_to_tridiagonal_apply(self, nx, nt, sigma):
+        # the scalar stencil against the diagonals' product, then the time shift
+        g = grid_for_sigma(nx, nt, sigma)
+        op = assemble_operator(g)
+        q = tridiagonal_q(nx, g.sigma)
+        rng = np.random.default_rng(nx * nt)
+        for scale in (1e-5, 1.0, 1e5):
+            u = scale * rng.standard_normal((nt, nx))
+            want = q.apply(u)
+            want[1:] -= u[:-1]
+            assert np.array_equal(apply_operator(op, u), want)
 
 
 class TestRhs:
@@ -142,7 +174,7 @@ class TestCachedBasis:
     @pytest.mark.parametrize("sigma", [1e-3, 0.1, 10.0, 1e3])
     def test_inverse(self, nx, sigma):
         op = assemble_operator(grid_for_sigma(nx, 4, sigma))
-        err = np.linalg.norm(op.q_inv @ op.q.dense() - np.eye(nx), np.inf)
+        err = np.linalg.norm(op.q_inv @ dense_q_matrix(nx, op.sigma) - np.eye(nx), np.inf)
         assert err <= 64 * (1 + 4 * sigma) * nx * np.finfo(float).eps
 
     def test_cached_once_and_read_only(self):

@@ -9,8 +9,7 @@ from stmg.core import CoarseningStrategy as CS
 from stmg.lfa import (Frequency, LfaConfig, gamma2, gamma4, low_frequency_grid,
                       low_mode_action, omega_opt_numeric,
                       operator_symbol, resolve_omega, restriction_symbol, rho_bar_details,
-                      smoother_symbol, smoothing_factor, spectral_radius_bar,
-                      spectral_radius_batch, spectral_radius_over_groups,
+                      smoother_symbol, smoothing_factor, spectral_radius_batch, spectral_radius_over_groups,
                       worst_smoothing_mode)
 from stmg.lfa import _cycle_matrices, _group_arrays, _radius_bound, _scatter_first_columns
 from stmg.smoother import optimal_omega
@@ -228,7 +227,7 @@ class TestSpectralRadiusBar:
     def test_more_smoothing_never_worse(self):
         light = LfaConfig(sigma=1.0, omega=0.5, nu1=3, nu2=3, resolution=32)
         heavy = LfaConfig(sigma=1.0, omega=0.5, nu1=50, nu2=50, resolution=32)
-        assert spectral_radius_bar(CS.NEW, heavy) <= spectral_radius_bar(CS.NEW, light)
+        assert rho_bar_details(CS.NEW, heavy).value <= rho_bar_details(CS.NEW, light).value
 
     def test_symmetry_reduction_is_exact(self):
         # rho_bar_details sweeps one quadrant; the reference sweeps all four
@@ -257,8 +256,8 @@ class TestSpectralRadiusBar:
     def test_half_damping_ordering(self):
         for sigma in (0.01, 0.156, 1.0, 409.6):
             cfg = LfaConfig(sigma=sigma, omega=0.5, resolution=32)
-            rho_o = spectral_radius_bar(CS.ORIGINAL, cfg)
-            rho_n = spectral_radius_bar(CS.NEW, cfg)
+            rho_o = rho_bar_details(CS.ORIGINAL, cfg).value
+            rho_n = rho_bar_details(CS.NEW, cfg).value
             assert rho_o <= rho_n + 1e-10
 
     def test_excluded_count_reported(self):
@@ -382,8 +381,8 @@ class TestOmegaOptNumeric:
             cfg = LfaConfig(sigma=sigma, resolution=32)
             w_opt, rho_opt = omega_opt_numeric(CS.NEW, cfg)
             for fixed in (0.5, optimal_omega((4, 2), sigma)):
-                rho_fixed = spectral_radius_bar(
-                    CS.NEW, LfaConfig(sigma=sigma, omega=fixed, resolution=32))
+                rho_fixed = rho_bar_details(
+                    CS.NEW, LfaConfig(sigma=sigma, omega=fixed, resolution=32)).value
                 assert rho_opt <= rho_fixed + 1e-9
             assert 0.0 < w_opt <= 1.0
 
