@@ -73,8 +73,9 @@ def _cmd_solve(args) -> int:
     plan = CyclePlan(strategy=strategy, nu1=args.nu1, nu2=args.nu2,
                      eta1=eta1, eta2=eta2, depth=args.depth)
     check_grid(grid, strategy)
-    if args.iters < 0:
-        raise ValueError(f"--iters must be nonnegative, got {args.iters}")
+    for flag, value in (("--iters", args.iters), ("--seed", args.seed)):
+        if value < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {value}")
     op = assemble_operator(grid)
     cfg = LfaConfig(sigma=grid.sigma, nu1=args.nu1, nu2=args.nu2,
                     eta1=eta1, eta2=eta2, resolution=args.resolution)

@@ -1,15 +1,16 @@
 """Fourier-symbol machinery for the space-time multigrid analysis.
 
 Everything here operates on angular frequencies (theta_t, theta_x) in
-(-pi, pi].  Per low frequency, a group of eight companion modes is built
-by the frequency folding maps for factor-4 time and factor-2 space
-coarsening; smoother, operator and transfer symbols assemble 8x8 complex
-matrices whose spectral radii, maximized over the low-frequency domain,
-predict the asymptotic convergence factor of the cycles.  A cycle's
-matrix follows its coarsening schedule, ``core.SCHEDULES[strategy]``,
-the same table the solver in ``cycles`` runs: that table is the one
-place a strategy is defined.  The smoothing analysis takes a single
-coarsening step (mt, mx), such as a schedule's first step.
+(-pi, pi].  A cycle's matrix follows its coarsening schedule,
+``core.SCHEDULES[strategy]``, the same table the solver in ``cycles``
+runs: that table is the one place a strategy is defined.  The product
+of the steps is the total scale (Mt, Mx).  Per low frequency, one fold
+rule builds the group of Mt*Mx companion modes that alias onto it on the
+coarsest level, eight for both strategies; smoother, operator and
+transfer symbols assemble their harmonic matrices, whose spectral radii,
+maximized over the low domain (-pi/Mt, pi/Mt] x (-pi/Mx, pi/Mx], predict
+the asymptotic convergence factor of the cycles.  The smoothing analysis
+takes a single coarsening step (mt, mx), such as a schedule's first step.
 
 The sampled maximum of the spectral radius, rho_bar, is exact but
 eigen-solves only the few groups that can reach it.  Four batched
@@ -76,31 +77,22 @@ class LfaConfig:
 # frequency folding
 # ---------------------------------------------------------------------------
 
-def _sign(theta):
-    # sign with the convention sign(0) = -1, so the folds stay inside
-    # their stated codomains
-    return np.where(np.asarray(theta) > 0, 1.0, -1.0)
+def _companions(theta, m: int):
+    """Companions of ``theta`` in (-pi/m, pi/m] under factor-m coarsening: (..., m).
+
+    Each pass for k = m, m/2, ..., 2 appends the fold f - sign(f) 2 pi/k,
+    sign(0) = -1, of every f so far: companion i aliases onto i % (m/k) at factor k.
+    """
+    f = np.asarray(theta, dtype=float)[..., None]
+    for h in range(m.bit_length() - 1):
+        f = np.concatenate([f, f - np.where(f > 0, 1.0, -1.0) * (2 * np.pi / (m >> h))], axis=-1)
+    return f
 
 
-def gamma2(theta):
-    """Fold of factor-2 coarsening: theta - sign(theta)*pi on (-pi/2, pi/2]."""
-    return theta - _sign(theta) * np.pi
-
-
-def gamma4(theta):
-    """Fold of factor-4 coarsening: theta - sign(theta)*pi/2 on (-pi/4, pi/4]."""
-    return theta - _sign(theta) * (np.pi / 2)
-
-
-def _group_arrays(theta_t, theta_x):
-    """Companion frequencies for arrays of low frequencies: (..., 8) each."""
-    tt = np.asarray(theta_t, dtype=float)
-    tx = np.asarray(theta_x, dtype=float)
-    times = np.stack([tt, gamma4(tt), gamma2(tt), gamma2(gamma4(tt))], axis=-1)
-    xs = np.stack([tx, gamma2(tx)], axis=-1)
-    t8 = np.concatenate([times, times], axis=-1)
-    x8 = np.repeat(xs, 4, axis=-1)
-    return t8, x8
+def _group_arrays(theta_t, theta_x, scale):
+    """Companions (..., Mt*Mx) of ``scale``: index i is time i % Mt, space i // Mt."""
+    mt, mx = scale
+    return np.tile(_companions(theta_t, mt), mx), np.repeat(_companions(theta_x, mx), mt, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -158,32 +150,36 @@ def smoothing_factor(step, omega: float, sigma: float) -> float:
 # harmonic-space matrices
 # ---------------------------------------------------------------------------
 
-def _cycle_matrices(steps, cfg: LfaConfig, t8: np.ndarray, x8: np.ndarray):
-    """Batched harmonic matrices (N, 8, 8) of one cycle at the companions ``t8``/``x8``.
+def _scale(steps):
+    """Total coarsening (Mt, Mx) of ``steps``: the product of the factors."""
+    return math.prod(mt for mt, _ in steps), math.prod(mx for _, mx in steps)
 
-    Level k has the scale (Mt, Mx) of the steps before it.  The fine
-    level takes ``nu1``/``nu2`` sweeps, each intermediate level one
-    ``eta1``/``eta2``-smoothed cycle from zero, and the coarsest level,
-    a single mode, is inverted.  Restriction multiplies one full-weighting
-    symbol per halving and P = mt * R^T.  Also returns the mask of groups
-    where some coarse symbol is below ``SINGULAR_TOL``.
+
+def _cycle_matrices(steps, cfg: LfaConfig, tc: np.ndarray, xc: np.ndarray):
+    """Batched harmonic matrices (N, n, n) of one cycle at the companions ``tc``/``xc``.
+
+    A group is the n = Mt*Mx companions of the total scale of ``steps``, in
+    ``_group_arrays`` order.  The fine level takes ``nu1``/``nu2`` sweeps,
+    each intermediate level one ``eta1``/``eta2``-smoothed cycle from zero,
+    and the coarsest level, a single mode, is inverted.  Restriction
+    multiplies one full-weighting symbol per halving and P = mt * R^T.
+    Also returns the mask of groups where a coarse symbol is below ``SINGULAR_TOL``.
     """
     scales = [(1, 1)]
     for mt, mx in steps:
         scales.append((scales[-1][0] * mt, scales[-1][1] * mx))
-    if scales[-1] != (4, 2):
-        raise ValueError(f"schedule {steps} must coarsen by (4, 2) in all, "
-                         f"not {scales[-1]}: the eight-mode group resolves no other scale")
-    # level (Mt, Mx) keeps (4/Mt)*(2/Mx) of the eight companions, and
-    # companion i aliases onto its kept mode folds[k][i]
+    # level (Mt, Mx) keeps the (total_t/Mt)*(total_x/Mx) companions that stay
+    # distinct on it, and companion i aliases onto its kept mode folds[k][i]
+    total_t, total_x = scales[-1]
     kept, folds = [], []
     for mt, mx in scales:
-        nt, nx = 4 // mt, 2 // mx
-        kept.append([(j // nt) * 4 + j % nt for j in range(nt * nx)])
-        folds.append(np.array([(i // 4) % nx * nt + (i % 4) % nt for i in range(8)]))
-    freqs = [(t8[..., k], x8[..., k]) for k in kept]
+        nt, nx = total_t // mt, total_x // mx
+        kept.append([(j // nt) * total_t + j % nt for j in range(nt * nx)])
+        folds.append(np.array([(i // total_t) % nx * nt + (i % total_t) % nt
+                               for i in range(total_t * total_x)]))
+    freqs = [(tc[..., k], xc[..., k]) for k in kept]
     ls = [operator_symbol(cfg.sigma, t, x, *scale) for (t, x), scale in zip(freqs, scales)]
-    singular = np.zeros(t8.shape[:-1], dtype=bool)
+    singular = np.zeros(tc.shape[:-1], dtype=bool)
     for l in ls[1:]:
         singular |= np.any(np.abs(l) < SINGULAR_TOL, axis=-1)
     ls = ls[:1] + [np.where(singular[..., None], 1.0, l) for l in ls[1:]]
@@ -212,8 +208,8 @@ def _cycle_matrices(steps, cfg: LfaConfig, t8: np.ndarray, x8: np.ndarray):
         r = onehot.astype(float) * weights[k - 1][..., None, :]
         p = steps[k - 1][0] * np.swapaxes(r, -1, -2)
         corr = p @ approx @ (r * ls[k - 1][..., None, :])
-    s = smoother_symbol(cfg.omega, cfg.sigma, t8, x8)
-    np.subtract(np.eye(8, dtype=complex), corr, out=corr)  # in place: one fewer (N, 8, 8) buffer
+    s = smoother_symbol(cfg.omega, cfg.sigma, tc, xc)
+    np.subtract(np.eye(len(kept[0]), dtype=complex), corr, out=corr)  # in place: one buffer fewer
     return (s ** cfg.nu2)[..., :, None] * corr * (s ** cfg.nu1)[..., None, :], singular
 
 
@@ -221,17 +217,15 @@ def _cycle_matrices(steps, cfg: LfaConfig, t8: np.ndarray, x8: np.ndarray):
 # spectral radius over the low-frequency domain
 # ---------------------------------------------------------------------------
 
-def low_frequency_grid(resolution: int):
-    """Half-cell-offset samples of (-pi/4, pi/4] x (-pi/2, pi/2].
+def low_frequency_grid(resolution: int, scale=(4, 2)):
+    """Half-cell-offset samples of the low domain (-pi/Mt, pi/Mt] x (-pi/Mx, pi/Mx].
 
-    The offset avoids the singular zero frequency and the domain
-    boundaries; the grid is symmetric under reflection of either axis.
+    The default ``scale`` is that of both strategies.  The offset avoids
+    the singular zero frequency and the domain boundaries; the grid is
+    symmetric under reflection of either axis.
     """
-    wt = (np.pi / 2) / resolution
-    wx = np.pi / resolution
-    tt = -np.pi / 4 + (np.arange(resolution) + 0.5) * wt
-    tx = -np.pi / 2 + (np.arange(resolution) + 0.5) * wx
-    return tt, tx
+    offsets = np.arange(resolution) + 0.5
+    return tuple(-np.pi / m + offsets * ((2 * np.pi / m) / resolution) for m in scale)
 
 
 def spectral_radius_batch(mats: np.ndarray) -> np.ndarray:
@@ -298,10 +292,11 @@ def rho_bar_details(strategy: CoarseningStrategy, cfg: LfaConfig) -> RhoBarResul
     group, ``spectral_radius_over_groups``, bit for bit.  A NaN bound is
     never skipped, so eigvals rejects it as it would in a full sweep.
     """
-    tg, xg = low_frequency_grid(cfg.resolution)
+    steps = SCHEDULES[strategy]
+    tg, xg = low_frequency_grid(cfg.resolution, _scale(steps))
     tt, tx = np.meshgrid(tg[tg > 0], xg[xg > 0], indexing="ij")
     tt, tx = tt.ravel(), tx.ravel()
-    mats, singular = _cycle_matrices(SCHEDULES[strategy], cfg, *_group_arrays(tt, tx))
+    mats, singular = _cycle_matrices(steps, cfg, *_group_arrays(tt, tx, _scale(steps)))
     bound = np.where(singular, -np.inf, _radius_bound(mats))
     radii = np.full(tt.shape, -np.inf)
     seeds = np.argpartition(bound, -_SEEDS)[-_SEEDS:]
@@ -321,7 +316,8 @@ def rho_bar_details(strategy: CoarseningStrategy, cfg: LfaConfig) -> RhoBarResul
 def spectral_radius_over_groups(strategy: CoarseningStrategy, cfg: LfaConfig,
                                 theta_t: np.ndarray, theta_x: np.ndarray):
     """Spectral radii at explicit low frequencies; singular groups get -inf."""
-    mats, singular = _cycle_matrices(SCHEDULES[strategy], cfg, *_group_arrays(theta_t, theta_x))
+    steps = SCHEDULES[strategy]
+    mats, singular = _cycle_matrices(steps, cfg, *_group_arrays(theta_t, theta_x, _scale(steps)))
     return np.where(singular, -np.inf, spectral_radius_batch(mats)), singular
 
 
@@ -446,28 +442,30 @@ class LowModeMap:
     modulus: np.ndarray
 
 
-def _scatter_first_columns(mats: np.ndarray, t8: np.ndarray, x8: np.ndarray,
+def _scatter_first_columns(mats: np.ndarray, tc: np.ndarray, xc: np.ndarray,
                            singular: np.ndarray) -> LowModeMap:
     coeffs = np.abs(mats[..., :, 0])
     coeffs = np.where(singular[..., None], 0.0, coeffs)
-    return LowModeMap(theta_t=t8.ravel(), theta_x=x8.ravel(), modulus=coeffs.ravel())
+    return LowModeMap(theta_t=tc.ravel(), theta_x=xc.ravel(), modulus=coeffs.ravel())
 
 
 def low_mode_action(strategy: CoarseningStrategy, cfg: LfaConfig) -> LowModeMap:
     """Apply the cycle matrix to the all-ones low-frequency input.
 
-    Each sampled low frequency contributes the unit coefficient on its
-    low component and zero on the seven companions, so the output
-    coefficients are the first matrix column; their moduli are scattered
-    onto the companion frequencies across the full square.
+    Each sampled low frequency of the schedule's low domain contributes
+    the unit coefficient on its low component and zero on the other
+    companions, so the output coefficients are the first matrix column;
+    their moduli are scattered onto the companion frequencies across the
+    full square.
 
     The cycle applies ``cfg.nu1`` pre- and ``cfg.nu2`` post-smoothing
     sweeps, and the peak moves with them: for the NEW cycle the
     least-damped low mode sits on the boundary |theta_t| = pi/4 only
     when nu1 + nu2 <= 2; more sweeps pull it inside the low band.
     """
-    tg, xg = low_frequency_grid(cfg.resolution)
+    steps = SCHEDULES[strategy]
+    tg, xg = low_frequency_grid(cfg.resolution, _scale(steps))
     tt, tx = np.meshgrid(tg, xg, indexing="ij")
-    t8, x8 = _group_arrays(tt.ravel(), tx.ravel())
-    mats, singular = _cycle_matrices(SCHEDULES[strategy], cfg, t8, x8)
-    return _scatter_first_columns(mats, t8, x8, singular)
+    tc, xc = _group_arrays(tt.ravel(), tx.ravel(), _scale(steps))
+    mats, singular = _cycle_matrices(steps, cfg, tc, xc)
+    return _scatter_first_columns(mats, tc, xc, singular)

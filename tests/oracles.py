@@ -297,8 +297,10 @@ def squared_power_radius(a: np.ndarray, squarings: int = 50) -> float:
 class HarmonicGroup(NamedTuple):
     """Eight companion frequencies of one low frequency, in canonical order.
 
-    Index i pairs time component i % 4 of [low, g4(low), g2(low),
-    g2(g4(low))] with space component [low, g2(low)][i // 4].
+    Index i pairs time component i % 4 of ``lfa._companions(low, 4)``,
+    [low, g4(low), g2(low), g2(g4(low))] for the factor-m folds
+    gm(f) = f - sign(f) * 2 pi / m, with space component i // 4 of
+    ``lfa._companions(low, 2)``, [low, g2(low)].
     """
 
     theta_t: np.ndarray
@@ -312,13 +314,15 @@ def harmonic_group(theta_t: float, theta_x: float) -> HarmonicGroup:
         raise ValueError(f"low time frequency {theta_t} outside (-pi/4, pi/4]")
     if not (-np.pi / 2 - eps < theta_x <= np.pi / 2 + eps):
         raise ValueError(f"low space frequency {theta_x} outside (-pi/2, pi/2]")
-    t8, x8 = lfa._group_arrays(theta_t, theta_x)
+    t8, x8 = lfa._group_arrays(theta_t, theta_x, (4, 2))
     return HarmonicGroup(theta_t=t8, theta_x=x8)
 
 
 def harmonic_matrix(strategy, cfg, low) -> np.ndarray:
-    """8x8 harmonic matrix of the strategy's cycle at one low frequency."""
-    mats, singular = lfa._cycle_matrices(SCHEDULES[strategy], cfg, *lfa._group_arrays(*low))
+    """Harmonic matrix of the strategy's cycle at one low frequency, 8x8 at scale (4, 2)."""
+    steps = SCHEDULES[strategy]
+    mats, singular = lfa._cycle_matrices(steps, cfg,
+                                         *lfa._group_arrays(*low, lfa._scale(steps)))
     if singular:
         raise ZeroDivisionError(f"coarse symbol singular at {low}")
     return mats
@@ -331,7 +335,7 @@ def harmonic_matrix(strategy, cfg, low) -> np.ndarray:
 
 def rho_bar_full(strategy, cfg) -> lfa.RhoBarResult:
     """``lfa.rho_bar_details`` with no pruning: eigvals of every quadrant group."""
-    tg, xg = lfa.low_frequency_grid(cfg.resolution)
+    tg, xg = lfa.low_frequency_grid(cfg.resolution, lfa._scale(SCHEDULES[strategy]))
     tt, tx = np.meshgrid(tg[tg > 0], xg[xg > 0], indexing="ij")
     radii, singular = lfa.spectral_radius_over_groups(strategy, cfg, tt.ravel(), tx.ravel())
     k = int(np.argmax(radii))

@@ -136,19 +136,19 @@ def cycle_matrix(steps, n_t: int, n_x: int, sigma: float, omega: float,
 
 
 def harmonic_block(m: np.ndarray, n_t: int, n_x: int,
-                   theta_t8: np.ndarray, theta_x8: np.ndarray) -> np.ndarray:
+                   theta_t: np.ndarray, theta_x: np.ndarray) -> np.ndarray:
     """Project a dense torus matrix onto one companion-mode group.
 
-    Valid because distinct discrete modes are orthogonal; returns the 8x8
-    block in the given companion order.
+    Valid because distinct discrete modes are orthogonal; returns the
+    block in the given companion order, one row and column per mode.
     """
-    modes = np.stack(
-        [fourier_mode(n_t, n_x, theta_t8[k], theta_x8[k]) for k in range(8)], axis=1)
+    modes = np.stack([fourier_mode(n_t, n_x, t, x) for t, x in zip(theta_t, theta_x)], axis=1)
     return modes.conj().T @ (m @ modes) / (n_t * n_x)
 
 
-def discrete_low_frequencies(n_t: int, n_x: int):
-    """Discrete low frequencies (-pi/4, pi/4] x (-pi/2, pi/2] on the torus."""
-    tts = [t for t in time_frequencies(n_t) if -np.pi / 4 < t <= np.pi / 4 + 1e-14]
-    txs = [x for x in time_frequencies(n_x) if -np.pi / 2 < x <= np.pi / 2 + 1e-14]
+def discrete_low_frequencies(n_t: int, n_x: int, scale):
+    """Discrete low frequencies (-pi/Mt, pi/Mt] x (-pi/Mx, pi/Mx] of ``scale`` on the torus."""
+    mt, mx = scale
+    tts = [t for t in time_frequencies(n_t) if -np.pi / mt < t <= np.pi / mt + 1e-14]
+    txs = [x for x in time_frequencies(n_x) if -np.pi / mx < x <= np.pi / mx + 1e-14]
     return [(tt, tx) for tt in tts for tx in txs]

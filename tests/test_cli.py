@@ -93,6 +93,18 @@ class TestSolve:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "--iters must be nonnegative" in err
 
+    def test_negative_seed(self, capsys, monkeypatch):
+        def search(*args):
+            raise AssertionError("omega search ran before the seed check")
+        monkeypatch.setattr(lfa, "omega_opt_numeric", search)
+        for omega in ("0.5", "numeric"):
+            code, out, err = run(capsys, "solve", "--nx", "15", "--nt", "64",
+                                 "--strategy", "new", "--seed", "-1", "--omega", omega)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "--seed must be nonnegative, got -1" in err
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "solve.csv"
         code, out, _ = run(capsys, "solve", "--nx", "7", "--nt", "16",

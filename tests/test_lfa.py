@@ -6,12 +6,12 @@ from oracles import (SMOOTHING_STEPS, harmonic_group, harmonic_matrix, omega_opt
 from stmg import lfa
 from stmg.core import SCHEDULES, SIGMA_MAX
 from stmg.core import CoarseningStrategy as CS
-from stmg.lfa import (Frequency, LfaConfig, gamma2, gamma4, low_frequency_grid,
-                      low_mode_action, omega_opt_numeric,
-                      operator_symbol, resolve_omega, restriction_symbol, rho_bar_details,
-                      smoother_symbol, smoothing_factor, spectral_radius_batch, spectral_radius_over_groups,
-                      worst_smoothing_mode)
-from stmg.lfa import _cycle_matrices, _group_arrays, _radius_bound, _scatter_first_columns
+from stmg.lfa import (Frequency, LfaConfig, low_frequency_grid, low_mode_action,
+                      omega_opt_numeric, operator_symbol, resolve_omega, restriction_symbol,
+                      rho_bar_details, smoother_symbol, smoothing_factor, spectral_radius_batch,
+                      spectral_radius_over_groups, worst_smoothing_mode)
+from stmg.lfa import (_companions, _cycle_matrices, _group_arrays, _radius_bound,
+                      _scatter_first_columns)
 from stmg.smoother import optimal_omega
 
 
@@ -63,28 +63,84 @@ class TestSymbols:
 
 
 class TestFrequencyFolding:
+    """``_companions(theta, m)``: one fold per halving of the factor m."""
+
+    FACTORS = (2, 4, 8, 16)
+
     def test_fold_of_zero_uses_negative_sign(self):
-        # sign(0) = -1 puts the folds at the positive ends of their codomains
-        assert gamma2(0.0) == pytest.approx(np.pi)
-        assert gamma4(0.0) == pytest.approx(np.pi / 2)
+        # sign(0) = -1 folds zero onto the positive end of each codomain:
+        # [0, pi] at m = 2, [0, pi/2, pi, -pi/2] at m = 4
+        for m in self.FACTORS:
+            comp = _companions(0.0, m)
+            assert comp[1] == 2 * np.pi / m, m
+            assert comp[m // 2] == np.pi, m
 
     def test_fold_of_quarter_pi(self):
-        assert gamma2(np.pi / 4) == pytest.approx(-3 * np.pi / 4)
+        assert np.array_equal(_companions(np.pi / 4, 2), [np.pi / 4, -3 * np.pi / 4])
+        assert np.array_equal(_companions(np.pi / 8, 4),
+                              [np.pi / 8, -3 * np.pi / 8, -7 * np.pi / 8, 5 * np.pi / 8])
 
     def test_codomains(self):
+        # the pass for factor k appends companions m/k .. 2m/k - 1, which
+        # lie in pi/k <= |f| <= 2 pi/k; together they tile (-pi, pi]
         rng = np.random.default_rng(2)
-        th = rng.uniform(-np.pi / 2, np.pi / 2, 200)
-        g2 = gamma2(th)
-        assert ((np.abs(g2) > np.pi / 2) & (np.abs(g2) <= np.pi)).all()
-        th4 = rng.uniform(-np.pi / 4, np.pi / 4, 200)
-        g4 = gamma4(th4)
-        assert ((np.abs(g4) > np.pi / 4) & (np.abs(g4) <= np.pi / 2)).all()
+        for m in self.FACTORS:
+            th = rng.uniform(-np.pi / m, np.pi / m, 200)
+            comp = _companions(th, m)
+            assert comp.shape == (200, m)
+            assert (np.abs(comp[:, 0]) <= np.pi / m).all()
+            k = m
+            while k > 1:
+                new = np.abs(comp[:, m // k:2 * m // k])
+                assert ((new >= np.pi / k) & (new <= 2 * np.pi / k)).all(), (m, k)
+                k //= 2
+            assert ((comp > -np.pi) & (comp <= np.pi)).all()
+            assert (np.diff(np.sort(comp, axis=1), axis=1) > 1e-9).all()
 
     def test_aliasing_identity(self):
+        # under factor-k coarsening companion i aliases onto companion i % (m/k)
         rng = np.random.default_rng(3)
-        for th in rng.uniform(-np.pi / 2, np.pi / 2, 50):
-            n = np.arange(1, 33)
-            assert np.abs(np.exp(2j * gamma2(th) * n) - np.exp(2j * th * n)).max() < 1e-12
+        n = np.arange(1, 33)
+        for m in self.FACTORS:
+            for th in rng.uniform(-np.pi / m, np.pi / m, 10):
+                comp = _companions(th, m)
+                k = 1
+                while k <= m:
+                    for i in range(m):
+                        j = i % (m // k)
+                        alias = np.exp(1j * k * comp[i] * n) - np.exp(1j * k * comp[j] * n)
+                        assert np.abs(alias).max() < 1e-12, (m, k, i)
+                    k *= 2
+
+    def test_group_equals_parent_folds(self):
+        # the fixed eight-mode layout that the fold rule replaced, bit for bit
+        def sign(th):
+            return np.where(np.asarray(th) > 0, 1.0, -1.0)
+
+        def g2(th):
+            return th - sign(th) * np.pi
+
+        def g4(th):
+            return th - sign(th) * (np.pi / 2)
+
+        rng = np.random.default_rng(4)
+        tt = np.concatenate([[0.0, np.pi / 4, -np.pi / 4],
+                             rng.uniform(-np.pi / 4, np.pi / 4, 100)])
+        tx = np.concatenate([[0.0, np.pi / 2, 0.0], rng.uniform(-np.pi / 2, np.pi / 2, 100)])
+        times = np.stack([tt, g4(tt), g2(tt), g2(g4(tt))], axis=-1)
+        xs = np.stack([tx, g2(tx)], axis=-1)
+        t8, x8 = _group_arrays(tt, tx, (4, 2))
+        assert np.array_equal(t8, np.concatenate([times, times], axis=-1))
+        assert np.array_equal(x8, np.repeat(xs, 4, axis=-1))
+
+    @pytest.mark.parametrize("scale", [(1, 1), (2, 1), (1, 2), (4, 2), (16, 4)])
+    def test_group_pairs_time_and_space_companions(self, scale):
+        mt, mx = scale
+        tc, xc = _group_arrays(0.01, -0.03, scale)
+        assert tc.shape == xc.shape == (mt * mx,)
+        for i in range(mt * mx):
+            assert tc[i] == _companions(0.01, mt)[i % mt]
+            assert xc[i] == _companions(-0.03, mx)[i // mt]
 
     def test_group_structure(self):
         grp = harmonic_group(0.11, -0.42)
@@ -92,7 +148,7 @@ class TestFrequencyFolding:
         pairs = {(round(t, 12), round(x, 12)) for t, x in zip(grp.theta_t, grp.theta_x)}
         assert len(pairs) == 8
         assert grp.theta_t[0] == 0.11 and grp.theta_x[0] == -0.42
-        assert grp.theta_x[4] == pytest.approx(gamma2(-0.42))
+        assert grp.theta_x[4] == -0.42 + np.pi
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -162,7 +218,7 @@ class TestHarmonicMatrices:
         cfg = LfaConfig(sigma=0.7, omega=0.6, nu1=2, nu2=1)
         low = Frequency(0.2, -0.4)
         got = harmonic_matrix(CS.NEW, cfg, low)
-        t8, x8 = _group_arrays(low.theta_t, low.theta_x)
+        t8, x8 = _group_arrays(low.theta_t, low.theta_x, (4, 2))
         s = smoother_symbol(cfg.omega, cfg.sigma, t8, x8)
         l = operator_symbol(cfg.sigma, t8, x8)
         r = (restriction_symbol(t8) * restriction_symbol(2 * t8)
@@ -177,13 +233,6 @@ class TestHarmonicMatrices:
         for tt, tx in [(0.1, 0.3), (np.pi / 4, np.pi / 2), (-0.2, -1.2)]:
             for strat in SCHEDULES:
                 assert np.isfinite(harmonic_matrix(strat, cfg, Frequency(tt, tx))).all()
-
-    def test_schedule_must_reach_group_scale(self):
-        # the eight-mode group resolves a stage of total scale (4, 2) only
-        cfg = LfaConfig(sigma=1.0)
-        for steps in [((2, 2),), ((4, 2), (2, 1)), ((2, 1), (2, 1))]:
-            with pytest.raises(ValueError, match="must coarsen by"):
-                _cycle_matrices(steps, cfg, *_group_arrays(0.1, 0.2))
 
     def test_zero_frequency_group_is_singular(self):
         cfg = LfaConfig(sigma=1.0)
@@ -210,7 +259,7 @@ class TestHarmonicMatrices:
         # prolongated vector must match the direct expansion
         cfg = LfaConfig(sigma=0.9, omega=0.5, nu1=0, nu2=0)
         low = Frequency(0.31, 0.7)
-        t8, x8 = _group_arrays(low.theta_t, low.theta_x)
+        t8, x8 = _group_arrays(low.theta_t, low.theta_x, (4, 2))
         r = (restriction_symbol(t8) * restriction_symbol(2 * t8)
              * restriction_symbol(x8)).reshape(1, 8)
         p = 4 * r.T
@@ -266,11 +315,12 @@ class TestSpectralRadiusBar:
         assert -np.pi / 4 < res.argmax.theta_t <= np.pi / 4
 
 
-def _quadrant_stack(strategy, cfg):
+def _quadrant_stack(strategy, cfg, scale=(4, 2)):
     """Harmonic matrices of every group that ``rho_bar_details`` sweeps."""
-    tg, xg = low_frequency_grid(cfg.resolution)
+    tg, xg = low_frequency_grid(cfg.resolution, scale)
     tt, tx = np.meshgrid(tg[tg > 0], xg[xg > 0], indexing="ij")
-    return _cycle_matrices(SCHEDULES[strategy], cfg, *_group_arrays(tt.ravel(), tx.ravel()))[0]
+    tc, xc = _group_arrays(tt.ravel(), tx.ravel(), scale)
+    return _cycle_matrices(SCHEDULES[strategy], cfg, tc, xc)[0]
 
 
 class TestPrunedSweep:
@@ -334,6 +384,41 @@ class TestPrunedSweep:
             rows.clear()
             rho_bar_details(strategy, LfaConfig(sigma=sigma, omega=0.5, resolution=128))
             assert 0 < sum(rows) <= 0.05 * 64 * 64, (sigma, rows)
+
+
+class TestScheduleScale:
+    """Every caller samples the low domain of its schedule's total scale (Mt, Mx)."""
+
+    @pytest.mark.parametrize("scale", [(1, 1), (2, 1), (1, 2), (2, 2), (4, 2), (8, 4), (16, 4)])
+    def test_low_grid_is_the_scaled_default_grid(self, scale):
+        # exact for powers of two: the (4, 2) samples times (4/Mt, 2/Mx)
+        for res in (16, 18, 128):
+            tg, xg = low_frequency_grid(res)
+            st, sx = low_frequency_grid(res, scale)
+            assert np.array_equal(st, tg * (4 / scale[0]))
+            assert np.array_equal(sx, xg * (2 / scale[1]))
+
+    @pytest.mark.parametrize("steps", [((2, 1),), ((2, 2),), ((4, 2), (4, 2)),
+                                       ((2, 2), (2, 1), (4, 2))])
+    def test_pruned_sweep_equals_full_sweep(self, steps, monkeypatch):
+        monkeypatch.setitem(SCHEDULES, CS.NEW, steps)
+        for sigma in (0.01, 1.0, 100.0):
+            for nu in (0, 1, 3):
+                cfg = LfaConfig(sigma=sigma, nu1=nu, nu2=nu, eta1=nu, eta2=nu, resolution=16)
+                assert rho_bar_details(CS.NEW, cfg) == rho_bar_full(CS.NEW, cfg), (sigma, nu)
+        mt, mx = lfa._scale(steps)
+        mats = _quadrant_stack(CS.NEW, LfaConfig(sigma=0.1, resolution=16), (mt, mx))
+        assert mats.shape[-2:] == (mt * mx, mt * mx)
+        assert (_radius_bound(mats) >= spectral_radius_batch(mats)).all()
+
+    def test_low_mode_action_at_depth_two(self, monkeypatch):
+        monkeypatch.setitem(SCHEDULES, CS.NEW, ((4, 2), (4, 2)))
+        out = low_mode_action(CS.NEW, LfaConfig(sigma=0.1, resolution=16))
+        assert out.modulus.shape == (64 * 16 * 16,)
+        assert np.isfinite(out.modulus).all()
+        low_t, low_x = out.theta_t[::64], out.theta_x[::64]
+        assert (np.abs(low_t) < np.pi / 16).all() and (np.abs(low_x) < np.pi / 4).all()
+        assert ((np.abs(out.theta_t) <= np.pi) & (np.abs(out.theta_x) <= np.pi)).all()
 
 
 class TestOmegaOptNumeric:
@@ -407,7 +492,7 @@ class TestLowModeAction:
         tg = -np.pi / 4 + (np.arange(res) + 0.5) * (np.pi / 2 / res)
         xg = -np.pi / 2 + (np.arange(res) + 0.5) * (np.pi / res)
         tt, tx = [a.ravel() for a in np.meshgrid(tg, xg, indexing="ij")]
-        t8, x8 = _group_arrays(tt, tx)
+        t8, x8 = _group_arrays(tt, tx, (4, 2))
         eye = np.broadcast_to(np.eye(8, dtype=complex), (tt.size, 8, 8))
         out = _scatter_first_columns(eye, t8, x8, np.zeros(tt.size, bool))
         low = (np.abs(out.theta_t) <= np.pi / 4 + 1e-12) & (np.abs(out.theta_x) <= np.pi / 2 + 1e-12)

@@ -6,12 +6,19 @@ from periodic import (cycle_matrix, discrete_low_frequencies, fourier_mode, harm
                       smoother_matrix, time_frequencies)
 from stmg.core import SCHEDULES
 from stmg.core import CoarseningStrategy as CS
-from stmg.lfa import (LfaConfig, _cycle_matrices, _group_arrays, operator_symbol,
+from stmg.lfa import (LfaConfig, _cycle_matrices, _group_arrays, _scale, operator_symbol,
                       restriction_symbol, smoother_symbol)
 
-#: the strategies' schedules and two more that only the schedule defines:
-#: time semi-coarsening first, and space semi-coarsening then factor 4 in time
-SCHEDULES_UNDER_TEST = [*SCHEDULES.values(), ((2, 1), (2, 2)), ((1, 2), (4, 1))]
+#: the strategies' schedules and two more of scale (4, 2) that only the
+#: schedule defines: time semi-coarsening first, and space semi-coarsening
+#: then factor 4 in time; the single steps; and two-stage hierarchies of
+#: scale (8, 4) and (16, 4), the k-grid analysis of NEW at depth 2
+SCHEDULES_UNDER_TEST = [*SCHEDULES.values(), ((2, 1), (2, 2)), ((1, 2), (4, 1)),
+                        ((2, 1),), ((2, 2),), ((4, 1),), ((1, 2),),
+                        ((4, 2), (2, 2)), ((4, 2), (4, 2))]
+#: torus (n_t, n_x) of a schedule whose low time domain the 16x16 torus
+#: samples only at zero; every other schedule runs on 16x16
+TORUS = {((4, 2), (4, 2)): (32, 8)}
 
 
 class TestSymbolConsistency:
@@ -41,7 +48,7 @@ class TestSymbolConsistency:
         for mt, mx in [(2, 2), (4, 2), (2, 1)]:
             n_t, n_x = self.n_t // mt, self.n_x // mx
             lc = operator_matrix(n_t, n_x, self.sigma * mt / mx**2)
-            for tt, tx in discrete_low_frequencies(self.n_t, self.n_x):
+            for tt, tx in discrete_low_frequencies(self.n_t, self.n_x, (mt, mx)):
                 phi = fourier_mode(n_t, n_x, mt * tt, mx * tx)
                 lam = operator_symbol(self.sigma, tt, tx, mt, mx)
                 assert np.abs(lc @ phi - lam * phi).max() < 1e-12
@@ -64,7 +71,7 @@ class TestSymbolConsistency:
         # mt * Rhat_k, the transfer scaling the cycles rely on
         p = prolongation_matrix(self.n_t, self.n_x, 4, 2)
         for tt, tx in [(np.pi / 8, np.pi / 4), (-np.pi / 8, -np.pi / 2 + np.pi / 8)]:
-            t8, x8 = _group_arrays(tt, tx)
+            t8, x8 = _group_arrays(tt, tx, (4, 2))
             phic = fourier_mode(self.n_t // 4, self.n_x // 2, 4 * tt, 2 * tx)
             out = p @ phic
             for k in range(8):
@@ -80,18 +87,20 @@ class TestCycleHarmonicBlocks:
     # keeps one test per sigma; the assertion message names the schedule.
     @pytest.mark.parametrize("sigma", [0.1, 0.7, 10.0])
     def test_blocks_match_lfa_matrices(self, sigma):
-        n_t = n_x = 16
         cfg = LfaConfig(sigma=sigma, omega=0.6, nu1=2, nu2=1, eta1=2, eta2=1)
-        lows = discrete_low_frequencies(n_t, n_x)
         for steps in SCHEDULES_UNDER_TEST:
+            n_t, n_x = TORUS.get(steps, (16, 16))
+            scale = _scale(steps)
+            lows = discrete_low_frequencies(n_t, n_x, scale)
             dense = cycle_matrix(steps, n_t, n_x, sigma, 0.6, 2, 1, 2, 1)
-            mats, singular = _cycle_matrices(steps, cfg, *_group_arrays(*np.array(lows).T))
+            mats, singular = _cycle_matrices(steps, cfg,
+                                             *_group_arrays(*np.array(lows).T, scale))
+            assert mats.shape == (len(lows), scale[0] * scale[1], scale[0] * scale[1]), steps
             assert singular.sum() == 1, steps  # only the group of the zero mode
             for (tt, tx), mat, skip in zip(lows, mats, singular):
                 if skip:
                     continue
-                t8, x8 = _group_arrays(tt, tx)
-                block = harmonic_block(dense, n_t, n_x, t8, x8)
+                block = harmonic_block(dense, n_t, n_x, *_group_arrays(tt, tx, scale))
                 assert np.abs(block - mat).max() < 1e-12, steps
 
     def test_zero_mode_untouched_by_cycle(self):
@@ -104,7 +113,7 @@ class TestCycleHarmonicBlocks:
 
 class TestDiscreteFrequencies:
     def test_counts(self):
-        lows = discrete_low_frequencies(16, 16)
+        lows = discrete_low_frequencies(16, 16, (4, 2))
         assert len(lows) == 4 * 8
         for tt, tx in lows:
             assert -np.pi / 4 < tt <= np.pi / 4 + 1e-12
