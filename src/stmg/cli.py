@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .core import SCHEDULES, SpaceTimeGrid, check_sigma
-from .cycles import CyclePlan, check_grid, solve
+from .cycles import CyclePlan, plan_levels, solve
 from .heat import assemble_operator, assemble_rhs, heat_benchmark_problem
 from .lfa import (LfaConfig, low_mode_action, omega_opt_numeric, resolve_omega,
                   rho_bar_details, smoothing_factor)
@@ -72,7 +72,7 @@ def _cmd_solve(args) -> int:
     eta2 = default_eta if args.eta2 is None else args.eta2
     plan = CyclePlan(strategy=strategy, nu1=args.nu1, nu2=args.nu2,
                      eta1=eta1, eta2=eta2, depth=args.depth)
-    check_grid(grid, strategy)
+    levels, _ = plan_levels(grid, plan)
     for flag, value in (("--iters", args.iters), ("--seed", args.seed)):
         if value < 0:
             raise ValueError(f"{flag} must be nonnegative, got {value}")
@@ -81,6 +81,11 @@ def _cmd_solve(args) -> int:
                     eta1=eta1, eta2=eta2, resolution=args.resolution)
     omega = resolve_omega(args.omega, strategy, cfg)
     plan = replace(plan, omega=omega)
+    stages = len(levels) // len(SCHEDULES[strategy])
+    if args.omega in ("theorem", "numeric") and stages > 1:
+        print(f"warning: --omega {args.omega} is the one-stage LFA optimum {omega:.6g}; with "
+              f"{stages} coarsening stages the run is not predicted and can diverge",
+              file=sys.stderr)
     rhs = assemble_rhs(grid, heat_benchmark_problem(horizon=args.T))
     run = solve(op, rhs, plan, max_iters=args.iters, tol=0.0, seed=args.seed)
 

@@ -5,15 +5,15 @@ A strategy is a schedule, ``core.SCHEDULES[strategy]``: the list of
 place a strategy is defined; ``lfa`` analyses the same schedules.  The
 direct strategy's stage is the single step (4, 2), a two-level method;
 the original strategy's stage is a full space-time step (2, 2) followed
-by a time semi-coarsening (2, 1), a three-level method.  Every level
-of a stage is smoothed: ``nu1``/``nu2`` sweeps on the stage's fine level
-and ``eta1``/``eta2`` sweeps on each intermediate one.  A deeper
-hierarchy repeats the stage on the coarsest grid of the previous one
-while ``depth`` allows and every grid of the next stage is a valid
-``SpaceTimeGrid``; otherwise the coarsest system is solved exactly in
-the sine basis, counted as one block solve per coarse time step.  Each
-coarse operator is built once per grid and reused by later cycles, so
-its sine basis and the smoother's Q^{-1} are built once too.
+by a time semi-coarsening (2, 1), a three-level method.
+
+``plan_levels`` plans a cycle before any work: its smoothed levels, finest
+first, each with its grid, its step down and its (pre, post) sweeps, and
+the coarsest grid, which is solved exactly in the sine basis.  ``_cycle``
+walks that list: smooth, restrict, recurse on the rest or solve exactly,
+prolong, smooth.  ``run_cycle`` reads the counted work off the plan in
+closed form.  Each coarse operator is built once per grid and reused by
+later cycles, so its sine basis and the smoother's Q^{-1} are built once too.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,14 +73,36 @@ class CyclePlan:
             raise ValueError("eta sweep counts must be nonnegative")
 
 
-def _stage_error(g: SpaceTimeGrid, steps) -> str | None:
-    """Why ``g`` cannot take one stage of ``steps``, or None if it can."""
-    try:
-        for mt, mx in steps:
-            g = coarsen_grid(g, mt, mx)
-    except ValueError as exc:
-        return str(exc)
-    return None
+class Level(NamedTuple):
+    grid: SpaceTimeGrid
+    step: tuple[int, int]    # (mt, mx) down to the next level
+    sweeps: tuple[int, int]  # (pre, post)
+
+
+def plan_levels(g: SpaceTimeGrid, plan: CyclePlan) -> tuple[list[Level], SpaceTimeGrid]:
+    """The smoothed levels of one cycle on ``g``, finest first, and the coarsest grid.
+
+    A stage's first level takes ``nu1``/``nu2`` sweeps and its others
+    ``eta1``/``eta2``.  Stages repeat while ``depth`` allows and every grid
+    of the next stage is valid; if not even one stage fits, raises ``ValueError``.
+    """
+    steps = SCHEDULES[plan.strategy]
+    sweeps = [(plan.nu1, plan.nu2)] + [(plan.eta1, plan.eta2)] * (len(steps) - 1)
+    levels = []
+    for _ in range(plan.depth):
+        stage, coarse = [], g
+        try:
+            for step, pre_post in zip(steps, sweeps):
+                stage.append(Level(coarse, step, pre_post))
+                coarse = coarsen_grid(coarse, *step)
+        except ValueError as exc:
+            if levels:
+                break
+            raise ValueError(f"grid n_x={g.n_x}, n_t={g.n_t} is too small for one "
+                             f"{plan.strategy.value} coarsening stage: {exc}") from None
+        levels += stage
+        g = coarse
+    return levels, g
 
 
 # one operator per coarse grid, so its cached sine basis and Q^{-1} outlive a cycle
@@ -88,68 +111,38 @@ def _coarse_operator(g: SpaceTimeGrid) -> HeatOperator:
     return assemble_operator(g)
 
 
-def _smooth(op: HeatOperator, u, rhs, omega, sweeps, counter: CostCounter):
-    if sweeps == 0:
-        return u
-    counter.block_solves += sweeps * op.grid.n_t
-    return jacobi_sweep(op, u, rhs, SmootherConfig(omega=omega, sweeps=sweeps))
-
-
-# one transfer block per output time row of a time halving, per coarse row of a space halving
-def _restrict_counted(fine, mt, mx, counter: CostCounter):
-    n_t = fine.shape[0]
-    halvings = range(1, mt.bit_length())
-    counter.transfer_blocks += sum(n_t >> k for k in halvings) + (n_t // mt if mx == 2 else 0)
-    return restrict(fine, mt, mx)
-
-
-def _prolong_counted(coarse, mt, mx, counter: CostCounter):
-    n_tc = coarse.shape[0]
-    halvings = range(1, mt.bit_length())
-    counter.transfer_blocks += sum(n_tc << k for k in halvings) + (n_tc if mx == 2 else 0)
-    return prolong(coarse, mt, mx)
-
-
-def _cycle(op: HeatOperator, u, rhs, plan: CyclePlan, level: int, stages_left: int,
-           counter: CostCounter):
-    """Smooth on ``level`` of the current stage, correct from the next level, smooth."""
-    steps = SCHEDULES[plan.strategy]
-    pre, post = (plan.nu1, plan.nu2) if level == 0 else (plan.eta1, plan.eta2)
-    mt, mx = steps[level]
-    u = _smooth(op, u, rhs, plan.omega, pre, counter)
-    rc = _restrict_counted(rhs - apply_operator(op, u), mt, mx, counter)
-    cop = _coarse_operator(coarsen_grid(op.grid, mt, mx))
-    if level + 1 < len(steps):
-        ec = _cycle(cop, np.zeros_like(rc), rc, plan, level + 1, stages_left, counter)
-    elif stages_left > 1 and _stage_error(cop.grid, steps) is None:
-        ec = _cycle(cop, np.zeros_like(rc), rc, plan, 0, stages_left - 1, counter)
+def _cycle(op: HeatOperator, u, rhs, levels: list[Level], coarsest: SpaceTimeGrid,
+           omega: float):
+    """Smooth on ``levels[0]``, correct from the rest of the list or the coarsest grid, smooth."""
+    (mt, mx), (pre, post) = levels[0].step, levels[0].sweeps
+    u = jacobi_sweep(op, u, rhs, SmootherConfig(omega=omega, sweeps=pre))
+    rc = restrict(rhs - apply_operator(op, u), mt, mx)
+    if len(levels) > 1:
+        cop = _coarse_operator(levels[1].grid)
+        ec = _cycle(cop, np.zeros_like(rc), rc, levels[1:], coarsest, omega)
     else:
-        counter.block_solves += cop.grid.n_t
-        ec = direct_solve(cop, rc)
-    u = u + _prolong_counted(ec, mt, mx, counter)
-    return _smooth(op, u, rhs, plan.omega, post, counter)
-
-
-def check_grid(g: SpaceTimeGrid, strategy: CoarseningStrategy) -> None:
-    """Raise ``ValueError`` unless ``g`` can take one coarsening stage of ``strategy``."""
-    why = _stage_error(g, SCHEDULES[strategy])
-    if why is not None:
-        raise ValueError(f"grid n_x={g.n_x}, n_t={g.n_t} is too small for one "
-                         f"{strategy.value} coarsening stage: {why}")
+        ec = direct_solve(_coarse_operator(coarsest), rc)
+    u = u + prolong(ec, mt, mx)
+    return jacobi_sweep(op, u, rhs, SmootherConfig(omega=omega, sweeps=post))
 
 
 def run_cycle(op: HeatOperator, u, rhs, plan: CyclePlan,
               counter: CostCounter | None = None):
     """One iteration of the plan's cycle; returns the new field.
 
-    The cycle's work is added to ``counter``, a fresh one if none is
-    given.  Raises ``ValueError`` before any work if the grid cannot take
-    even one coarsening stage of the strategy.
+    Adds the cycle's work to ``counter``, if given: with n_c = n_t/mt, a
+    level takes (pre + post) n_t block solves and 3 (n_t - n_c) transfer
+    blocks, one per output row of each time halving, plus 2 n_c for a space
+    halving; the coarsest solve takes one block solve per time step.
     """
-    check_grid(op.grid, plan.strategy)
-    if counter is None:
-        counter = CostCounter()
-    return _cycle(op, u, rhs, plan, 0, plan.depth, counter)
+    levels, coarsest = plan_levels(op.grid, plan)
+    if counter is not None:
+        counter.block_solves += coarsest.n_t
+        for level in levels:
+            (mt, mx), n_t = level.step, level.grid.n_t
+            counter.block_solves += sum(level.sweeps) * n_t
+            counter.transfer_blocks += 3 * (n_t - n_t // mt) + (2 * n_t // mt if mx == 2 else 0)
+    return _cycle(op, u, rhs, levels, coarsest, plan.omega)
 
 
 @dataclass(frozen=True)

@@ -159,11 +159,12 @@ def _cycle_matrices(steps, cfg: LfaConfig, tc: np.ndarray, xc: np.ndarray):
     """Batched harmonic matrices (N, n, n) of one cycle at the companions ``tc``/``xc``.
 
     A group is the n = Mt*Mx companions of the total scale of ``steps``, in
-    ``_group_arrays`` order.  The fine level takes ``nu1``/``nu2`` sweeps,
-    each intermediate level one ``eta1``/``eta2``-smoothed cycle from zero,
-    and the coarsest level, a single mode, is inverted.  Restriction
-    multiplies one full-weighting symbol per halving and P = mt * R^T.
-    Also returns the mask of groups where a coarse symbol is below ``SINGULAR_TOL``.
+    ``_group_arrays`` order.  One pass per level, coarsest first, smooths
+    a correction from the level below, as ``cycles.plan_levels`` plans it:
+    ``nu1``/``nu2`` sweeps on the fine level, ``eta1``/``eta2`` on the others.
+    The coarsest level, a single mode, is inverted.  Restriction multiplies
+    one full-weighting symbol per halving and P = mt * R^T.  Also returns
+    the mask of groups where a coarse symbol is below ``SINGULAR_TOL``.
     """
     scales = [(1, 1)]
     for mt, mx in steps:
@@ -193,24 +194,24 @@ def _cycle_matrices(steps, cfg: LfaConfig, tc: np.ndarray, xc: np.ndarray):
             w = w * restriction_symbol(mx0 * x)
         weights.append(w)
 
-    # the coarsest level is one mode, so its correction P L_c^{-1} R L is
-    # a rank-one outer product; a broadcast product rather than `@` keeps
-    # its rounding independent of the BLAS build
-    mt = steps[-1][0]
+    # the coarsest level is one mode, so the correction above it, P L_c^{-1} R L,
+    # is rank one; a broadcast product rather than `@` keeps its rounding
+    # independent of the BLAS build
     w = weights[-1]
-    corr = (mt * w / ls[-1])[..., :, None] * (w * ls[-2])[..., None, :]
-    for k in range(len(steps) - 1, 0, -1):
+    corr = (steps[-1][0] * w / ls[-1])[..., :, None] * (w * ls[-2])[..., None, :]
+    for k in range(len(steps) - 1, -1, -1):
+        pre, post = (cfg.nu1, cfg.nu2) if k == 0 else (cfg.eta1, cfg.eta2)
         s = smoother_symbol(cfg.omega, cfg.sigma, *freqs[k], *scales[k])
         eye = np.eye(len(kept[k]), dtype=complex)
-        smoothed = (s ** cfg.eta2)[..., :, None] * (eye - corr) * (s ** cfg.eta1)[..., None, :]
-        approx = (eye - smoothed) / ls[k][..., None, :]
-        onehot = np.arange(len(kept[k]))[:, None] == folds[k][kept[k - 1]][None, :]
-        r = onehot.astype(float) * weights[k - 1][..., None, :]
-        p = steps[k - 1][0] * np.swapaxes(r, -1, -2)
-        corr = p @ approx @ (r * ls[k - 1][..., None, :])
-    s = smoother_symbol(cfg.omega, cfg.sigma, tc, xc)
-    np.subtract(np.eye(len(kept[0]), dtype=complex), corr, out=corr)  # in place: one buffer fewer
-    return (s ** cfg.nu2)[..., :, None] * corr * (s ** cfg.nu1)[..., None, :], singular
+        np.subtract(eye, corr, out=corr)  # in place: one buffer fewer
+        cycle = (s ** post)[..., :, None] * corr * (s ** pre)[..., None, :]
+        if k > 0:  # level k's cycle from zero approximates its inverse for level k - 1
+            approx = (eye - cycle) / ls[k][..., None, :]
+            onehot = np.arange(len(kept[k]))[:, None] == folds[k][kept[k - 1]][None, :]
+            r = onehot.astype(float) * weights[k - 1][..., None, :]
+            p = steps[k - 1][0] * np.swapaxes(r, -1, -2)
+            corr = p @ approx @ (r * ls[k - 1][..., None, :])
+    return cycle, singular
 
 
 # ---------------------------------------------------------------------------

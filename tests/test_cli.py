@@ -1,3 +1,6 @@
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,32 @@ class TestSolve:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "--seed must be nonnegative, got -1" in err
+
+    @pytest.mark.parametrize("strategy,omega,depth,nx,nt,stages", [
+        ("new", "numeric", "2", "15", "64", 2),
+        ("new", "theorem", "2", "15", "64", 2),
+        ("new", "numeric", "5", "63", "1024", 4),
+        ("original", "numeric", "3", "15", "64", 2),
+        ("new", "numeric", "1", "15", "64", 0),     # one stage: the analysed cycle
+        ("new", "numeric", "3", "7", "16", 0),      # only one stage fits
+        ("original", "theorem", "3", "15", "16", 0),
+        ("new", "0.5", "2", "15", "64", 0),         # a fixed value claims no prediction
+        ("new", "0.9", "2", "15", "64", 0),
+    ])
+    def test_multi_stage_lfa_omega_warns(self, capsys, monkeypatch, strategy, omega, depth,
+                                         nx, nt, stages):
+        monkeypatch.setattr(lfa, "omega_opt_numeric", lambda strategy, cfg: (0.9, 0.5))
+        argv = ["solve", "--nx", nx, "--nt", nt, "--strategy", strategy, "--depth", depth,
+                "--iters", "1", "--omega", omega]
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert len(split_csv(out)[2]) == 2
+        if not stages:
+            assert err == ""
+            return
+        assert err.startswith("warning: ") and err.count("\n") == 1
+        assert f"--omega {omega}" in err and f"{stages} coarsening stages" in err
+        assert "not predicted and can diverge" in err
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "solve.csv"
@@ -250,3 +279,58 @@ class TestLfa:
         cfg = lfa.LfaConfig(sigma=1.0, omega=float(config["omega"]), nu1=1, nu2=1)
         want = lfa.low_mode_action(CS.NEW, cfg).modulus
         assert np.array_equal(np.array([float(row[2]) for row in rows]), want)
+
+
+#: reference CSVs of the runs below, written by ``python tests/test_cli.py``
+GOLDEN_DIR = pathlib.Path(__file__).parent / "data"
+
+
+def golden_runs():
+    """File stem -> argv of every run with a reference CSV under ``GOLDEN_DIR``."""
+    runs = {f"lfa-rho-{omega}": ["lfa-rho", "--sigma-range", "0.01:100:3", "--resolution", "16",
+                                 "--omega", omega] for omega in ("0.5", "theorem", "numeric")}
+    runs.update({f"lfa-smoothing-{name}": ["lfa-smoothing", "--strategy", name, "--sigma-range",
+                                           "1e-3:1e3:13", "--omega", "both"]
+                 for name in SMOOTHING_STEPS})
+    for strategy in ("new", "original"):
+        for depth in ("1", "3"):
+            for omega in (["0.5"], ["numeric", "--resolution", "16"]):
+                runs[f"solve-{strategy}-depth{depth}-{omega[0]}"] = [
+                    "solve", "--nx", "15", "--nt", "64", "--strategy", strategy,
+                    "--depth", depth, "--iters", "5", "--omega", *omega]
+    return runs
+
+
+class TestGoldenOutputs:
+    """Every run reproduces its reference CSV.
+
+    The comment lines, the header and the integer columns must match
+    exactly, and the floats to a relative 1e-10, so that another BLAS
+    build passes; ``wall_time_s`` is skipped.  Regenerate the references
+    only for an intended change of output, and say why in CHANGES.md.
+    """
+
+    @pytest.mark.parametrize("stem,argv", golden_runs().items(), ids=list(golden_runs()))
+    def test_matches_reference(self, capsys, stem, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        got, want = out.splitlines(), (GOLDEN_DIR / f"{stem}.csv").read_text().splitlines()
+        assert len(got) == len(want)
+        n_head = next(i for i, line in enumerate(want) if not line.startswith("#")) + 1
+        assert got[:n_head] == want[:n_head]
+        header = want[n_head - 1].split(",")
+        for got_row, want_row in zip(got[n_head:], want[n_head:]):
+            for column, g, w in zip(header, got_row.split(","), want_row.split(",")):
+                if column == "wall_time_s":
+                    continue
+                if w.lstrip("-").isdigit():
+                    assert g == w, column
+                else:
+                    assert float(g) == pytest.approx(float(w), rel=1e-10, abs=0.0), column
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for stem, argv in golden_runs().items():
+        if main([*argv, "--output", str(GOLDEN_DIR / f"{stem}.csv")]) != 0:
+            sys.exit(f"{stem}: {argv} failed")

@@ -110,7 +110,7 @@ class TestCostCounts:
 
     @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
     def test_counting_leaves_the_field_unchanged(self, strategy):
-        # with no counter given, run_cycle counts into a fresh one of its own
+        # with no counter given, run_cycle counts nothing
         g = SpaceTimeGrid(n_x=63, n_t=256, horizon=0.1)
         op = assemble_operator(g)
         rhs = assemble_rhs(g, heat_benchmark_problem(0.1))
@@ -175,6 +175,49 @@ class TestCyclesToTolerance:
             solve(op, rhs, plan_for(CS.NEW, 1), max_iters=-3, tol=0.0, seed=0)
 
 
+class RowTally:
+    """Rows that ``cycles.jacobi_sweep``, ``direct_solve``, ``restrict`` and ``prolong`` process.
+
+    A block solve is one row of a sweep or of the coarsest solve.  A
+    transfer block is one row written by a time halving, and one coarse
+    row of a space halving.
+    """
+
+    def __init__(self, mp):
+        self.block_solves = self.transfer_blocks = 0
+        sweep, exact, restrict, prolong = (cycles.jacobi_sweep, cycles.direct_solve,
+                                           cycles.restrict, cycles.prolong)
+
+        def counted_sweep(op, u, rhs, cfg):
+            self.block_solves += cfg.sweeps * u.shape[0]
+            return sweep(op, u, rhs, cfg)
+
+        def counted_solve(op, rhs):
+            self.block_solves += rhs.shape[0]
+            return exact(op, rhs)
+
+        def counted_restrict(fine, mt, mx):
+            coarse = restrict(fine, mt, mx)
+            self.transfer_blocks += self.rows(coarse, fine, 1)
+            return coarse
+
+        def counted_prolong(coarse, mt, mx):
+            fine = prolong(coarse, mt, mx)
+            self.transfer_blocks += self.rows(coarse, fine, 2)
+            return fine
+
+        for name, fn in (("jacobi_sweep", counted_sweep), ("direct_solve", counted_solve),
+                         ("restrict", counted_restrict), ("prolong", counted_prolong)):
+            mp.setattr(cycles, name, fn)
+
+    @staticmethod
+    def rows(coarse, fine, per_time_row):
+        # restriction writes n_f/2, n_f/4, ..., n_c rows, n_f - n_c in all,
+        # and prolongation 2 n_c, 4 n_c, ..., n_f, twice as many
+        n_f, n_c = fine.shape[0], coarse.shape[0]
+        return per_time_row * (n_f - n_c) + (n_c if coarse.shape[1] < fine.shape[1] else 0)
+
+
 class TestGridRobustness:
     """Every valid grid either cycles or is rejected before any work."""
 
@@ -194,12 +237,32 @@ class TestGridRobustness:
         counter = CostCounter()
         # one stage of either strategy coarsens by 4 in time and 2 in space
         fits = g.n_t // 4 >= 4 and (g.n_x + 1) // 2 - 1 >= 3
-        if not fits:
-            with pytest.raises(ValueError, match="too small for one"):
-                run_cycle(op, u, rhs, plan_for(strategy, depth), counter)
-            assert (counter.block_solves, counter.transfer_blocks) == (0, 0)
-            return
-        out = run_cycle(op, u, rhs, plan_for(strategy, depth), counter)
+        with pytest.MonkeyPatch.context() as mp:
+            tally = RowTally(mp)
+            if not fits:
+                with pytest.raises(ValueError, match="too small for one"):
+                    run_cycle(op, u, rhs, plan_for(strategy, depth), counter)
+                assert (counter.block_solves, counter.transfer_blocks) == (0, 0)
+                assert (tally.block_solves, tally.transfer_blocks) == (0, 0)
+                return
+            out = run_cycle(op, u, rhs, plan_for(strategy, depth), counter)
         assert out.shape == (g.n_t, g.n_x)
         assert np.isfinite(out).all()
         assert counter.block_solves > 0
+        assert (counter.block_solves, counter.transfer_blocks) == (tally.block_solves,
+                                                                  tally.transfer_blocks)
+
+    @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
+    @pytest.mark.parametrize("depth", range(1, 7))
+    @pytest.mark.parametrize("n_x,n_t", [(63, 256), (255, 512), (15, 1024)])
+    def test_counted_work_is_the_processed_rows(self, strategy, depth, n_x, n_t, monkeypatch):
+        # the closed-form count of the plan against the rows each call processes
+        g = SpaceTimeGrid(n_x=n_x, n_t=n_t, horizon=0.1)
+        op = assemble_operator(g)
+        rhs = assemble_rhs(g, heat_benchmark_problem(0.1))
+        plan = plan_for(strategy, depth, eta=2, nu1=1, nu2=3)
+        tally = RowTally(monkeypatch)
+        counter = CostCounter()
+        run_cycle(op, np.zeros((g.n_t, g.n_x)), rhs, plan, counter)
+        assert (counter.block_solves, counter.transfer_blocks) == (tally.block_solves,
+                                                                  tally.transfer_blocks)
