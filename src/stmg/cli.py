@@ -60,6 +60,18 @@ def _sigma_range(spec: str) -> np.ndarray:
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
+def _eta_sweeps(args, strategy) -> tuple[int, int]:
+    """``--eta1``/``--eta2``, default 3; a one-step schedule has no intermediate
+    level, so its counts default to 0 and no other count is accepted."""
+    one_step = len(SCHEDULES[strategy]) == 1
+    for flag, value in (("--eta1", args.eta1), ("--eta2", args.eta2)):
+        if one_step and value:
+            raise ValueError(f"{flag} must be 0 for the {strategy.value} strategy, which has "
+                             f"no intermediate level; got {value}")
+    default = 0 if one_step else 3
+    return tuple(default if value is None else value for value in (args.eta1, args.eta2))
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -67,9 +79,7 @@ def _sigma_range(spec: str) -> np.ndarray:
 def _cmd_solve(args) -> int:
     strategy = _CYCLE_STRATEGIES[args.strategy]
     grid = SpaceTimeGrid(n_x=args.nx, n_t=args.nt, horizon=args.T)
-    default_eta = 0 if len(SCHEDULES[strategy]) == 1 else 3
-    eta1 = default_eta if args.eta1 is None else args.eta1
-    eta2 = default_eta if args.eta2 is None else args.eta2
+    eta1, eta2 = _eta_sweeps(args, strategy)
     plan = CyclePlan(strategy=strategy, nu1=args.nu1, nu2=args.nu2,
                      eta1=eta1, eta2=eta2, depth=args.depth)
     levels, _ = plan_levels(grid, plan)
@@ -180,8 +190,9 @@ def _cmd_lfa_rho(args) -> int:
 
 def _cmd_lfa_modes(args) -> int:
     strategy = _CYCLE_STRATEGIES[args.strategy]
+    eta1, eta2 = _eta_sweeps(args, strategy)
     base = LfaConfig(sigma=args.sigma, nu1=args.nu1, nu2=args.nu2,
-                     eta1=args.eta1, eta2=args.eta2, resolution=args.resolution)
+                     eta1=eta1, eta2=eta2, resolution=args.resolution)
     omega = resolve_omega(args.omega, strategy, base)
     result = low_mode_action(strategy, replace(base, omega=omega))
     rows = zip(result.theta_t, result.theta_x, result.modulus)
@@ -189,7 +200,7 @@ def _cmd_lfa_modes(args) -> int:
         "command": "lfa-modes", "stmg_version": __version__,
         "strategy": args.strategy, "sigma": args.sigma, "omega_mode": args.omega,
         "omega": omega, "nu1": args.nu1, "nu2": args.nu2,
-        "eta1": args.eta1, "eta2": args.eta2, "resolution": args.resolution,
+        "eta1": eta1, "eta2": eta2, "resolution": args.resolution,
     }
     _emit(args.output, config, ["theta_t", "theta_x", "coeff_modulus"], rows)
     return 0
@@ -254,8 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--omega", default="theorem")
     pl.add_argument("--nu1", type=int, default=3)
     pl.add_argument("--nu2", type=int, default=3)
-    pl.add_argument("--eta1", type=int, default=3)
-    pl.add_argument("--eta2", type=int, default=3)
+    pl.add_argument("--eta1", type=int, default=None,
+                    help="intermediate-level pre-sweeps (original strategy only; "
+                         "default 3 for original, 0 for new)")
+    pl.add_argument("--eta2", type=int, default=None,
+                    help="intermediate-level post-sweeps (original strategy only; "
+                         "default 3 for original, 0 for new)")
     pl.add_argument("--resolution", type=int, default=128)
     pl.add_argument("--output", default=None)
     pl.set_defaults(func=_cmd_lfa_modes)

@@ -12,6 +12,13 @@ maximized over the low domain (-pi/Mt, pi/Mt] x (-pi/Mx, pi/Mx], predict
 the asymptotic convergence factor of the cycles.  The smoothing analysis
 takes a single coarsening step (mt, mx), such as a schedule's first step.
 
+A cycle matrix is built level by level from elementwise products and
+index gathers alone: restriction and prolongation map each mode onto
+one coarser mode, so every coarse correction is a gather, not a matrix
+product.  The fine level can be cut to chosen input columns; the
+low-mode map reads only the column of the low component, and builds
+only that.
+
 The sampled maximum of the spectral radius, rho_bar, is exact but
 eigen-solves only the few groups that can reach it.  Four batched
 squarings give every group a rigorous upper bound on its radius; the
@@ -155,15 +162,23 @@ def _scale(steps):
     return math.prod(mt for mt, _ in steps), math.prod(mx for _, mx in steps)
 
 
-def _cycle_matrices(steps, cfg: LfaConfig, tc: np.ndarray, xc: np.ndarray):
-    """Batched harmonic matrices (N, n, n) of one cycle at the companions ``tc``/``xc``.
+def _cycle_matrices(steps, cfg: LfaConfig, tc: np.ndarray, xc: np.ndarray, cols=slice(None)):
+    """Batched harmonic matrices (N, n, len(cols)) of one cycle at the companions ``tc``/``xc``.
 
     A group is the n = Mt*Mx companions of the total scale of ``steps``, in
-    ``_group_arrays`` order.  One pass per level, coarsest first, smooths
-    a correction from the level below, as ``cycles.plan_levels`` plans it:
-    ``nu1``/``nu2`` sweeps on the fine level, ``eta1``/``eta2`` on the others.
-    The coarsest level, a single mode, is inverted.  Restriction multiplies
-    one full-weighting symbol per halving and P = mt * R^T.  Also returns
+    ``_group_arrays`` order, and ``cols`` picks the input companions whose
+    columns are built, all of them by default.  Only the fine level is cut
+    to those columns: its operator symbol and pre-smoother factor are
+    evaluated there alone, and every coarser level keeps its full matrix.
+    One pass per level, coarsest first, smooths a correction from the level
+    below, as ``cycles.plan_levels`` plans it: ``nu1``/``nu2`` sweeps on the
+    fine level, ``eta1``/``eta2`` on the others.  The coarsest level, a
+    single mode, is inverted.  Restriction multiplies one full-weighting
+    symbol per halving and P = mt * R^T, so P A R L has one nonzero term per
+    entry and is an index gather, corr[a, i] = mt w_a A[f(a), f(i)] w_i L_i
+    with f the fold of the finer level's modes onto the coarser one's.
+    Every entry is thus a few elementwise products and no BLAS product is
+    left, so the rounding does not depend on the BLAS build.  Also returns
     the mask of groups where a coarse symbol is below ``SINGULAR_TOL``.
     """
     scales = [(1, 1)]
@@ -179,7 +194,9 @@ def _cycle_matrices(steps, cfg: LfaConfig, tc: np.ndarray, xc: np.ndarray):
         folds.append(np.array([(i // total_t) % nx * nt + (i % total_t) % nt
                                for i in range(total_t * total_x)]))
     freqs = [(tc[..., k], xc[..., k]) for k in kept]
-    ls = [operator_symbol(cfg.sigma, t, x, *scale) for (t, x), scale in zip(freqs, scales)]
+    ins = [cols] + [slice(None)] * len(steps)  # the input columns of each level
+    ls = [operator_symbol(cfg.sigma, t[..., c], x[..., c], *scale)
+          for (t, x), scale, c in zip(freqs, scales, ins)]
     singular = np.zeros(tc.shape[:-1], dtype=bool)
     for l in ls[1:]:
         singular |= np.any(np.abs(l) < SINGULAR_TOL, axis=-1)
@@ -195,22 +212,21 @@ def _cycle_matrices(steps, cfg: LfaConfig, tc: np.ndarray, xc: np.ndarray):
         weights.append(w)
 
     # the coarsest level is one mode, so the correction above it, P L_c^{-1} R L,
-    # is rank one; a broadcast product rather than `@` keeps its rounding
-    # independent of the BLAS build
+    # is rank one: the gather with A = 1 / L_c
     w = weights[-1]
-    corr = (steps[-1][0] * w / ls[-1])[..., :, None] * (w * ls[-2])[..., None, :]
+    corr = (steps[-1][0] * w / ls[-1])[..., :, None] * (w[..., ins[-2]] * ls[-2])[..., None, :]
     for k in range(len(steps) - 1, -1, -1):
         pre, post = (cfg.nu1, cfg.nu2) if k == 0 else (cfg.eta1, cfg.eta2)
         s = smoother_symbol(cfg.omega, cfg.sigma, *freqs[k], *scales[k])
-        eye = np.eye(len(kept[k]), dtype=complex)
+        eye = np.eye(len(kept[k]), dtype=complex)[:, ins[k]]
         np.subtract(eye, corr, out=corr)  # in place: one buffer fewer
-        cycle = (s ** post)[..., :, None] * corr * (s ** pre)[..., None, :]
+        cycle = (s ** post)[..., :, None] * corr * (s[..., ins[k]] ** pre)[..., None, :]
         if k > 0:  # level k's cycle from zero approximates its inverse for level k - 1
             approx = (eye - cycle) / ls[k][..., None, :]
-            onehot = np.arange(len(kept[k]))[:, None] == folds[k][kept[k - 1]][None, :]
-            r = onehot.astype(float) * weights[k - 1][..., None, :]
-            p = steps[k - 1][0] * np.swapaxes(r, -1, -2)
-            corr = p @ approx @ (r * ls[k - 1][..., None, :])
+            f, w, c = folds[k][kept[k - 1]], weights[k - 1], ins[k - 1]
+            # two takes keep the stack C-ordered, which `@` and eigvals downstream want
+            corr = ((steps[k - 1][0] * w)[..., :, None] * approx.take(f, -2).take(f[c], -1)
+                    * (w[..., c] * ls[k - 1])[..., None, :])
     return cycle, singular
 
 
@@ -455,9 +471,9 @@ def low_mode_action(strategy: CoarseningStrategy, cfg: LfaConfig) -> LowModeMap:
 
     Each sampled low frequency of the schedule's low domain contributes
     the unit coefficient on its low component and zero on the other
-    companions, so the output coefficients are the first matrix column;
-    their moduli are scattered onto the companion frequencies across the
-    full square.
+    companions, so the output coefficients are the first matrix column,
+    the only column built; their moduli are scattered onto the companion
+    frequencies across the full square.
 
     The cycle applies ``cfg.nu1`` pre- and ``cfg.nu2`` post-smoothing
     sweeps, and the peak moves with them: for the NEW cycle the
@@ -468,5 +484,5 @@ def low_mode_action(strategy: CoarseningStrategy, cfg: LfaConfig) -> LowModeMap:
     tg, xg = low_frequency_grid(cfg.resolution, _scale(steps))
     tt, tx = np.meshgrid(tg, xg, indexing="ij")
     tc, xc = _group_arrays(tt.ravel(), tx.ravel(), _scale(steps))
-    mats, singular = _cycle_matrices(steps, cfg, tc, xc)
+    mats, singular = _cycle_matrices(steps, cfg, tc, xc, [0])
     return _scatter_first_columns(mats, tc, xc, singular)

@@ -269,6 +269,25 @@ class TestLfa:
         want = lfa.low_mode_action(CS.ORIGINAL, cfg).modulus
         assert np.array_equal(np.array([float(row[2]) for row in rows]), want)
 
+    def test_modes_new_strategy_default_etas(self, capsys):
+        # the direct strategy has no intermediate level: eta defaults to 0, as in `solve`
+        argv = ["lfa-modes", "--strategy", "new", "--sigma", "1", "--resolution", "16"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        config, _, _ = split_csv(out)
+        assert (config["eta1"], config["eta2"]) == ("0", "0")
+        code, explicit, _ = run(capsys, *argv, "--eta1", "0", "--eta2", "0")
+        assert code == 0
+        assert explicit == out
+
+    @pytest.mark.parametrize("flag", ["--eta1", "--eta2"])
+    def test_modes_new_strategy_rejects_explicit_eta(self, capsys, flag):
+        code, out, err = run(capsys, "lfa-modes", "--strategy", "new", "--sigma", "1",
+                             "--resolution", "16", flag, "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
     def test_modes_sweeps(self, capsys):
         code, out, _ = run(capsys, "lfa-modes", "--strategy", "new", "--sigma", "1",
                            "--nu1", "1", "--nu2", "1")
@@ -292,6 +311,10 @@ def golden_runs():
     runs.update({f"lfa-smoothing-{name}": ["lfa-smoothing", "--strategy", name, "--sigma-range",
                                            "1e-3:1e3:13", "--omega", "both"]
                  for name in SMOOTHING_STEPS})
+    runs["lfa-modes-new"] = ["lfa-modes", "--strategy", "new", "--sigma", "0.01", "--omega",
+                             "theorem", "--eta1", "0", "--eta2", "0", "--resolution", "16"]
+    runs["lfa-modes-original"] = ["lfa-modes", "--strategy", "original", "--sigma", "1",
+                                  "--omega", "0.5", "--resolution", "16"]
     for strategy in ("new", "original"):
         for depth in ("1", "3"):
             for omega in (["0.5"], ["numeric", "--resolution", "16"]):

@@ -421,6 +421,30 @@ class TestScheduleScale:
         assert ((np.abs(out.theta_t) <= np.pi) & (np.abs(out.theta_x) <= np.pi)).all()
 
 
+class TestColumnPath:
+    """``low_mode_action`` builds column 0 alone, bit for bit that of the full matrices."""
+
+    @pytest.mark.parametrize("steps", [((4, 2),), ((2, 1),), ((2, 2),), ((2, 2), (2, 1)),
+                                       ((4, 2), (4, 2)), ((2, 2), (2, 1), (2, 2), (2, 1))])
+    def test_first_column_equals_full_matrices(self, steps, monkeypatch):
+        monkeypatch.setitem(SCHEDULES, CS.NEW, steps)
+        scale = lfa._scale(steps)
+        tg, xg = low_frequency_grid(16, scale)
+        # the group of the zero frequency is singular at every sigma
+        tt, tx = np.meshgrid(np.append(tg, 0.0), np.append(xg, 0.0), indexing="ij")
+        tc, xc = _group_arrays(tt.ravel(), tx.ravel(), scale)
+        for sigma in (0.01, 1.0, 100.0):
+            for nu in (0, 1, 3):
+                cfg = LfaConfig(sigma=sigma, omega=0.7, nu1=nu, nu2=nu, eta1=nu, eta2=nu)
+                full, singular = _cycle_matrices(SCHEDULES[CS.NEW], cfg, tc, xc)
+                col, col_singular = _cycle_matrices(SCHEDULES[CS.NEW], cfg, tc, xc, [0])
+                assert col.shape == full.shape[:-1] + (1,), (sigma, nu)
+                assert np.array_equal(col[..., 0], full[..., 0]), (sigma, nu)
+                assert np.array_equal(col_singular, singular) and singular.sum() == 1
+                moduli = _scatter_first_columns(col, tc, xc, singular).modulus
+                assert not moduli.reshape(tc.shape)[singular].any()
+
+
 class TestOmegaOptNumeric:
     """omega_opt_numeric sweeps only where a one-group lower bound cannot settle the search."""
 
