@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .core import SCHEDULES, SpaceTimeGrid, check_sigma
+from .core import CoarseningStrategy, SpaceTimeGrid, check_sigma
 from .cycles import CyclePlan, plan_levels, solve
 from .heat import assemble_operator, assemble_rhs, heat_benchmark_problem
 from .lfa import (LfaConfig, low_mode_action, omega_opt_numeric, resolve_omega,
@@ -25,7 +25,7 @@ from .smoother import optimal_omega
 _SMOOTHING_STEPS = {"time2": (2, 1), "time4": (4, 1), "space": (1, 2), "full": (2, 2),
                     "new": (4, 2)}
 
-_CYCLE_STRATEGIES = {strategy.value: strategy for strategy in SCHEDULES}
+_CYCLE_STRATEGIES = {"new": CoarseningStrategy.NEW, "original": CoarseningStrategy.ORIGINAL}
 
 
 def _fmt(v) -> str:
@@ -63,10 +63,10 @@ def _sigma_range(spec: str) -> np.ndarray:
 def _eta_sweeps(args, strategy) -> tuple[int, int]:
     """``--eta1``/``--eta2``, default 3; a one-step schedule has no intermediate
     level, so its counts default to 0 and no other count is accepted."""
-    one_step = len(SCHEDULES[strategy]) == 1
+    one_step = len(strategy) == 1
     for flag, value in (("--eta1", args.eta1), ("--eta2", args.eta2)):
         if one_step and value:
-            raise ValueError(f"{flag} must be 0 for the {strategy.value} strategy, which has "
+            raise ValueError(f"{flag} must be 0 for the {args.strategy} strategy, which has "
                              f"no intermediate level; got {value}")
     default = 0 if one_step else 3
     return tuple(default if value is None else value for value in (args.eta1, args.eta2))
@@ -91,7 +91,7 @@ def _cmd_solve(args) -> int:
                     eta1=eta1, eta2=eta2, resolution=args.resolution)
     omega = resolve_omega(args.omega, strategy, cfg)
     plan = replace(plan, omega=omega)
-    stages = len(levels) // len(SCHEDULES[strategy])
+    stages = len(levels) // len(strategy)
     if args.omega in ("theorem", "numeric") and stages > 1:
         print(f"warning: --omega {args.omega} is the one-stage LFA optimum {omega:.6g}; with "
               f"{stages} coarsening stages the run is not predicted and can diverge",
@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,7 @@
-"""Cycle strategies and their schedules, parameter checks, grids and space-time fields.
+"""Cycle strategies, parameter checks, grids and space-time fields.
+
+A cycle strategy is its coarsening schedule, the (mt, mx) steps of one
+stage, which ``cycles`` runs and ``lfa`` analyses alike.
 
 A space-time field is stored as a plain ``numpy`` array of shape
 ``(n_t, n_x)``: one contiguous block of spatial values per time step,
@@ -7,25 +10,16 @@ so per-block operations (and block-Jacobi sweeps) work on contiguous rows.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 
-class CoarseningStrategy(enum.Enum):
-    """The two cycle strategies; ``SCHEDULES`` gives each its coarsening steps."""
+class CoarseningStrategy:
+    """The paper's two cycle strategies, each its schedule of (mt, mx) steps."""
 
-    NEW = "new"              # direct factor-4 time / factor-2 space coarsening
-    ORIGINAL = "original"    # three-level: full coarsening then time semi-coarsening
-
-
-#: coarsening steps (mt, mx) of one stage, per cycle strategy: the one
-#: definition of a strategy that both the cycles and the LFA follow
-SCHEDULES = {
-    CoarseningStrategy.NEW: ((4, 2),),
-    CoarseningStrategy.ORIGINAL: ((2, 2), (2, 1)),
-}
+    NEW = ((4, 2),)              # direct factor-4 time / factor-2 space coarsening
+    ORIGINAL = ((2, 2), (2, 1))  # three-level: full coarsening then time semi-coarsening
 
 
 #: largest accepted sigma.  The symbols form 2 sigma mt before dividing
@@ -57,6 +51,16 @@ def check_step(mt: int, mx: int) -> None:
         raise ValueError(f"time factor must be 1, 2 or 4, got {mt}")
     if mx not in (1, 2):
         raise ValueError(f"space factor must be 1 or 2, got {mx}")
+
+
+def check_schedule(steps) -> None:
+    """Raise ``ValueError`` unless ``steps`` is a nonempty schedule of coarsening steps."""
+    if not steps:
+        raise ValueError("a coarsening schedule needs at least one (mt, mx) step")
+    for mt, mx in steps:
+        check_step(mt, mx)
+        if mt == mx == 1:
+            raise ValueError("coarsening step (1, 1) coarsens nothing")
 
 
 def _is_pow2(n: int) -> bool:

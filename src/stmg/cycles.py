@@ -1,11 +1,11 @@
 """One multigrid cycle engine driven by a coarsening schedule, and the solve driver.
 
-A strategy is a schedule, ``core.SCHEDULES[strategy]``: the list of
-(time, space) coarsening factors of one stage.  That table is the one
-place a strategy is defined; ``lfa`` analyses the same schedules.  The
-direct strategy's stage is the single step (4, 2), a two-level method;
-the original strategy's stage is a full space-time step (2, 2) followed
-by a time semi-coarsening (2, 1), a three-level method.
+A strategy is its schedule: the tuple of (time, space) coarsening
+factors of one stage, and ``lfa`` analyses the same tuple.  The direct
+strategy, ``CoarseningStrategy.NEW``, is the single step (4, 2), a
+two-level method; ``CoarseningStrategy.ORIGINAL`` is a full space-time
+step (2, 2) followed by a time semi-coarsening (2, 1), a three-level
+method.  Any other schedule that ``core.check_schedule`` accepts runs too.
 
 ``plan_levels`` plans a cycle before any work: its smoothed levels, finest
 first, each with its grid, its step down and its (pre, post) sweeps, and
@@ -25,8 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (SCHEDULES, CoarseningStrategy, SpaceTimeGrid, check_omega, coarsen_grid,
-                   random_field)
+from .core import SpaceTimeGrid, check_omega, check_schedule, coarsen_grid, random_field
 from .heat import HeatOperator, apply_operator, assemble_operator, direct_solve, error_norm
 from .smoother import SmootherConfig, jacobi_sweep
 from .transfer import prolong, restrict
@@ -42,15 +41,14 @@ class CostCounter:
 
 @dataclass(frozen=True)
 class CyclePlan:
-    """Sweep counts, damping and hierarchy depth for one cycle type.
+    """Schedule, sweep counts, damping and hierarchy depth for one cycle type.
 
-    ``depth`` counts coarsening stages, each one pass through the
-    strategy's schedule.  ``eta1``/``eta2`` are the sweeps on each
-    intermediate level of a stage; a one-step schedule, such as the
-    direct strategy's, has none.
+    ``strategy`` is a stage's schedule, such as ``CoarseningStrategy.NEW``,
+    and ``depth`` counts stages.  ``eta1``/``eta2`` are the sweeps on each
+    intermediate level of a stage; a one-step schedule has none.
     """
 
-    strategy: CoarseningStrategy
+    strategy: tuple[tuple[int, int], ...]
     omega: float = 0.5
     nu1: int = 3
     nu2: int = 3
@@ -59,15 +57,14 @@ class CyclePlan:
     depth: int = 1
 
     def __post_init__(self):
-        if self.strategy not in SCHEDULES:
-            raise ValueError("cycle strategy must be NEW or ORIGINAL")
+        check_schedule(self.strategy)
         check_omega(self.omega)
         if min(self.nu1, self.nu2) < 0:
             raise ValueError("sweep counts must be nonnegative")
         if self.depth < 1:
             raise ValueError(f"depth must be at least 1, got {self.depth}")
-        if len(SCHEDULES[self.strategy]) == 1 and (self.eta1 or self.eta2):
-            raise ValueError("the direct strategy has no intermediate level; "
+        if len(self.strategy) == 1 and (self.eta1 or self.eta2):
+            raise ValueError("a one-step schedule has no intermediate level; "
                              "eta sweep counts must be zero")
         if min(self.eta1, self.eta2) < 0:
             raise ValueError("eta sweep counts must be nonnegative")
@@ -86,7 +83,7 @@ def plan_levels(g: SpaceTimeGrid, plan: CyclePlan) -> tuple[list[Level], SpaceTi
     ``eta1``/``eta2``.  Stages repeat while ``depth`` allows and every grid
     of the next stage is valid; if not even one stage fits, raises ``ValueError``.
     """
-    steps = SCHEDULES[plan.strategy]
+    steps = plan.strategy
     sweeps = [(plan.nu1, plan.nu2)] + [(plan.eta1, plan.eta2)] * (len(steps) - 1)
     levels = []
     for _ in range(plan.depth):
@@ -99,7 +96,7 @@ def plan_levels(g: SpaceTimeGrid, plan: CyclePlan) -> tuple[list[Level], SpaceTi
             if levels:
                 break
             raise ValueError(f"grid n_x={g.n_x}, n_t={g.n_t} is too small for one "
-                             f"{plan.strategy.value} coarsening stage: {exc}") from None
+                             f"coarsening stage {steps}: {exc}") from None
         levels += stage
         g = coarse
     return levels, g

@@ -97,7 +97,7 @@ def assemble_rhs(g: SpaceTimeGrid, p: ProblemData) -> np.ndarray:
     """
     x = g.x
     rhs = g.tau * p.source(x[None, :], g.t[:, None])
-    rhs = np.ascontiguousarray(np.broadcast_to(rhs, (g.n_t, g.n_x)).copy())
+    rhs = np.broadcast_to(rhs, (g.n_t, g.n_x)).copy()
     rhs[0] += p.initial(x)
     return rhs
 

@@ -1,16 +1,16 @@
 """Fourier-symbol machinery for the space-time multigrid analysis.
 
 Everything here operates on angular frequencies (theta_t, theta_x) in
-(-pi, pi].  A cycle's matrix follows its coarsening schedule,
-``core.SCHEDULES[strategy]``, the same table the solver in ``cycles``
-runs: that table is the one place a strategy is defined.  The product
-of the steps is the total scale (Mt, Mx).  Per low frequency, one fold
-rule builds the group of Mt*Mx companion modes that alias onto it on the
-coarsest level, eight for both strategies; smoother, operator and
-transfer symbols assemble their harmonic matrices, whose spectral radii,
-maximized over the low domain (-pi/Mt, pi/Mt] x (-pi/Mx, pi/Mx], predict
-the asymptotic convergence factor of the cycles.  The smoothing analysis
-takes a single coarsening step (mt, mx), such as a schedule's first step.
+(-pi, pi].  A strategy is its coarsening schedule, the tuple of (mt, mx)
+steps of one stage that the solver in ``cycles`` runs, and a cycle's
+matrix follows those steps.  The product of the steps is the total scale
+(Mt, Mx).  Per low frequency, one fold rule builds the group of Mt*Mx
+companion modes that alias onto it on the coarsest level, eight for both
+strategies; smoother, operator and transfer symbols assemble their
+harmonic matrices, whose spectral radii, maximized over the low domain
+(-pi/Mt, pi/Mt] x (-pi/Mx, pi/Mx], predict the asymptotic convergence
+factor of the cycles.  The smoothing analysis takes a single coarsening
+step (mt, mx), such as a schedule's first step.
 
 A cycle matrix is built level by level from elementwise products and
 index gathers alone: restriction and prolongation map each mode onto
@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SCHEDULES, CoarseningStrategy, check_omega, check_sigma
+from .core import check_omega, check_schedule, check_sigma
 from .smoother import _crossing, optimal_omega
 
 #: coarse symbols with modulus below this are treated as non-invertible
@@ -162,14 +162,15 @@ def _scale(steps):
     return math.prod(mt for mt, _ in steps), math.prod(mx for _, mx in steps)
 
 
-def _cycle_matrices(steps, cfg: LfaConfig, tc: np.ndarray, xc: np.ndarray, cols=slice(None)):
-    """Batched harmonic matrices (N, n, len(cols)) of one cycle at the companions ``tc``/``xc``.
+def _cycle_matrices(steps, cfg: LfaConfig, theta_t, theta_x, cols=slice(None)):
+    """Batched harmonic matrices (N, n, len(cols)) of one cycle at low frequencies (N,).
 
-    A group is the n = Mt*Mx companions of the total scale of ``steps``, in
-    ``_group_arrays`` order, and ``cols`` picks the input companions whose
-    columns are built, all of them by default.  Only the fine level is cut
-    to those columns: its operator symbol and pre-smoother factor are
-    evaluated there alone, and every coarser level keeps its full matrix.
+    A group is the n = Mt*Mx companions ``tc``/``xc`` of the total scale of
+    ``steps``, formed here in ``_group_arrays`` order, and ``cols`` picks the
+    input companions whose columns are built, all of them by default.
+    Only the fine level is cut to those columns: its operator symbol and
+    pre-smoother factor are evaluated there alone, and every coarser level
+    keeps its full matrix.
     One pass per level, coarsest first, smooths a correction from the level
     below, as ``cycles.plan_levels`` plans it: ``nu1``/``nu2`` sweeps on the
     fine level, ``eta1``/``eta2`` on the others.  The coarsest level, a
@@ -179,14 +180,17 @@ def _cycle_matrices(steps, cfg: LfaConfig, tc: np.ndarray, xc: np.ndarray, cols=
     with f the fold of the finer level's modes onto the coarser one's.
     Every entry is thus a few elementwise products and no BLAS product is
     left, so the rounding does not depend on the BLAS build.  Also returns
-    the mask of groups where a coarse symbol is below ``SINGULAR_TOL``.
+    the mask of groups where a coarse symbol is below ``SINGULAR_TOL`` and
+    the (N, n) companions ``tc``/``xc``.
     """
+    check_schedule(steps)
     scales = [(1, 1)]
     for mt, mx in steps:
         scales.append((scales[-1][0] * mt, scales[-1][1] * mx))
     # level (Mt, Mx) keeps the (total_t/Mt)*(total_x/Mx) companions that stay
     # distinct on it, and companion i aliases onto its kept mode folds[k][i]
     total_t, total_x = scales[-1]
+    tc, xc = _group_arrays(theta_t, theta_x, scales[-1])
     kept, folds = [], []
     for mt, mx in scales:
         nt, nx = total_t // mt, total_x // mx
@@ -227,7 +231,7 @@ def _cycle_matrices(steps, cfg: LfaConfig, tc: np.ndarray, xc: np.ndarray, cols=
             # two takes keep the stack C-ordered, which `@` and eigvals downstream want
             corr = ((steps[k - 1][0] * w)[..., :, None] * approx.take(f, -2).take(f[c], -1)
                     * (w[..., c] * ls[k - 1])[..., None, :])
-    return cycle, singular
+    return cycle, singular, tc, xc
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +298,7 @@ class RhoBarResult:
     argmax: Frequency
 
 
-def rho_bar_details(strategy: CoarseningStrategy, cfg: LfaConfig) -> RhoBarResult:
+def rho_bar_details(strategy, cfg: LfaConfig) -> RhoBarResult:
     """Maximize the harmonic-matrix spectral radius over the sampled low domain.
 
     The sweep covers the positive-frequency quadrant only: the symbol
@@ -309,11 +313,9 @@ def rho_bar_details(strategy: CoarseningStrategy, cfg: LfaConfig) -> RhoBarResul
     group, ``spectral_radius_over_groups``, bit for bit.  A NaN bound is
     never skipped, so eigvals rejects it as it would in a full sweep.
     """
-    steps = SCHEDULES[strategy]
-    tg, xg = low_frequency_grid(cfg.resolution, _scale(steps))
-    tt, tx = np.meshgrid(tg[tg > 0], xg[xg > 0], indexing="ij")
-    tt, tx = tt.ravel(), tx.ravel()
-    mats, singular = _cycle_matrices(steps, cfg, *_group_arrays(tt, tx, _scale(steps)))
+    tg, xg = low_frequency_grid(cfg.resolution, _scale(strategy))
+    tt, tx = (a.ravel() for a in np.meshgrid(tg[tg > 0], xg[xg > 0], indexing="ij"))
+    mats, singular, _, _ = _cycle_matrices(strategy, cfg, tt, tx)
     bound = np.where(singular, -np.inf, _radius_bound(mats))
     radii = np.full(tt.shape, -np.inf)
     seeds = np.argpartition(bound, -_SEEDS)[-_SEEDS:]
@@ -330,11 +332,10 @@ def rho_bar_details(strategy: CoarseningStrategy, cfg: LfaConfig) -> RhoBarResul
     )
 
 
-def spectral_radius_over_groups(strategy: CoarseningStrategy, cfg: LfaConfig,
-                                theta_t: np.ndarray, theta_x: np.ndarray):
+def spectral_radius_over_groups(strategy, cfg: LfaConfig, theta_t: np.ndarray,
+                                theta_x: np.ndarray):
     """Spectral radii at explicit low frequencies; singular groups get -inf."""
-    steps = SCHEDULES[strategy]
-    mats, singular = _cycle_matrices(steps, cfg, *_group_arrays(theta_t, theta_x, _scale(steps)))
+    mats, singular, _, _ = _cycle_matrices(strategy, cfg, theta_t, theta_x)
     return np.where(singular, -np.inf, spectral_radius_batch(mats)), singular
 
 
@@ -347,7 +348,7 @@ _GOLDEN_TOL = 1e-5
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def omega_opt_numeric(strategy: CoarseningStrategy, cfg: LfaConfig):
+def omega_opt_numeric(strategy, cfg: LfaConfig):
     """Damping parameter minimizing the cycle convergence factor.
 
     Runs a 64-point scan over (0, 1] followed by golden-section refinement
@@ -427,16 +428,16 @@ def omega_opt_numeric(strategy: CoarseningStrategy, cfg: LfaConfig):
     return float(best[1]), float(best[0])
 
 
-def resolve_omega(mode, strategy: CoarseningStrategy, cfg: LfaConfig) -> float:
+def resolve_omega(mode, strategy, cfg: LfaConfig) -> float:
     """Map an omega mode ('0.5' | 'theorem' | 'numeric' | number) to a value.
 
-    The theorem value is the optimal damping of the first step of
-    ``core.SCHEDULES[strategy]``, the coarsening of the fine level.
+    The theorem value is the optimal damping of the schedule's first
+    step, the coarsening of the fine level.
     """
     if isinstance(mode, (int, float)):
         return float(mode)
     if mode == "theorem":
-        return optimal_omega(SCHEDULES[strategy][0], cfg.sigma)
+        return optimal_omega(strategy[0], cfg.sigma)
     if mode == "numeric":
         return omega_opt_numeric(strategy, cfg)[0]
     try:
@@ -466,7 +467,7 @@ def _scatter_first_columns(mats: np.ndarray, tc: np.ndarray, xc: np.ndarray,
     return LowModeMap(theta_t=tc.ravel(), theta_x=xc.ravel(), modulus=coeffs.ravel())
 
 
-def low_mode_action(strategy: CoarseningStrategy, cfg: LfaConfig) -> LowModeMap:
+def low_mode_action(strategy, cfg: LfaConfig) -> LowModeMap:
     """Apply the cycle matrix to the all-ones low-frequency input.
 
     Each sampled low frequency of the schedule's low domain contributes
@@ -480,9 +481,7 @@ def low_mode_action(strategy: CoarseningStrategy, cfg: LfaConfig) -> LowModeMap:
     least-damped low mode sits on the boundary |theta_t| = pi/4 only
     when nu1 + nu2 <= 2; more sweeps pull it inside the low band.
     """
-    steps = SCHEDULES[strategy]
-    tg, xg = low_frequency_grid(cfg.resolution, _scale(steps))
+    tg, xg = low_frequency_grid(cfg.resolution, _scale(strategy))
     tt, tx = np.meshgrid(tg, xg, indexing="ij")
-    tc, xc = _group_arrays(tt.ravel(), tx.ravel(), _scale(steps))
-    mats, singular = _cycle_matrices(steps, cfg, tc, xc, [0])
+    mats, singular, tc, xc = _cycle_matrices(strategy, cfg, tt.ravel(), tx.ravel(), [0])
     return _scatter_first_columns(mats, tc, xc, singular)

@@ -14,7 +14,6 @@ from typing import NamedTuple
 import numpy as np
 
 from stmg import lfa
-from stmg.core import SCHEDULES
 from stmg.heat import apply_operator
 
 # ---------------------------------------------------------------------------
@@ -320,9 +319,7 @@ def harmonic_group(theta_t: float, theta_x: float) -> HarmonicGroup:
 
 def harmonic_matrix(strategy, cfg, low) -> np.ndarray:
     """Harmonic matrix of the strategy's cycle at one low frequency, 8x8 at scale (4, 2)."""
-    steps = SCHEDULES[strategy]
-    mats, singular = lfa._cycle_matrices(steps, cfg,
-                                         *lfa._group_arrays(*low, lfa._scale(steps)))
+    mats, singular, _, _ = lfa._cycle_matrices(strategy, cfg, *low)
     if singular:
         raise ZeroDivisionError(f"coarse symbol singular at {low}")
     return mats
@@ -335,7 +332,7 @@ def harmonic_matrix(strategy, cfg, low) -> np.ndarray:
 
 def rho_bar_full(strategy, cfg) -> lfa.RhoBarResult:
     """``lfa.rho_bar_details`` with no pruning: eigvals of every quadrant group."""
-    tg, xg = lfa.low_frequency_grid(cfg.resolution, lfa._scale(SCHEDULES[strategy]))
+    tg, xg = lfa.low_frequency_grid(cfg.resolution, lfa._scale(strategy))
     tt, tx = np.meshgrid(tg[tg > 0], xg[xg > 0], indexing="ij")
     radii, singular = lfa.spectral_radius_over_groups(strategy, cfg, tt.ravel(), tx.ravel())
     k = int(np.argmax(radii))

@@ -142,6 +142,19 @@ class TestSolve:
         _, _, rows = split_csv(path.read_text())
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--nx", "7", "--nt", "16", "--strategy", "new", "--iters", "1"],
+        ["lfa-smoothing", "--strategy", "full", "--sigma-range", "0.1:1:2"],
+    ], ids=["solve", "lfa-smoothing"])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, *argv, "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+        assert not path.parent.exists()
+
 
 class TestLfa:
     def test_smoothing(self, capsys):
@@ -300,7 +313,7 @@ class TestLfa:
         assert np.array_equal(np.array([float(row[2]) for row in rows]), want)
 
 
-#: reference CSVs of the runs below, written by ``python tests/test_cli.py``
+#: reference CSVs of the runs below, written by ``python tests/test_cli.py STEM...``
 GOLDEN_DIR = pathlib.Path(__file__).parent / "data"
 
 
@@ -352,8 +365,49 @@ class TestGoldenOutputs:
                     assert float(g) == pytest.approx(float(w), rel=1e-10, abs=0.0), column
 
 
+def write_references(stems, directory=GOLDEN_DIR) -> int:
+    """Rewrite ``directory/STEM.csv`` for each of ``stems``; list every stem if none is given.
+
+    Returns an exit code: 2, with nothing written, if a stem is unknown,
+    and 1 if a run fails.
+    """
+    runs = golden_runs()
+    unknown = [stem for stem in stems if stem not in runs]
+    if unknown:
+        print(f"unknown stem(s): {' '.join(unknown)}; known stems:", file=sys.stderr)
+        print("\n".join(runs), file=sys.stderr)
+        return 2
+    if not stems:
+        print("\n".join(runs))
+        return 0
+    for stem in stems:
+        if main([*runs[stem], "--output", str(directory / f"{stem}.csv")]) != 0:
+            print(f"{stem}: {runs[stem]} failed", file=sys.stderr)
+            return 1
+    return 0
+
+
+class TestWriteReferences:
+    """``python tests/test_cli.py STEM...`` rewrites only the named references."""
+
+    def test_no_stem_lists_every_stem(self, capsys, tmp_path):
+        assert write_references([], tmp_path / "data") == 0
+        out, _ = capsys.readouterr()
+        assert out.splitlines() == list(golden_runs())
+        assert not (tmp_path / "data").exists()
+
+    def test_unknown_stem_writes_nothing(self, capsys, tmp_path):
+        assert write_references(["lfa-smoothing-full", "no-such-run"], tmp_path) != 0
+        _, err = capsys.readouterr()
+        assert "no-such-run" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_named_stem_only(self, capsys, tmp_path):
+        assert write_references(["lfa-smoothing-full"], tmp_path) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["lfa-smoothing-full.csv"]
+        _, printed, _ = run(capsys, *golden_runs()["lfa-smoothing-full"])
+        assert (tmp_path / "lfa-smoothing-full.csv").read_text() == printed
+
+
 if __name__ == "__main__":
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    for stem, argv in golden_runs().items():
-        if main([*argv, "--output", str(GOLDEN_DIR / f"{stem}.csv")]) != 0:
-            sys.exit(f"{stem}: {argv} failed")
+    sys.exit(write_references(sys.argv[1:]))

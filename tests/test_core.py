@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import TridiagonalMatrix, thomas_solve
-from stmg.core import CoarseningStrategy, SpaceTimeGrid, coarsen_grid, random_field, zero_field
-from stmg.cycles import CyclePlan
-from stmg.lfa import LfaConfig, worst_smoothing_mode
+from stmg.core import (CoarseningStrategy, SpaceTimeGrid, check_schedule, coarsen_grid,
+                       random_field, zero_field)
+from stmg.cycles import CyclePlan, plan_levels
+from stmg.lfa import LfaConfig, rho_bar_details, worst_smoothing_mode
 from stmg.smoother import SmootherConfig
 
 
@@ -134,9 +135,37 @@ class TestCoarsenGrid:
         with pytest.raises(ValueError):
             coarsen_grid(g, 1, 4)
 
-    def test_strategy_tags(self):
-        assert CoarseningStrategy("new") is CoarseningStrategy.NEW
-        assert len(CoarseningStrategy) == 2
+
+class TestCheckSchedule:
+    """A strategy is its schedule, and ``core.check_schedule`` rejects one that cannot run."""
+
+    @pytest.mark.parametrize("steps,message", [
+        ((), r"^a coarsening schedule needs at least one \(mt, mx\) step$"),
+        (((3, 1),), r"^time factor must be 1, 2 or 4, got 3$"),
+        (((1, 1),), r"^coarsening step \(1, 1\) coarsens nothing$"),
+        (((4, 2), (1, 1)), r"^coarsening step \(1, 1\) coarsens nothing$"),
+    ], ids=["empty", "bad-factor", "no-coarsening", "no-coarsening-second"])
+    @pytest.mark.parametrize("make", [
+        check_schedule,
+        lambda steps: CyclePlan(strategy=steps),
+        lambda steps: rho_bar_details(steps, LfaConfig(sigma=1.0, resolution=16)),
+    ], ids=["check_schedule", "CyclePlan", "rho_bar_details"])
+    def test_rejected(self, make, steps, message):
+        with pytest.raises(ValueError, match=message):
+            make(steps)
+
+    def test_strategies_are_their_schedules(self):
+        assert CoarseningStrategy.NEW == ((4, 2),)
+        assert CoarseningStrategy.ORIGINAL == ((2, 2), (2, 1))
+        for steps in (CoarseningStrategy.NEW, CoarseningStrategy.ORIGINAL, ((2, 1), (2, 2)),
+                      ((4, 2), (4, 2)), ((1, 2), (4, 1))):
+            check_schedule(steps)
+            assert CyclePlan(strategy=steps).strategy is steps
+
+    def test_too_small_grid_names_the_steps(self):
+        g = SpaceTimeGrid(n_x=3, n_t=16, horizon=0.1)
+        with pytest.raises(ValueError, match=r"too small for one coarsening stage \(\(4, 2\),\)"):
+            plan_levels(g, CyclePlan(strategy=CoarseningStrategy.NEW))
 
 
 class TestCheckOmega:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stmg import core, cycles
+from stmg import cycles
 from stmg.core import CoarseningStrategy as CS
 from stmg.core import SpaceTimeGrid
 from stmg.cycles import CostCounter, CyclePlan, run_cycle, solve
@@ -13,7 +13,7 @@ from stmg.smoother import optimal_omega
 
 
 def plan_for(strategy, depth, eta=3, **kw):
-    eta = eta if strategy is CS.ORIGINAL else 0
+    eta = eta if len(strategy) > 1 else 0
     return CyclePlan(strategy=strategy, eta1=eta, eta2=eta, depth=depth, **kw)
 
 
@@ -32,11 +32,10 @@ class TestContraction:
         self.check_rate(strategy, sigma)
 
     @pytest.mark.parametrize("sigma", [0.1, 1.0, 10.0])
-    def test_time_first_schedule_rate_matches_lfa(self, sigma, monkeypatch):
-        # a schedule defined by its table entry alone: the solver and the
-        # LFA both follow time semi-coarsening, then full coarsening
-        monkeypatch.setitem(core.SCHEDULES, CS.ORIGINAL, ((2, 1), (2, 2)))
-        self.check_rate(CS.ORIGINAL, sigma)
+    def test_time_first_schedule_rate_matches_lfa(self, sigma):
+        # a schedule is its steps alone: the solver and the LFA both
+        # follow time semi-coarsening, then full coarsening
+        self.check_rate(((2, 1), (2, 2)), sigma)
 
     @staticmethod
     def check_rate(strategy, sigma):
@@ -65,7 +64,7 @@ class TestDepthTwoContraction:
     """
 
     @staticmethod
-    def rates(sigma, omega, monkeypatch):
+    def rates(sigma, omega):
         g = SpaceTimeGrid(n_x=63, n_t=1024, horizon=sigma * 1024 / 64**2)
         op = assemble_operator(g)
         rhs = assemble_rhs(g, heat_benchmark_problem(g.horizon))
@@ -74,18 +73,17 @@ class TestDepthTwoContraction:
         cfg = LfaConfig(sigma=g.sigma, omega=omega, nu1=3, nu2=3, eta1=3, eta2=3,
                         resolution=16)
         depth1 = rho_bar_details(CS.NEW, cfg).value
-        monkeypatch.setitem(core.SCHEDULES, CS.NEW, ((4, 2), (4, 2)))
-        return measured, rho_bar_details(CS.NEW, cfg).value, depth1
+        return measured, rho_bar_details(((4, 2), (4, 2)), cfg).value, depth1
 
-    def test_rate_matches_k_grid_factor(self, monkeypatch):
-        measured, k_grid, depth1 = self.rates(0.1, 0.5, monkeypatch)
+    def test_rate_matches_k_grid_factor(self):
+        measured, k_grid, depth1 = self.rates(0.1, 0.5)
         assert abs(measured - k_grid) <= 0.04
         assert measured - depth1 > 0.1  # the two-grid factor does not predict depth 2
 
-    def test_theorem_omega_diverges(self, monkeypatch):
+    def test_theorem_omega_diverges(self):
         # the two-grid optimum 0.934 contracts at depth 1 but not at depth 2
         omega = optimal_omega((4, 2), 0.01)
-        measured, k_grid, depth1 = self.rates(0.01, omega, monkeypatch)
+        measured, k_grid, depth1 = self.rates(0.01, omega)
         assert depth1 < 1.0
         assert measured > 1.0 and k_grid > 1.0
         assert abs(measured - k_grid) <= 0.04

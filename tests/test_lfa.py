@@ -4,7 +4,7 @@ import pytest
 from oracles import (SMOOTHING_STEPS, harmonic_group, harmonic_matrix, omega_opt_scan,
                      rho_bar_full, smoothing_factor_grid)
 from stmg import lfa
-from stmg.core import SCHEDULES, SIGMA_MAX
+from stmg.core import SIGMA_MAX
 from stmg.core import CoarseningStrategy as CS
 from stmg.lfa import (Frequency, LfaConfig, low_frequency_grid, low_mode_action,
                       omega_opt_numeric, operator_symbol, resolve_omega, restriction_symbol,
@@ -231,7 +231,7 @@ class TestHarmonicMatrices:
     def test_matrices_finite(self):
         cfg = LfaConfig(sigma=123.0, omega=1.0, nu1=5, nu2=5, eta1=4, eta2=4)
         for tt, tx in [(0.1, 0.3), (np.pi / 4, np.pi / 2), (-0.2, -1.2)]:
-            for strat in SCHEDULES:
+            for strat in (CS.NEW, CS.ORIGINAL):
                 assert np.isfinite(harmonic_matrix(strat, cfg, Frequency(tt, tx))).all()
 
     def test_zero_frequency_group_is_singular(self):
@@ -292,7 +292,7 @@ class TestSpectralRadiusBar:
     def test_reflected_groups_share_spectrum(self):
         cfg = LfaConfig(sigma=0.8, omega=0.6)
         for tt, tx in [(0.2, 0.9), (0.11, -0.3)]:
-            for strat in SCHEDULES:
+            for strat in (CS.NEW, CS.ORIGINAL):
                 a = harmonic_matrix(strat, cfg, Frequency(tt, tx))
                 b = harmonic_matrix(strat, cfg, Frequency(-tt, tx))
                 c = harmonic_matrix(strat, cfg, Frequency(tt, -tx))
@@ -315,12 +315,11 @@ class TestSpectralRadiusBar:
         assert -np.pi / 4 < res.argmax.theta_t <= np.pi / 4
 
 
-def _quadrant_stack(strategy, cfg, scale=(4, 2)):
+def _quadrant_stack(strategy, cfg):
     """Harmonic matrices of every group that ``rho_bar_details`` sweeps."""
-    tg, xg = low_frequency_grid(cfg.resolution, scale)
+    tg, xg = low_frequency_grid(cfg.resolution, lfa._scale(strategy))
     tt, tx = np.meshgrid(tg[tg > 0], xg[xg > 0], indexing="ij")
-    tc, xc = _group_arrays(tt.ravel(), tx.ravel(), scale)
-    return _cycle_matrices(SCHEDULES[strategy], cfg, tc, xc)[0]
+    return _cycle_matrices(strategy, cfg, tt.ravel(), tx.ravel())[0]
 
 
 class TestPrunedSweep:
@@ -331,14 +330,14 @@ class TestPrunedSweep:
              for nu1, nu2 in ((0, 0), (1, 0), (3, 3))]
 
     @pytest.mark.parametrize("resolution", [16, 32, 128])
-    @pytest.mark.parametrize("strategy", list(SCHEDULES))
+    @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
     def test_equals_full_sweep(self, strategy, resolution):
         for case in self.CASES:
             cfg = LfaConfig(resolution=resolution, **case)
             assert rho_bar_details(strategy, cfg) == rho_bar_full(strategy, cfg), case
 
     @pytest.mark.parametrize("sigma", [0.1, 1.6])
-    @pytest.mark.parametrize("strategy", list(SCHEDULES))
+    @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
     def test_numeric_omega_unchanged(self, strategy, sigma, monkeypatch):
         cfg = LfaConfig(sigma=sigma, resolution=32)
         pruned = omega_opt_numeric(strategy, cfg)
@@ -352,7 +351,7 @@ class TestPrunedSweep:
         assert calls
 
     @pytest.mark.parametrize("resolution", [16, 32, 128])
-    @pytest.mark.parametrize("strategy", list(SCHEDULES))
+    @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
     def test_bound_above_radius(self, strategy, resolution):
         for case in self.CASES:
             mats = _quadrant_stack(strategy, LfaConfig(resolution=resolution, **case))
@@ -372,7 +371,7 @@ class TestPrunedSweep:
             ratio = _radius_bound(scale * stack) / (scale * _radius_bound(stack))
             assert np.abs(ratio - 1.0).max() < 1e-12
 
-    @pytest.mark.parametrize("strategy", list(SCHEDULES))
+    @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
     def test_few_groups_eigen_solved(self, strategy, monkeypatch):
         rows = []
 
@@ -400,20 +399,18 @@ class TestScheduleScale:
 
     @pytest.mark.parametrize("steps", [((2, 1),), ((2, 2),), ((4, 2), (4, 2)),
                                        ((2, 2), (2, 1), (4, 2))])
-    def test_pruned_sweep_equals_full_sweep(self, steps, monkeypatch):
-        monkeypatch.setitem(SCHEDULES, CS.NEW, steps)
+    def test_pruned_sweep_equals_full_sweep(self, steps):
         for sigma in (0.01, 1.0, 100.0):
             for nu in (0, 1, 3):
                 cfg = LfaConfig(sigma=sigma, nu1=nu, nu2=nu, eta1=nu, eta2=nu, resolution=16)
-                assert rho_bar_details(CS.NEW, cfg) == rho_bar_full(CS.NEW, cfg), (sigma, nu)
+                assert rho_bar_details(steps, cfg) == rho_bar_full(steps, cfg), (sigma, nu)
         mt, mx = lfa._scale(steps)
-        mats = _quadrant_stack(CS.NEW, LfaConfig(sigma=0.1, resolution=16), (mt, mx))
+        mats = _quadrant_stack(steps, LfaConfig(sigma=0.1, resolution=16))
         assert mats.shape[-2:] == (mt * mx, mt * mx)
         assert (_radius_bound(mats) >= spectral_radius_batch(mats)).all()
 
-    def test_low_mode_action_at_depth_two(self, monkeypatch):
-        monkeypatch.setitem(SCHEDULES, CS.NEW, ((4, 2), (4, 2)))
-        out = low_mode_action(CS.NEW, LfaConfig(sigma=0.1, resolution=16))
+    def test_low_mode_action_at_depth_two(self):
+        out = low_mode_action(((4, 2), (4, 2)), LfaConfig(sigma=0.1, resolution=16))
         assert out.modulus.shape == (64 * 16 * 16,)
         assert np.isfinite(out.modulus).all()
         low_t, low_x = out.theta_t[::64], out.theta_x[::64]
@@ -426,18 +423,17 @@ class TestColumnPath:
 
     @pytest.mark.parametrize("steps", [((4, 2),), ((2, 1),), ((2, 2),), ((2, 2), (2, 1)),
                                        ((4, 2), (4, 2)), ((2, 2), (2, 1), (2, 2), (2, 1))])
-    def test_first_column_equals_full_matrices(self, steps, monkeypatch):
-        monkeypatch.setitem(SCHEDULES, CS.NEW, steps)
-        scale = lfa._scale(steps)
-        tg, xg = low_frequency_grid(16, scale)
+    def test_first_column_equals_full_matrices(self, steps):
+        tg, xg = low_frequency_grid(16, lfa._scale(steps))
         # the group of the zero frequency is singular at every sigma
-        tt, tx = np.meshgrid(np.append(tg, 0.0), np.append(xg, 0.0), indexing="ij")
-        tc, xc = _group_arrays(tt.ravel(), tx.ravel(), scale)
+        tt, tx = (a.ravel() for a in np.meshgrid(np.append(tg, 0.0), np.append(xg, 0.0),
+                                                 indexing="ij"))
         for sigma in (0.01, 1.0, 100.0):
             for nu in (0, 1, 3):
                 cfg = LfaConfig(sigma=sigma, omega=0.7, nu1=nu, nu2=nu, eta1=nu, eta2=nu)
-                full, singular = _cycle_matrices(SCHEDULES[CS.NEW], cfg, tc, xc)
-                col, col_singular = _cycle_matrices(SCHEDULES[CS.NEW], cfg, tc, xc, [0])
+                full, singular, tc, xc = _cycle_matrices(steps, cfg, tt, tx)
+                col, col_singular, *companions = _cycle_matrices(steps, cfg, tt, tx, [0])
+                assert all(np.array_equal(a, b) for a, b in zip(companions, (tc, xc)))
                 assert col.shape == full.shape[:-1] + (1,), (sigma, nu)
                 assert np.array_equal(col[..., 0], full[..., 0]), (sigma, nu)
                 assert np.array_equal(col_singular, singular) and singular.sum() == 1
@@ -449,7 +445,7 @@ class TestOmegaOptNumeric:
     """omega_opt_numeric sweeps only where a one-group lower bound cannot settle the search."""
 
     @pytest.mark.parametrize("resolution", [16, 32])
-    @pytest.mark.parametrize("strategy", list(SCHEDULES))
+    @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
     def test_equals_full_scan(self, strategy, resolution):
         # nu = (0, 0) makes rho_bar independent of omega: every scan point ties
         for sigma in np.logspace(-3, 3, 7):
@@ -458,7 +454,7 @@ class TestOmegaOptNumeric:
                 assert omega_opt_numeric(strategy, cfg) == omega_opt_scan(strategy, cfg), \
                     (sigma, nu1, nu2)
 
-    @pytest.mark.parametrize("strategy", list(SCHEDULES))
+    @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
     def test_subset_radii_are_bit_identical(self, strategy):
         # the bound is exact only if a group's radius does not depend on the
         # other groups computed with it
@@ -473,7 +469,7 @@ class TestOmegaOptNumeric:
                 part, _ = spectral_radius_over_groups(strategy, cfg, tt[pick], tx[pick])
                 assert np.array_equal(part, whole[pick]), (sigma, size)
 
-    @pytest.mark.parametrize("strategy", list(SCHEDULES))
+    @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
     def test_few_sweeps(self, strategy, monkeypatch):
         calls = []
 
@@ -503,11 +499,10 @@ class TestResolveOmega:
         assert resolve_omega("theorem", CS.NEW, cfg) == optimal_omega((4, 2), sigma)
         assert resolve_omega("theorem", CS.ORIGINAL, cfg) == optimal_omega((2, 2), sigma)
 
-    def test_theorem_follows_the_schedule(self, monkeypatch):
+    def test_theorem_follows_the_schedule(self):
         # a time-first schedule smooths for time semi-coarsening on the fine
         # level, whose optimum is 1/2 (full coarsening's is 0.845 at sigma 0.1)
-        monkeypatch.setitem(SCHEDULES, CS.ORIGINAL, ((2, 1), (2, 2)))
-        assert resolve_omega("theorem", CS.ORIGINAL, LfaConfig(sigma=0.1)) == 0.5
+        assert resolve_omega("theorem", ((2, 1), (2, 2)), LfaConfig(sigma=0.1)) == 0.5
 
 
 class TestLowModeAction:
