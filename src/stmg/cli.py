@@ -8,6 +8,7 @@ digits so runs are reproducible byte for byte (wall time excepted).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -282,6 +283,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out_dir = args.output and os.path.dirname(os.path.abspath(args.output))
+        if out_dir and not os.path.isdir(out_dir):  # before any work; written after it
+            raise ValueError(f"cannot write {args.output}: {out_dir} is not a directory")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,20 +4,22 @@ Everything here operates on angular frequencies (theta_t, theta_x) in
 (-pi, pi].  A strategy is its coarsening schedule, the tuple of (mt, mx)
 steps of one stage that the solver in ``cycles`` runs, and a cycle's
 matrix follows those steps.  The product of the steps is the total scale
-(Mt, Mx).  Per low frequency, one fold rule builds the group of Mt*Mx
-companion modes that alias onto it on the coarsest level, eight for both
-strategies; smoother, operator and transfer symbols assemble their
-harmonic matrices, whose spectral radii, maximized over the low domain
-(-pi/Mt, pi/Mt] x (-pi/Mx, pi/Mx], predict the asymptotic convergence
-factor of the cycles.  The smoothing analysis takes a single coarsening
-step (mt, mx), such as a schedule's first step.
+(Mt, Mx).  Per low frequency, one fold rule builds the Mt time and Mx
+space companions that alias onto it on the coarsest level, and their
+product is its group of Mt*Mx modes, eight for both strategies; smoother,
+operator and transfer symbols assemble their harmonic matrices, whose
+spectral radii, maximized over the low domain (-pi/Mt, pi/Mt] x
+(-pi/Mx, pi/Mx], predict the asymptotic convergence factor of the
+cycles.  The smoothing analysis takes a single coarsening step (mt, mx),
+such as a schedule's first step.
 
 A cycle matrix is built level by level from elementwise products and
-index gathers alone: restriction and prolongation map each mode onto
-one coarser mode, so every coarse correction is a gather, not a matrix
-product.  The fine level can be cut to chosen input columns; the
-low-mode map reads only the column of the low component, and builds
-only that.
+index gathers alone.  A group stays factored into its time and space
+axes, so each symbol is evaluated once per time or space companion.
+Restriction and prolongation map each mode onto one coarser mode, its
+index mod the coarser level's counts, so every coarse correction is a
+gather, not a matrix product.  The low-mode map builds only the matrix
+column of the low component, the one it reads.
 
 The sampled maximum of the spectral radius, rho_bar, is exact but
 eigen-solves only the few groups that can reach it.  Four batched
@@ -96,12 +98,6 @@ def _companions(theta, m: int):
     return f
 
 
-def _group_arrays(theta_t, theta_x, scale):
-    """Companions (..., Mt*Mx) of ``scale``: index i is time i % Mt, space i // Mt."""
-    mt, mx = scale
-    return np.tile(_companions(theta_t, mt), mx), np.repeat(_companions(theta_x, mx), mt, axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # symbols
 # ---------------------------------------------------------------------------
@@ -165,55 +161,52 @@ def _scale(steps):
 def _cycle_matrices(steps, cfg: LfaConfig, theta_t, theta_x, cols=slice(None)):
     """Batched harmonic matrices (N, n, len(cols)) of one cycle at low frequencies (N,).
 
-    A group is the n = Mt*Mx companions ``tc``/``xc`` of the total scale of
-    ``steps``, formed here in ``_group_arrays`` order, and ``cols`` picks the
-    input companions whose columns are built, all of them by default.
-    Only the fine level is cut to those columns: its operator symbol and
-    pre-smoother factor are evaluated there alone, and every coarser level
-    keeps its full matrix.
-    One pass per level, coarsest first, smooths a correction from the level
-    below, as ``cycles.plan_levels`` plans it: ``nu1``/``nu2`` sweeps on the
-    fine level, ``eta1``/``eta2`` on the others.  The coarsest level, a
-    single mode, is inverted.  Restriction multiplies one full-weighting
-    symbol per halving and P = mt * R^T, so P A R L has one nonzero term per
+    A group of the total scale (Mt, Mx) of ``steps`` stays two axes, the Mt
+    time companions last and the Mx space companions before them, and each
+    symbol's grid is flattened space-major: mode i is time companion i % Mt
+    and space companion i // Mt.  Level (mt, mx) keeps the first Mt/mt time
+    and Mx/mx space companions; a finer mode folds onto it by its index mod
+    those counts on each axis.  ``cols`` picks the input modes whose columns
+    are built, all by default; only the fine level is cut.  One pass per
+    level, coarsest first, smooths a correction from the level below, as
+    ``cycles.plan_levels`` plans it: ``nu1``/``nu2`` sweeps on the fine
+    level, ``eta1``/``eta2`` on the others.  The coarsest level, a single
+    mode, is inverted.  Restriction multiplies one full-weighting symbol
+    per halving and P = mt * R^T, so P A R L has one nonzero term per
     entry and is an index gather, corr[a, i] = mt w_a A[f(a), f(i)] w_i L_i
     with f the fold of the finer level's modes onto the coarser one's.
     Every entry is thus a few elementwise products and no BLAS product is
     left, so the rounding does not depend on the BLAS build.  Also returns
-    the mask of groups where a coarse symbol is below ``SINGULAR_TOL`` and
-    the (N, n) companions ``tc``/``xc``.
+    the mask of groups with a coarse symbol below ``SINGULAR_TOL`` and the
+    fine level's (N, n) companions ``tc``/``xc``.
     """
     check_schedule(steps)
-    scales = [(1, 1)]
-    for mt, mx in steps:
-        scales.append((scales[-1][0] * mt, scales[-1][1] * mx))
-    # level (Mt, Mx) keeps the (total_t/Mt)*(total_x/Mx) companions that stay
-    # distinct on it, and companion i aliases onto its kept mode folds[k][i]
+    scales = [_scale(steps[:k]) for k in range(len(steps) + 1)]  # each level's, finest first
     total_t, total_x = scales[-1]
-    tc, xc = _group_arrays(theta_t, theta_x, scales[-1])
-    kept, folds = [], []
-    for mt, mx in scales:
-        nt, nx = total_t // mt, total_x // mx
-        kept.append([(j // nt) * total_t + j % nt for j in range(nt * nx)])
-        folds.append(np.array([(i // total_t) % nx * nt + (i % total_t) % nt
-                               for i in range(total_t * total_x)]))
-    freqs = [(tc[..., k], xc[..., k]) for k in kept]
+    t_all = _companions(theta_t, total_t)[..., None, :]
+    x_all = _companions(theta_x, total_x)[..., :, None]
+    freqs = [(t_all[..., :total_t // mt], x_all[..., :total_x // mx, :]) for mt, mx in scales]
+
+    def flat(a):  # a level's (..., nx, nt) grid, flattened space-major
+        return a.reshape(a.shape[:-2] + (-1,))
+
+    grids = [operator_symbol(cfg.sigma, t, x, *scale) for (t, x), scale in zip(freqs, scales)]
+    tc, xc = (flat(np.broadcast_to(a, grids[0].shape)) for a in (t_all, x_all))
     ins = [cols] + [slice(None)] * len(steps)  # the input columns of each level
-    ls = [operator_symbol(cfg.sigma, t[..., c], x[..., c], *scale)
-          for (t, x), scale, c in zip(freqs, scales, ins)]
+    ls = [flat(g)[..., c] for g, c in zip(grids, ins)]
     singular = np.zeros(tc.shape[:-1], dtype=bool)
     for l in ls[1:]:
         singular |= np.any(np.abs(l) < SINGULAR_TOL, axis=-1)
     ls = ls[:1] + [np.where(singular[..., None], 1.0, l) for l in ls[1:]]
 
     weights = []
-    for (t, x), (mt0, mx0), (mt, mx) in zip(freqs, scales, steps):
-        w = 1.0
+    for (t, x), (mt0, mx0), (mt, mx), g in zip(freqs, scales, steps, grids):
+        w = np.ones(g.shape)  # the level's whole grid: a step may restrict one axis only
         for k in range(mt.bit_length() - 1):
             w = w * restriction_symbol(mt0 * 2**k * t)
         if mx == 2:
             w = w * restriction_symbol(mx0 * x)
-        weights.append(w)
+        weights.append(flat(w))
 
     # the coarsest level is one mode, so the correction above it, P L_c^{-1} R L,
     # is rank one: the gather with A = 1 / L_c
@@ -221,13 +214,15 @@ def _cycle_matrices(steps, cfg: LfaConfig, theta_t, theta_x, cols=slice(None)):
     corr = (steps[-1][0] * w / ls[-1])[..., :, None] * (w[..., ins[-2]] * ls[-2])[..., None, :]
     for k in range(len(steps) - 1, -1, -1):
         pre, post = (cfg.nu1, cfg.nu2) if k == 0 else (cfg.eta1, cfg.eta2)
-        s = smoother_symbol(cfg.omega, cfg.sigma, *freqs[k], *scales[k])
-        eye = np.eye(len(kept[k]), dtype=complex)[:, ins[k]]
+        s = flat(smoother_symbol(cfg.omega, cfg.sigma, *freqs[k], *scales[k]))
+        eye = np.eye(s.shape[-1], dtype=complex)[:, ins[k]]
         np.subtract(eye, corr, out=corr)  # in place: one buffer fewer
         cycle = (s ** post)[..., :, None] * corr * (s[..., ins[k]] ** pre)[..., None, :]
         if k > 0:  # level k's cycle from zero approximates its inverse for level k - 1
             approx = (eye - cycle) / ls[k][..., None, :]
-            f, w, c = folds[k][kept[k - 1]], weights[k - 1], ins[k - 1]
+            (nx0, nt0), (nx, nt) = grids[k - 1].shape[-2:], grids[k].shape[-2:]
+            f = (np.arange(nx0)[:, None] % nx * nt + np.arange(nt0) % nt).ravel()
+            w, c = weights[k - 1], ins[k - 1]
             # two takes keep the stack C-ordered, which `@` and eigvals downstream want
             corr = ((steps[k - 1][0] * w)[..., :, None] * approx.take(f, -2).take(f[c], -1)
                     * (w[..., c] * ls[k - 1])[..., None, :])

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_omega, check_sigma, check_step
+from .core import check_omega, check_schedule, check_sigma
 from .heat import HeatOperator
 
 
@@ -70,10 +70,8 @@ def _crossing(step, sigma: float) -> float:
     omega where the two branches cross, written with c = 1 + 2*sigma.
     The (4, 2) branches cross only for c <= sqrt(2).
     """
+    check_schedule((step,))
     mt, mx = step
-    check_step(mt, mx)
-    if (mt, mx) == (1, 1):
-        raise ValueError("step (1, 1) coarsens nothing, so it has no high frequencies")
     if mx == 1:
         return 0.0
     if mt == 1:

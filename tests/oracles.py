@@ -293,6 +293,18 @@ def squared_power_radius(a: np.ndarray, squarings: int = 50) -> float:
 # ---------------------------------------------------------------------------
 
 
+def group_arrays(theta_t, theta_x, scale):
+    """Companions (..., Mt*Mx) of ``scale``: index i is time i % Mt, space i // Mt.
+
+    The flat layout of a harmonic group written out with ``np.tile`` and
+    ``np.repeat``, against which the broadcast grid of
+    ``lfa._cycle_matrices`` is checked.
+    """
+    mt, mx = scale
+    return (np.tile(lfa._companions(theta_t, mt), mx),
+            np.repeat(lfa._companions(theta_x, mx), mt, axis=-1))
+
+
 class HarmonicGroup(NamedTuple):
     """Eight companion frequencies of one low frequency, in canonical order.
 
@@ -313,7 +325,7 @@ def harmonic_group(theta_t: float, theta_x: float) -> HarmonicGroup:
         raise ValueError(f"low time frequency {theta_t} outside (-pi/4, pi/4]")
     if not (-np.pi / 2 - eps < theta_x <= np.pi / 2 + eps):
         raise ValueError(f"low space frequency {theta_x} outside (-pi/2, pi/2]")
-    t8, x8 = lfa._group_arrays(theta_t, theta_x, (4, 2))
+    t8, x8 = group_arrays(theta_t, theta_x, (4, 2))
     return HarmonicGroup(theta_t=t8, theta_x=x8)
 
 

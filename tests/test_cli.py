@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import SMOOTHING_STEPS
-from stmg import lfa
+from stmg import cli, lfa
 from stmg.cli import main
 from stmg.core import SIGMA_MAX
 from stmg.core import CoarseningStrategy as CS
@@ -155,6 +155,28 @@ class TestSolve:
         assert str(path) in err
         assert not path.parent.exists()
 
+
+    @pytest.mark.parametrize("argv", [
+        ["lfa-rho", "--sigma-range", "0.001:1000:7", "--omega", "numeric"],
+        ["solve", "--nx", "7", "--nt", "16", "--strategy", "new", "--omega", "numeric"],
+    ], ids=["lfa-rho", "solve"])
+    @pytest.mark.parametrize("directory", ["missing", "file"])
+    def test_output_checked_before_work(self, capsys, tmp_path, monkeypatch, argv, directory):
+        # the path is rejected before the omega search or the solve starts
+        def never(*args, **kwargs):
+            raise AssertionError("the run started before --output was checked")
+
+        for module, name in ((lfa, "omega_opt_numeric"), (cli, "omega_opt_numeric"),
+                             (cli, "solve")):
+            monkeypatch.setattr(module, name, never)
+        if directory == "file":
+            (tmp_path / directory).write_text("")
+        before = sorted(tmp_path.rglob("*"))
+        path = tmp_path / directory / "x.csv"
+        code, out, err = run(capsys, *argv, "--output", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+        assert sorted(tmp_path.rglob("*")) == before
 
 class TestLfa:
     def test_smoothing(self, capsys):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import (SMOOTHING_STEPS, harmonic_group, harmonic_matrix, omega_opt_scan,
-                     rho_bar_full, smoothing_factor_grid)
+from oracles import (SMOOTHING_STEPS, group_arrays, harmonic_group, harmonic_matrix,
+                     omega_opt_scan, rho_bar_full, smoothing_factor_grid)
 from stmg import lfa
 from stmg.core import SIGMA_MAX
 from stmg.core import CoarseningStrategy as CS
@@ -10,9 +10,19 @@ from stmg.lfa import (Frequency, LfaConfig, low_frequency_grid, low_mode_action,
                       omega_opt_numeric, operator_symbol, resolve_omega, restriction_symbol,
                       rho_bar_details, smoother_symbol, smoothing_factor, spectral_radius_batch,
                       spectral_radius_over_groups, worst_smoothing_mode)
-from stmg.lfa import (_companions, _cycle_matrices, _group_arrays, _radius_bound,
-                      _scatter_first_columns)
+from stmg.lfa import _companions, _cycle_matrices, _radius_bound, _scatter_first_columns
 from stmg.smoother import optimal_omega
+
+#: schedules whose harmonic groups cover every layout: the strategies, the
+#: single steps, both one-axis semi-coarsenings, the k-grid analysis of NEW
+#: at depth 2 and a four-step schedule of 64 modes
+LAYOUT_SCHEDULES = [CS.NEW, CS.ORIGINAL, ((2, 1),), ((2, 2),), ((1, 2),), ((4, 1),),
+                    ((2, 1), (2, 2)), ((4, 2), (4, 2)), ((4, 2), (2, 2)),
+                    ((2, 2), (2, 1), (2, 2), (2, 1))]
+
+
+def _steps_id(steps):
+    return "+".join(f"{mt}x{mx}" for mt, mx in steps)
 
 
 class TestSymbols:
@@ -129,18 +139,65 @@ class TestFrequencyFolding:
         tx = np.concatenate([[0.0, np.pi / 2, 0.0], rng.uniform(-np.pi / 2, np.pi / 2, 100)])
         times = np.stack([tt, g4(tt), g2(tt), g2(g4(tt))], axis=-1)
         xs = np.stack([tx, g2(tx)], axis=-1)
-        t8, x8 = _group_arrays(tt, tx, (4, 2))
+        t8, x8 = group_arrays(tt, tx, (4, 2))
         assert np.array_equal(t8, np.concatenate([times, times], axis=-1))
         assert np.array_equal(x8, np.repeat(xs, 4, axis=-1))
 
     @pytest.mark.parametrize("scale", [(1, 1), (2, 1), (1, 2), (4, 2), (16, 4)])
     def test_group_pairs_time_and_space_companions(self, scale):
         mt, mx = scale
-        tc, xc = _group_arrays(0.01, -0.03, scale)
+        tc, xc = group_arrays(0.01, -0.03, scale)
         assert tc.shape == xc.shape == (mt * mx,)
         for i in range(mt * mx):
             assert tc[i] == _companions(0.01, mt)[i % mt]
             assert xc[i] == _companions(-0.03, mx)[i // mt]
+
+    @pytest.mark.parametrize("steps", LAYOUT_SCHEDULES, ids=_steps_id)
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)], ids=["0d", "1d", "2d"])
+    def test_cycle_companions_equal_flat_layout(self, steps, shape):
+        # the broadcast (Mx, Mt) grid of _cycle_matrices, flattened, is the tiled layout
+        rng = np.random.default_rng(11)
+        mt, mx = lfa._scale(steps)
+        tt = rng.uniform(-np.pi / mt, np.pi / mt, shape)
+        tx = rng.uniform(-np.pi / mx, np.pi / mx, shape)
+        cfg = LfaConfig(sigma=1.0, omega=0.7)
+        for cols in (slice(None), [0]):
+            mats, singular, tc, xc = _cycle_matrices(steps, cfg, tt, tx, cols)
+            t_ref, x_ref = group_arrays(tt, tx, (mt, mx))
+            assert tc.shape == xc.shape == shape + (mt * mx,)
+            assert np.array_equal(tc, t_ref) and np.array_equal(xc, x_ref)
+            assert singular.shape == shape and mats.shape[:-2] == shape
+
+    @pytest.mark.parametrize("steps", LAYOUT_SCHEDULES, ids=_steps_id)
+    def test_symbols_see_each_axis_once(self, steps, monkeypatch):
+        # a level (mt, mx) of scale (Mt, Mx) keeps nt = Mt/mt time and nx = Mx/mx
+        # space companions; each symbol sees those values, not the nt*nx grid
+        total_t, total_x = lfa._scale(steps)
+        calls = {"operator": [], "smoother": [], "restriction": []}
+
+        def spy(name, fn, theta_args):
+            def wrapped(*args):
+                calls[name].append((tuple(np.size(args[i]) for i in theta_args), args[-2:]))
+                return fn(*args)
+            monkeypatch.setattr(lfa, f"{name}_symbol", wrapped)
+
+        spy("operator", lfa.operator_symbol, (1, 2))
+        spy("smoother", lfa.smoother_symbol, (2, 3))
+        spy("restriction", lfa.restriction_symbol, (0,))
+        groups = 5
+        tt, tx = np.full(groups, 0.1 / total_t), np.full(groups, 0.2 / total_x)
+        _cycle_matrices(steps, LfaConfig(sigma=1.0, omega=0.7), tt, tx)
+        scales = [lfa._scale(steps[:k]) for k in range(len(steps) + 1)]
+        for name, levels in (("operator", scales), ("smoother", scales[-2::-1])):
+            assert [c[1] for c in calls[name]] == levels
+            for (size_t, size_x), (mt, mx) in calls[name]:
+                assert (size_t, size_x) == (groups * total_t // mt, groups * total_x // mx)
+        # each level but the coarsest restricts once per time halving, then in space
+        expected = []
+        for (mt0, mx0), (mt, mx) in zip(scales, steps):
+            expected += [groups * total_t // mt0] * (mt.bit_length() - 1)
+            expected += [groups * total_x // mx0] * (mx == 2)
+        assert [c[0][0] for c in calls["restriction"]] == expected
 
     def test_group_structure(self):
         grp = harmonic_group(0.11, -0.42)
@@ -218,7 +275,7 @@ class TestHarmonicMatrices:
         cfg = LfaConfig(sigma=0.7, omega=0.6, nu1=2, nu2=1)
         low = Frequency(0.2, -0.4)
         got = harmonic_matrix(CS.NEW, cfg, low)
-        t8, x8 = _group_arrays(low.theta_t, low.theta_x, (4, 2))
+        t8, x8 = group_arrays(low.theta_t, low.theta_x, (4, 2))
         s = smoother_symbol(cfg.omega, cfg.sigma, t8, x8)
         l = operator_symbol(cfg.sigma, t8, x8)
         r = (restriction_symbol(t8) * restriction_symbol(2 * t8)
@@ -259,7 +316,7 @@ class TestHarmonicMatrices:
         # prolongated vector must match the direct expansion
         cfg = LfaConfig(sigma=0.9, omega=0.5, nu1=0, nu2=0)
         low = Frequency(0.31, 0.7)
-        t8, x8 = _group_arrays(low.theta_t, low.theta_x, (4, 2))
+        t8, x8 = group_arrays(low.theta_t, low.theta_x, (4, 2))
         r = (restriction_symbol(t8) * restriction_symbol(2 * t8)
              * restriction_symbol(x8)).reshape(1, 8)
         p = 4 * r.T
@@ -511,7 +568,7 @@ class TestLowModeAction:
         tg = -np.pi / 4 + (np.arange(res) + 0.5) * (np.pi / 2 / res)
         xg = -np.pi / 2 + (np.arange(res) + 0.5) * (np.pi / res)
         tt, tx = [a.ravel() for a in np.meshgrid(tg, xg, indexing="ij")]
-        t8, x8 = _group_arrays(tt, tx, (4, 2))
+        t8, x8 = group_arrays(tt, tx, (4, 2))
         eye = np.broadcast_to(np.eye(8, dtype=complex), (tt.size, 8, 8))
         out = _scatter_first_columns(eye, t8, x8, np.zeros(tt.size, bool))
         low = (np.abs(out.theta_t) <= np.pi / 4 + 1e-12) & (np.abs(out.theta_x) <= np.pi / 2 + 1e-12)

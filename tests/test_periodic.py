@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import group_arrays
 from periodic import (cycle_matrix, discrete_low_frequencies, fourier_mode, harmonic_block,
                       operator_matrix, prolongation_matrix, restriction_matrix,
                       smoother_matrix, time_frequencies)
 from stmg.core import CoarseningStrategy as CS
-from stmg.lfa import (LfaConfig, _cycle_matrices, _group_arrays, _scale, operator_symbol,
-                      restriction_symbol, smoother_symbol)
+from stmg.lfa import (LfaConfig, _cycle_matrices, _scale, operator_symbol, restriction_symbol,
+                      smoother_symbol)
 
 #: the strategies' schedules and two more of scale (4, 2) that only the
 #: schedule defines: time semi-coarsening first, and space semi-coarsening
@@ -70,7 +71,7 @@ class TestSymbolConsistency:
         # mt * Rhat_k, the transfer scaling the cycles rely on
         p = prolongation_matrix(self.n_t, self.n_x, 4, 2)
         for tt, tx in [(np.pi / 8, np.pi / 4), (-np.pi / 8, -np.pi / 2 + np.pi / 8)]:
-            t8, x8 = _group_arrays(tt, tx, (4, 2))
+            t8, x8 = group_arrays(tt, tx, (4, 2))
             phic = fourier_mode(self.n_t // 4, self.n_x // 2, 4 * tt, 2 * tx)
             out = p @ phic
             for k in range(8):
@@ -98,7 +99,7 @@ class TestCycleHarmonicBlocks:
             for (tt, tx), mat, skip in zip(lows, mats, singular):
                 if skip:
                     continue
-                block = harmonic_block(dense, n_t, n_x, *_group_arrays(tt, tx, scale))
+                block = harmonic_block(dense, n_t, n_x, *group_arrays(tt, tx, scale))
                 assert np.abs(block - mat).max() < 1e-12, steps
 
     def test_zero_mode_untouched_by_cycle(self):
