@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Space-time multigrid experiments for the 1D heat equation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", help="run both-strategy heat solves and emit error curves")
+    ps = sub.add_parser("solve", help="run a heat solve with one strategy and emit its error curve")
     ps.add_argument("--nx", type=int, required=True, help="interior spatial unknowns, 2**k - 1")
     ps.add_argument("--nt", type=int, required=True, help="time steps, a power of two")
     ps.add_argument("--T", type=float, default=0.1, help="time horizon")
@@ -279,13 +279,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(path: str | None) -> None:
+    """Reject an ``--output`` path that cannot name a file, before any work.
+
+    The file itself is written only after the work, so a failed run leaves none.
+    """
+    if path is None:
+        return
+    if not path:
+        raise ValueError("cannot write --output '': the path is empty")
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: it is a directory")
+    out_dir = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(out_dir):
+        raise ValueError(f"cannot write {path}: {out_dir} is not a directory")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        out_dir = args.output and os.path.dirname(os.path.abspath(args.output))
-        if out_dir and not os.path.isdir(out_dir):  # before any work; written after it
-            raise ValueError(f"cannot write {args.output}: {out_dir} is not a directory")
+        _check_output(args.output)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

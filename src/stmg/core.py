@@ -4,8 +4,10 @@ A cycle strategy is its coarsening schedule, the (mt, mx) steps of one
 stage, which ``cycles`` runs and ``lfa`` analyses alike.
 
 A space-time field is stored as a plain ``numpy`` array of shape
-``(n_t, n_x)``: one contiguous block of spatial values per time step,
-so per-block operations (and block-Jacobi sweeps) work on contiguous rows.
+``(n_t, n_x)``: one contiguous block of spatial values per time step.
+Inside a cycle the field is held as its sine coefficients, mode-major
+with shape ``(n_x, n_t)``, so that each sine mode's time series is a
+contiguous row (see ``cycles``).
 """
 
 from __future__ import annotations

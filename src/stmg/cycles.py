@@ -9,11 +9,17 @@ method.  Any other schedule that ``core.check_schedule`` accepts runs too.
 
 ``plan_levels`` plans a cycle before any work: its smoothed levels, finest
 first, each with its grid, its step down and its (pre, post) sweeps, and
-the coarsest grid, which is solved exactly in the sine basis.  ``_cycle``
-walks that list: smooth, restrict, recurse on the rest or solve exactly,
-prolong, smooth.  ``run_cycle`` reads the counted work off the plan in
-closed form.  Each coarse operator is built once per grid and reused by
-later cycles, so its sine basis and the smoother's Q^{-1} are built once too.
+the coarsest grid, which is solved exactly.  ``run_cycle`` moves the
+iterate and the right-hand side into the sine basis once, ``_cycle`` walks
+the level list there (smooth, restrict the residual, recurse on the rest
+or solve exactly, prolong, smooth), and ``run_cycle`` moves back once.
+Every spatial block is Q = S diag(lam) S, so on the mode-major (n_x, n_t)
+coefficients a block solve is a division by lam, the coarsest solve is
+``heat.time_march`` and the space transfers couple alias pairs of modes
+(``stmg.transfer``): the only products with S are the three at the fine
+level.  ``run_cycle`` reads the counted work off the plan in closed form.
+Each coarse operator is built once per grid and reused by later cycles,
+so its eigenvalues are computed once too.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import SpaceTimeGrid, check_omega, check_schedule, coarsen_grid, random_field
-from .heat import HeatOperator, apply_operator, assemble_operator, direct_solve, error_norm
+from .heat import (HeatOperator, apply_operator, assemble_operator, direct_solve, error_norm,
+                   time_march)
 from .smoother import SmootherConfig, jacobi_sweep
 from .transfer import prolong, restrict
 
@@ -102,44 +109,65 @@ def plan_levels(g: SpaceTimeGrid, plan: CyclePlan) -> tuple[list[Level], SpaceTi
     return levels, g
 
 
-# one operator per coarse grid, so its cached sine basis and Q^{-1} outlive a cycle
+# one operator per coarse grid, so its cached eigenvalues outlive a cycle
 @lru_cache(maxsize=64)
 def _coarse_operator(g: SpaceTimeGrid) -> HeatOperator:
     return assemble_operator(g)
 
 
-def _cycle(op: HeatOperator, u, rhs, levels: list[Level], coarsest: SpaceTimeGrid,
-           omega: float):
-    """Smooth on ``levels[0]``, correct from the rest of the list or the coarsest grid, smooth."""
+def _cycle(u, rhs, lams, levels: list[Level], omega: float) -> None:
+    """Correct the mode-major coefficients ``u`` of ``levels[0]`` in place.
+
+    ``lams`` holds the eigenvalues of every level's Q, the coarsest grid's
+    last.  Smooth, correct from the rest of the list or by the exact
+    coarsest solve, smooth; ``rhs`` is never written.
+    """
     (mt, mx), (pre, post) = levels[0].step, levels[0].sweeps
-    u = jacobi_sweep(op, u, rhs, SmootherConfig(omega=omega, sweeps=pre))
-    rc = restrict(rhs - apply_operator(op, u), mt, mx)
+    work = np.empty_like(u)
+    jacobi_sweep(lams[0], u, rhs, SmootherConfig(omega, pre), work)
+    # the residual rhs - L u = rhs - lam u + shift(u)
+    np.multiply(u, lams[0][:, None], out=work)
+    np.subtract(rhs, work, out=work)
+    work[:, 1:] += u[:, :-1]
+    rc = restrict(work, mt, mx)
     if len(levels) > 1:
-        cop = _coarse_operator(levels[1].grid)
-        ec = _cycle(cop, np.zeros_like(rc), rc, levels[1:], coarsest, omega)
+        ec = np.zeros_like(rc)
+        _cycle(ec, rc, lams[1:], levels[1:], omega)
     else:
-        ec = direct_solve(_coarse_operator(coarsest), rc)
-    u = u + prolong(ec, mt, mx)
-    return jacobi_sweep(op, u, rhs, SmootherConfig(omega=omega, sweeps=post))
+        ec = rc
+        time_march(ec.T, lams[1])  # rows of the transpose are time steps
+    u += prolong(ec, mt, mx)
+    jacobi_sweep(lams[0], u, rhs, SmootherConfig(omega, post), work)
 
 
 def run_cycle(op: HeatOperator, u, rhs, plan: CyclePlan,
               counter: CostCounter | None = None):
     """One iteration of the plan's cycle; returns the new field.
 
-    Adds the cycle's work to ``counter``, if given: with n_c = n_t/mt, a
-    level takes (pre + post) n_t block solves and 3 (n_t - n_c) transfer
-    blocks, one per output row of each time halving, plus 2 n_c for a space
-    halving; the coarsest solve takes one block solve per time step.
+    ``u`` and ``rhs`` are never written; the result is a new (n_t, n_x)
+    array.  Adds the cycle's work to ``counter``, if given: with
+    n_c = n_t/mt, a level takes (pre + post) n_t block solves and
+    3 (n_t - n_c) transfer blocks, one per output time step of each time
+    halving, plus 2 n_c for a space halving; the coarsest solve takes one
+    block solve per time step.
     """
-    levels, coarsest = plan_levels(op.grid, plan)
+    g = op.grid
+    if u.shape != (g.n_t, g.n_x) or rhs.shape != (g.n_t, g.n_x):
+        raise ValueError(f"field shapes {u.shape} and {rhs.shape} do not match grid "
+                         f"({g.n_t}, {g.n_x})")
+    levels, coarsest = plan_levels(g, plan)
     if counter is not None:
         counter.block_solves += coarsest.n_t
         for level in levels:
             (mt, mx), n_t = level.step, level.grid.n_t
             counter.block_solves += sum(level.sweeps) * n_t
             counter.transfer_blocks += 3 * (n_t - n_t // mt) + (2 * n_t // mt if mx == 2 else 0)
-    return _cycle(op, u, rhs, levels, coarsest, plan.omega)
+    coarse_grids = [level.grid for level in levels[1:]] + [coarsest]
+    lams = [op.eigenvalues] + [_coarse_operator(g).eigenvalues for g in coarse_grids]
+    s = op.sine_basis[0]
+    uh = s @ u.T  # S is symmetric: the mode-major coefficients S u_n, column n
+    _cycle(uh, s @ rhs.T, lams, levels, plan.omega)
+    return np.matmul(uh.T, s)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 The all-at-once lower block bidiagonal system is defined by its grid
 alone: every spatial block Q has the constant stencil of sigma, so the
-operator applies it from sigma and caches only the sine basis and the
-dense Q^{-1} that the smoother applies.  Also here: the right-hand side,
-the exact solve in the sine basis (the reference solution and the
-cycles' coarsest solve) and the discrete L_inf(0,T; L2) error norm.
+operator applies it from sigma and caches only its eigenvalues and sine
+basis.  In that basis Q is diagonal, so the exact solve is one diagonal
+recurrence in time, ``time_march``, shared by ``direct_solve`` (the
+reference solution) and the cycles' coarsest solve.  Also here: the
+right-hand side and the discrete L_inf(0,T; L2) error norm.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class HeatOperator:
 
     Q = I - tau*A_h is the stencil (1 + 2*sigma) u_j - sigma (u_{j-1} + u_{j+1})
     (Dirichlet rows drop the outside neighbor), fixed by the grid's sigma.
-    Its sine basis and its dense inverse are built on first use and
-    cached on the operator; the cached arrays are read-only.
+    Its eigenvalues and its sine basis are built on first use and cached
+    on the operator; the cached arrays are read-only.
     """
 
     grid: SpaceTimeGrid
@@ -60,28 +61,27 @@ class HeatOperator:
         return self.grid.sigma
 
     @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """lam_k = 1 + 4 sigma sin^2(pi k/2m), k = 1..n_x, m = n_x + 1: the spectrum of Q."""
+        m = self.grid.n_x + 1
+        lam = 1.0 + 4.0 * self.sigma * np.sin(np.pi * np.arange(1, m) / (2 * m)) ** 2
+        lam.flags.writeable = False
+        return lam
+
+    @cached_property
     def sine_basis(self) -> tuple[np.ndarray, np.ndarray]:
         """``(S, lam)`` with Q = S diag(lam) S.
 
         The orthogonal, symmetric DST-I matrix S[j, k] = sqrt(2/m) sin(pi j k/m),
         m = n_x + 1, diagonalizes the constant-coefficient Dirichlet Q,
-        with eigenvalues lam_k = 1 + 4 sigma sin^2(pi k/2m).
+        with the ``eigenvalues`` lam.
         """
         m = self.grid.n_x + 1
         k = np.arange(1, m)
         # j*k modulo the period 2m keeps the sine's argument small
         s = np.sqrt(2.0 / m) * np.sin(np.pi * (np.outer(k, k) % (2 * m)) / m)
-        lam = 1.0 + 4.0 * self.sigma * np.sin(np.pi * k / (2 * m)) ** 2
-        s.flags.writeable = lam.flags.writeable = False
-        return s, lam
-
-    @cached_property
-    def q_inv(self) -> np.ndarray:
-        """The dense inverse Q^{-1} = S diag(1/lam) S, symmetric up to rounding."""
-        s, lam = self.sine_basis
-        q_inv = (s / lam) @ s
-        q_inv.flags.writeable = False
-        return q_inv
+        s.flags.writeable = False
+        return s, self.eigenvalues
 
 
 def assemble_operator(g: SpaceTimeGrid) -> HeatOperator:
@@ -115,22 +115,33 @@ def apply_operator(op: HeatOperator, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def time_march(v: np.ndarray, lam: np.ndarray) -> None:
+    """Solve the system in place on sine coefficients: v_n <- (v_n + v_{n-1}) / lam.
+
+    Row n of ``v`` holds the coefficients of time step n; on return it
+    holds those of u_n = Q^{-1}(rhs_n + u_{n-1}), with Q = S diag(lam) S.
+    The rows may be strided views, such as the rows of a transposed
+    mode-major array.
+    """
+    v[0] /= lam
+    # in place on row views; ``v[n] += ...`` would also copy each row back into v
+    for prev, row in zip(v, v[1:]):
+        row += prev
+        row /= lam
+
+
 def direct_solve(op: HeatOperator, rhs: np.ndarray) -> np.ndarray:
     """Exact solve u_n = Q^{-1}(rhs_n + u_{n-1}) of the system, in the sine basis.
 
     With the operator's cached ``sine_basis`` Q = S diag(lam) S, time
-    stepping is a diagonal recurrence between two products with S.
+    stepping is ``time_march`` between two products with S.
     """
     g = op.grid
     if rhs.shape != (g.n_t, g.n_x):
         raise ValueError(f"rhs shape {rhs.shape} does not match grid ({g.n_t}, {g.n_x})")
     s, lam = op.sine_basis
     v = rhs @ s
-    v[0] /= lam
-    # in place on row views; ``v[n] += ...`` would also copy each row back into v
-    for prev, row in zip(v, v[1:]):
-        row += prev
-        row /= lam
+    time_march(v, lam)
     return v @ s
 
 

@@ -1,4 +1,9 @@
-"""Damped block-Jacobi smoother and its closed-form optimal damping parameter."""
+"""Damped block-Jacobi smoother on sine coefficients and its closed-form optimal damping.
+
+Every time block of the system holds the same Dirichlet Q = S diag(lam) S,
+so in the sine basis S a block solve is a division by lam and a sweep
+acts on each sine mode's time series alone.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_omega, check_schedule, check_sigma
-from .heat import HeatOperator
 
 
 @dataclass(frozen=True)
@@ -24,39 +28,30 @@ class SmootherConfig:
             raise ValueError("sweeps must be nonnegative")
 
 
-def jacobi_sweep(op: HeatOperator, u: np.ndarray, rhs: np.ndarray,
-                 cfg: SmootherConfig) -> np.ndarray:
-    """Run ``cfg.sweeps`` damped block-Jacobi sweeps and return the new field.
+def jacobi_sweep(lam: np.ndarray, u: np.ndarray, rhs: np.ndarray, cfg: SmootherConfig,
+                 work: np.ndarray) -> None:
+    """Run ``cfg.sweeps`` damped block-Jacobi sweeps on sine coefficients, in place.
 
-    The block diagonal D of L = D - shift holds Q in every time block and
-    the shift moves block n-1 to block n, so D^{-1}(rhs - L u) is
-    Q^{-1}(rhs_n + u_{n-1}) - u_n and the residual form
-    u <- u + omega * D^{-1}(rhs - L u) of a sweep is the fused update
+    ``u`` and ``rhs`` are mode-major, shape (n_x, n_t): row k is the time
+    series of sine mode k, whose block of Q is the number lam[k].  The
+    block diagonal D of L = D - shift holds Q in every time block, so the
+    residual form u <- u + omega * D^{-1}(rhs - L u) of a sweep is
 
-        u_n <- (1 - omega) u_n + omega * Q^{-1}(rhs_n + u_{n-1}),
+        u[k, n] <- (1 - omega) u[k, n] + omega (rhs[k, n] + u[k, n-1]) / lam[k].
 
-    one matrix product per sweep with the operator's cached dense
-    Q^{-1} = S diag(1/lam) S (``HeatOperator.q_inv``; Q^{-1} is
-    symmetric, so the rows of ``b @ q_inv`` are the block solves) and no
-    operator apply.  The per-block solves within one sweep are
-    independent; sweeps are sequential.  The arithmetic runs in place on
-    buffers the sweep owns (its right-hand side and each product), so
-    neither ``u`` nor ``rhs`` is ever written.
+    The sweeps are sequential; ``u`` is overwritten with the result, the
+    same-shaped ``work`` is scratch, and ``rhs`` is never written.
     """
-    g = op.grid
-    if u.shape != (g.n_t, g.n_x) or rhs.shape != (g.n_t, g.n_x):
-        raise ValueError("field shapes do not match the operator grid")
+    if rhs.shape != u.shape or work.shape != u.shape or len(u) != len(lam):
+        raise ValueError("coefficient shapes do not match the eigenvalues")
     omega = cfg.omega
-    b = np.empty((g.n_t, g.n_x))
+    gain = (omega / lam)[:, None]
     for _ in range(cfg.sweeps):
-        b[0] = rhs[0]
-        np.add(rhs[1:], u[:-1], out=b[1:])
-        x = b @ op.q_inv
-        # b is free after the product: it takes (1 - omega) u
-        x *= omega
-        x += np.multiply(u, 1.0 - omega, out=b)
-        u = x
-    return u
+        work[:, 0] = rhs[:, 0]
+        np.add(rhs[:, 1:], u[:, :-1], out=work[:, 1:])
+        work *= gain
+        u *= 1.0 - omega
+        u += work
 
 
 def _crossing(step, sigma: float) -> float:

@@ -14,7 +14,10 @@ from typing import NamedTuple
 import numpy as np
 
 from stmg import lfa
-from stmg.heat import apply_operator
+from stmg.core import check_step
+from stmg.cycles import plan_levels
+from stmg.heat import apply_operator, assemble_operator
+from stmg.smoother import SmootherConfig
 
 # ---------------------------------------------------------------------------
 # dense assemblies of the heat system (explicit stencil loops)
@@ -142,8 +145,9 @@ def time_stepping_solve(op, rhs: np.ndarray) -> np.ndarray:
 def residual_form_sweep(op, u: np.ndarray, rhs: np.ndarray, cfg) -> np.ndarray:
     """Damped block-Jacobi in residual form, u <- u + omega Q^{-1}(rhs - L u).
 
-    One operator apply and one Thomas solve per sweep: the reference for
-    the library's fused ``smoother.jacobi_sweep``.
+    One operator apply and one Thomas solve per sweep, in the physical
+    (n_t, n_x) layout: the reference for the library's sine-coefficient
+    ``smoother.jacobi_sweep``.
     """
     q = tridiagonal_q(op.grid.n_x, op.sigma)
     for _ in range(cfg.sweeps):
@@ -194,6 +198,106 @@ def dense_transfer_pair(n_t: int, n_x: int, mt: int, mx: int):
     r = np.kron(rt, rx)
     mt_total = n_t // nt
     return r, mt_total ** 2 * mx * r.T
+
+
+# ---------------------------------------------------------------------------
+# physical (n_t, n_x) transfer stencils and the physical cycle
+# ---------------------------------------------------------------------------
+
+
+def restrict_space(fine: np.ndarray) -> np.ndarray:
+    """Full weighting along the last axis, n_x = 2*n_c + 1 interior points.
+
+    coarse_j = 1/4 fine_{2j-1} + 1/2 fine_{2j} + 1/4 fine_{2j+1} in 1-based
+    interior indexing; Dirichlet values beyond the ends are zero.
+    """
+    n = fine.shape[-1]
+    if n % 2 != 1 or n < 3:
+        raise ValueError(f"spatial size must be odd >= 3, got {n}")
+    return (0.25 * fine[..., 0:-1:2]
+            + 0.5 * fine[..., 1::2]
+            + 0.25 * fine[..., 2::2])
+
+
+def prolong_space(coarse: np.ndarray) -> np.ndarray:
+    """Linear interpolation along the last axis; adjoint of restrict_space times 2."""
+    nc = coarse.shape[-1]
+    n = 2 * nc + 1
+    fine = np.zeros(coarse.shape[:-1] + (n,))
+    fine[..., 1::2] = coarse
+    fine[..., 0:-1:2] += 0.5 * coarse
+    fine[..., 2::2] += 0.5 * coarse
+    return fine
+
+
+def restrict_time(fine: np.ndarray) -> np.ndarray:
+    """Full weighting along the first (time-block) axis, factor 2.
+
+    Coarse block k lives at fine time t_{2k}.  The block before t_1 is the
+    known initial value (zero in correction space) and blocks beyond t_Nt
+    are zero-padded, so the final coarse block only sees two terms.
+    """
+    nt = fine.shape[0]
+    if nt % 2 != 0:
+        raise ValueError(f"time block count must be even, got {nt}")
+    coarse = 0.25 * fine[0:nt:2] + 0.5 * fine[1:nt:2]
+    coarse[:-1] += 0.25 * fine[2:nt:2]
+    return coarse
+
+
+def prolong_time(coarse: np.ndarray) -> np.ndarray:
+    """Linear interpolation in time; adjoint of restrict_time times 2."""
+    nc = coarse.shape[0]
+    fine = np.zeros((2 * nc,) + coarse.shape[1:])
+    fine[1::2] = coarse
+    fine[0] = 0.5 * coarse[0]
+    fine[2::2] = 0.5 * (coarse[:-1] + coarse[1:])
+    return fine
+
+
+def restrict(fine: np.ndarray, mt: int, mx: int) -> np.ndarray:
+    """Composite full-weighting restriction of an (n_t, n_x) field by factors (mt, mx)."""
+    check_step(mt, mx)
+    out = fine
+    for _ in range(mt.bit_length() - 1):
+        out = restrict_time(out)
+    if mx == 2:
+        out = restrict_space(out)
+    return out
+
+
+def prolong(coarse: np.ndarray, mt: int, mx: int) -> np.ndarray:
+    """Composite correction prolongation of an (n_t, n_x) field: mt times the interpolation."""
+    check_step(mt, mx)
+    out = coarse
+    if mx == 2:
+        out = prolong_space(out)
+    for _ in range(mt.bit_length() - 1):
+        out = prolong_time(out)
+    return mt * out
+
+
+def physical_cycle(op, u: np.ndarray, rhs: np.ndarray, plan) -> np.ndarray:
+    """One cycle of ``plan`` on the physical (n_t, n_x) field, level by level.
+
+    Residual-form sweeps with Thomas solves, the stencils above and the
+    Thomas time-stepping coarsest solve, on the levels ``cycles.plan_levels``
+    plans: the reference for the sine-coefficient ``cycles.run_cycle``.
+    """
+    levels, coarsest = plan_levels(op.grid, plan)
+
+    def cycle(op, u, rhs, levels):
+        (mt, mx), (pre, post) = levels[0].step, levels[0].sweeps
+        u = residual_form_sweep(op, u, rhs, SmootherConfig(plan.omega, pre))
+        rc = restrict(rhs - apply_operator(op, u), mt, mx)
+        if len(levels) > 1:
+            ec = cycle(assemble_operator(levels[1].grid), np.zeros_like(rc), rc, levels[1:])
+        else:
+            ec = time_stepping_solve(assemble_operator(coarsest), rc)
+        u = u + prolong(ec, mt, mx)
+        return residual_form_sweep(op, u, rhs, SmootherConfig(plan.omega, post))
+
+    return cycle(op, u, rhs, levels)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,32 @@ class TestSolve:
         assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--nx", "7", "--nt", "16", "--strategy", "new"],
+        ["lfa-smoothing", "--strategy", "full", "--sigma-range", "0.1:1:2"],
+        ["lfa-rho", "--sigma-range", "0.001:1000:7", "--omega", "numeric"],
+        ["lfa-modes", "--strategy", "new", "--sigma", "1"],
+    ], ids=["solve", "lfa-smoothing", "lfa-rho", "lfa-modes"])
+    @pytest.mark.parametrize("kind", ["empty", "directory"])
+    def test_output_file_path_checked_before_work(self, capsys, tmp_path, monkeypatch, argv,
+                                                  kind):
+        # '' and an existing directory name no file; both are rejected before any work
+        def never(*args, **kwargs):
+            raise AssertionError("the run started before --output was checked")
+
+        for module, name in ((lfa, "omega_opt_numeric"), (cli, "omega_opt_numeric"),
+                             (cli, "solve"), (cli, "smoothing_factor"), (cli, "optimal_omega"),
+                             (cli, "rho_bar_details"), (cli, "resolve_omega"),
+                             (cli, "low_mode_action")):
+            monkeypatch.setattr(module, name, never)
+        path = "" if kind == "empty" else str(tmp_path)
+        code, out, err = run(capsys, *argv, "--output", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (path or "''") in err
+        assert not any(tmp_path.iterdir())
+
+
 class TestLfa:
     def test_smoothing(self, capsys):
         code, out, _ = run(capsys, "lfa-smoothing", "--strategy", "full",

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import physical_cycle
 from stmg import cycles
 from stmg.core import CoarseningStrategy as CS
 from stmg.core import SpaceTimeGrid
@@ -174,25 +175,26 @@ class TestCyclesToTolerance:
 
 
 class RowTally:
-    """Rows that ``cycles.jacobi_sweep``, ``direct_solve``, ``restrict`` and ``prolong`` process.
+    """Rows that ``cycles.jacobi_sweep``, ``time_march``, ``restrict`` and ``prolong`` process.
 
-    A block solve is one row of a sweep or of the coarsest solve.  A
-    transfer block is one row written by a time halving, and one coarse
-    row of a space halving.
+    The cycle's arrays are mode-major (n_x, n_t) sine coefficients.  A
+    block solve is one time step of a sweep or of the coarsest solve.  A
+    transfer block is one time step written by a time halving, and one
+    coarse time step of a space halving.
     """
 
     def __init__(self, mp):
         self.block_solves = self.transfer_blocks = 0
-        sweep, exact, restrict, prolong = (cycles.jacobi_sweep, cycles.direct_solve,
+        sweep, march, restrict, prolong = (cycles.jacobi_sweep, cycles.time_march,
                                            cycles.restrict, cycles.prolong)
 
-        def counted_sweep(op, u, rhs, cfg):
-            self.block_solves += cfg.sweeps * u.shape[0]
-            return sweep(op, u, rhs, cfg)
+        def counted_sweep(lam, u, rhs, cfg, work):
+            self.block_solves += cfg.sweeps * u.shape[1]
+            return sweep(lam, u, rhs, cfg, work)
 
-        def counted_solve(op, rhs):
-            self.block_solves += rhs.shape[0]
-            return exact(op, rhs)
+        def counted_march(v, lam):
+            self.block_solves += v.shape[0]  # rows of the transpose are time steps
+            return march(v, lam)
 
         def counted_restrict(fine, mt, mx):
             coarse = restrict(fine, mt, mx)
@@ -204,16 +206,16 @@ class RowTally:
             self.transfer_blocks += self.rows(coarse, fine, 2)
             return fine
 
-        for name, fn in (("jacobi_sweep", counted_sweep), ("direct_solve", counted_solve),
+        for name, fn in (("jacobi_sweep", counted_sweep), ("time_march", counted_march),
                          ("restrict", counted_restrict), ("prolong", counted_prolong)):
             mp.setattr(cycles, name, fn)
 
     @staticmethod
     def rows(coarse, fine, per_time_row):
-        # restriction writes n_f/2, n_f/4, ..., n_c rows, n_f - n_c in all,
+        # restriction writes n_f/2, n_f/4, ..., n_c time steps, n_f - n_c in all,
         # and prolongation 2 n_c, 4 n_c, ..., n_f, twice as many
-        n_f, n_c = fine.shape[0], coarse.shape[0]
-        return per_time_row * (n_f - n_c) + (n_c if coarse.shape[1] < fine.shape[1] else 0)
+        n_f, n_c = fine.shape[1], coarse.shape[1]
+        return per_time_row * (n_f - n_c) + (n_c if coarse.shape[0] < fine.shape[0] else 0)
 
 
 class TestGridRobustness:
@@ -264,3 +266,58 @@ class TestGridRobustness:
         run_cycle(op, np.zeros((g.n_t, g.n_x)), rhs, plan, counter)
         assert (counter.block_solves, counter.transfer_blocks) == (tally.block_solves,
                                                                   tally.transfer_blocks)
+
+
+#: the schedules the coefficient cycle is checked on against the physical one
+ORACLE_SCHEDULES = [CS.NEW, CS.ORIGINAL, ((2, 1),), ((2, 2),), ((4, 1), (2, 2))]
+
+
+class TestPhysicalOracle:
+    """``run_cycle`` on sine coefficients against ``oracles.physical_cycle``.
+
+    The oracle runs the same plan on the physical (n_t, n_x) field with
+    Thomas solves and the physical stencils.  Grids from 3x16 to 127x64,
+    sigma from 1e-3 to 1e2; a grid too small for the plan is skipped.
+    """
+
+    GRIDS = [(3, 16), (7, 64), (15, 64), (31, 128), (63, 256), (127, 64)]
+
+    @pytest.mark.parametrize("strategy", ORACLE_SCHEDULES)
+    @pytest.mark.parametrize("depth", [1, 2, 5])
+    def test_matches_physical_cycle(self, strategy, depth):
+        checked = 0
+        for n_x, n_t in self.GRIDS:
+            for sigma in (1e-3, 0.1, 1.0, 1e2):
+                g = SpaceTimeGrid(n_x=n_x, n_t=n_t, horizon=sigma * n_t / (n_x + 1) ** 2)
+                op = assemble_operator(g)
+                plan = plan_for(strategy, depth, eta=2, omega=0.7, nu1=2, nu2=1)
+                rng = np.random.default_rng(n_x + n_t)
+                u, rhs = rng.standard_normal((2, n_t, n_x))
+                try:
+                    want = physical_cycle(op, u, rhs, plan)
+                except ValueError:
+                    continue
+                got = run_cycle(op, u, rhs, plan)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+                checked += 1
+        assert checked >= 12
+
+    @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
+    def test_inputs_never_written(self, strategy):
+        g = SpaceTimeGrid(n_x=31, n_t=64, horizon=0.1)
+        op = assemble_operator(g)
+        rng = np.random.default_rng(3)
+        u, rhs = rng.standard_normal((2, g.n_t, g.n_x))
+        u0, rhs0 = u.copy(), rhs.copy()
+        out = run_cycle(op, u, rhs, plan_for(strategy, 2))
+        assert np.array_equal(u, u0) and np.array_equal(rhs, rhs0)
+        assert out.shape == (g.n_t, g.n_x) and out.flags.c_contiguous and out.flags.owndata
+        assert not np.shares_memory(out, u) and not np.shares_memory(out, rhs)
+
+    @pytest.mark.parametrize("u_shape,rhs_shape", [((64, 31), (32, 31)), ((64, 15), (64, 31)),
+                                                   ((31, 64), (31, 64))])
+    def test_shape_mismatch_rejected(self, u_shape, rhs_shape):
+        g = SpaceTimeGrid(n_x=31, n_t=64, horizon=0.1)
+        with pytest.raises(ValueError, match="do not match grid"):
+            run_cycle(assemble_operator(g), np.zeros(u_shape), np.zeros(rhs_shape),
+                      plan_for(CS.NEW, 1))

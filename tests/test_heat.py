@@ -159,29 +159,31 @@ class TestDirectSolve:
 
 
 class TestCachedBasis:
-    """The operator's sine basis and Q^{-1}: built on first use, once, exact to rounding."""
+    """The operator's eigenvalues and sine basis: built on first use, once, exact to rounding."""
 
     def test_setup_leaves_inverse_unbuilt(self):
-        # set-up (assemble, then the reference solve) builds the basis, not Q^{-1}
+        # set-up (assemble, then the reference solve) caches the basis and no dense inverse
         g = SpaceTimeGrid(n_x=63, n_t=256, horizon=0.1)
         op = assemble_operator(g)
         rhs = assemble_rhs(g, heat_benchmark_problem(0.1))
         first = direct_solve(op, rhs)
-        assert "sine_basis" in op.__dict__ and "q_inv" not in op.__dict__
+        assert set(op.__dict__) == {"grid", "eigenvalues", "sine_basis"}
         assert np.array_equal(direct_solve(op, rhs), first)
 
     @pytest.mark.parametrize("nx", [3, 7, 63, 255])
     @pytest.mark.parametrize("sigma", [1e-3, 0.1, 10.0, 1e3])
     def test_inverse(self, nx, sigma):
+        # S diag(1/lam) S inverts Q: the block solve of the coefficient sweep
         op = assemble_operator(grid_for_sigma(nx, 4, sigma))
-        err = np.linalg.norm(op.q_inv @ dense_q_matrix(nx, op.sigma) - np.eye(nx), np.inf)
+        s, lam = op.sine_basis
+        err = np.linalg.norm((s / lam) @ s @ dense_q_matrix(nx, op.sigma) - np.eye(nx), np.inf)
         assert err <= 64 * (1 + 4 * sigma) * nx * np.finfo(float).eps
 
     def test_cached_once_and_read_only(self):
         op = assemble_operator(grid_for_sigma(15, 4, 1.0))
         s, lam = op.sine_basis
-        assert op.sine_basis[0] is s and op.q_inv is op.q_inv
-        for a in (s, lam, op.q_inv):
+        assert op.sine_basis[0] is s and op.eigenvalues is lam
+        for a in (s, lam):
             with pytest.raises(ValueError):
                 a[0] = 0.0
 

@@ -20,6 +20,14 @@ def grid_for_sigma(n_x, n_t, sigma):
     return SpaceTimeGrid(n_x=n_x, n_t=n_t, horizon=sigma * n_t / (n_x + 1) ** 2)
 
 
+def sweep(op, u, rhs, cfg):
+    """The coefficient sweep on a physical (n_t, n_x) field: into the sine basis and back."""
+    s, lam = op.sine_basis
+    uh = s @ u.T
+    jacobi_sweep(lam, uh, s @ rhs.T, cfg, np.empty_like(uh))
+    return uh.T @ s
+
+
 class TestJacobiSweep:
     def setup_method(self):
         self.g = grid_for_sigma(7, 8, 0.8)
@@ -29,19 +37,21 @@ class TestJacobiSweep:
         self.exact = direct_solve(self.op, self.rhs)
 
     def test_fixed_point(self):
-        out = jacobi_sweep(self.op, self.exact.copy(), self.rhs,
+        out = sweep(self.op, self.exact.copy(), self.rhs,
                            SmootherConfig(omega=0.7, sweeps=3))
         assert np.abs(out - self.exact).max() < 1e-12
 
     def test_zero_sweeps(self):
-        u = np.random.default_rng(1).standard_normal((8, 7))
-        out = jacobi_sweep(self.op, u, self.rhs, SmootherConfig(omega=0.5, sweeps=0))
-        assert np.array_equal(out, u)
+        u = np.random.default_rng(1).standard_normal((7, 8))
+        u0 = u.copy()
+        jacobi_sweep(self.op.eigenvalues, u, self.rhs.T.copy(),
+                     SmootherConfig(omega=0.5, sweeps=0), np.empty_like(u))
+        assert np.array_equal(u, u0)
 
     def test_single_sweep_matches_dense_formula(self):
         rng = np.random.default_rng(2)
         u = rng.standard_normal((8, 7))
-        out = jacobi_sweep(self.op, u, self.rhs, SmootherConfig(omega=0.6, sweeps=1))
+        out = sweep(self.op, u, self.rhs, SmootherConfig(omega=0.6, sweeps=1))
         l = dense_heat_matrix(8, 7, self.g.sigma)
         d = np.kron(np.eye(8), l[:7, :7])
         want = u.ravel() + 0.6 * np.linalg.solve(d, self.rhs.ravel() - l @ u.ravel())
@@ -52,8 +62,8 @@ class TestJacobiSweep:
         u = rng.standard_normal((8, 7))
         w = rng.standard_normal((8, 7))
         cfg = SmootherConfig(omega=0.45, sweeps=2)
-        a = jacobi_sweep(self.op, u, self.rhs, cfg)
-        b = jacobi_sweep(self.op, u + w, self.rhs + apply_operator(self.op, w), cfg)
+        a = sweep(self.op, u, self.rhs, cfg)
+        b = sweep(self.op, u + w, self.rhs + apply_operator(self.op, w), cfg)
         assert np.abs((b - a) - w).max() < 1e-12 * max(1.0, np.abs(w).max())
 
     def test_error_scaling_exact(self):
@@ -61,8 +71,8 @@ class TestJacobiSweep:
         u = rng.standard_normal((8, 7))
         cfg = SmootherConfig(omega=0.5, sweeps=3)
         zero = np.zeros((8, 7))
-        once = jacobi_sweep(self.op, u, zero, cfg)
-        twice = jacobi_sweep(self.op, 2.0 * u, zero, cfg)
+        once = sweep(self.op, u, zero, cfg)
+        twice = sweep(self.op, 2.0 * u, zero, cfg)
         assert np.array_equal(twice, 2.0 * once)
 
     def test_config_validation(self):
@@ -75,13 +85,13 @@ class TestJacobiSweep:
 
 
 class TestFusedSweep:
-    """The fused update against the residual form it rewrites."""
+    """The coefficient sweep, through the sine basis, against the physical residual form."""
 
     @pytest.mark.parametrize("nx,nt,horizon", [
         pytest.param(3, 4, 0.1, id="3-4"),
         pytest.param(7, 8, 0.1, id="7-8"),
         pytest.param(63, 256, 0.1, id="63-256"),
-        # sigma 1e-3 and 1e3: Q^{-1} near I and far from it, with n_x**2 terms per row
+        # sigma 1e-3 and 1e3: Q^{-1} near I and far from it, with n_x terms per basis product
         pytest.param(255, 64, 1e-3 * 64 / 256**2, id="255-64-sigma1e-3"),
         pytest.param(255, 64, 1e3 * 64 / 256**2, id="255-64-sigma1e3"),
     ])
@@ -93,20 +103,31 @@ class TestFusedSweep:
         u = rng.standard_normal((nt, nx))
         rhs = rng.standard_normal((nt, nx))
         cfg = SmootherConfig(omega=omega, sweeps=sweeps)
-        got = jacobi_sweep(op, u, rhs, cfg)
+        got = sweep(op, u, rhs, cfg)
         want = residual_form_sweep(op, u, rhs, cfg)
         assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
     @pytest.mark.parametrize("omega", [0.5, 1.0])
     def test_inputs_never_written(self, omega):
+        # the sweep writes only u, in place, and its work buffer
         op = assemble_operator(SpaceTimeGrid(n_x=15, n_t=16, horizon=0.1))
         rng = np.random.default_rng(5)
-        u = rng.standard_normal((16, 15))
-        rhs = rng.standard_normal((16, 15))
-        u0, rhs0 = u.copy(), rhs.copy()
-        out = jacobi_sweep(op, u, rhs, SmootherConfig(omega=omega, sweeps=3))
-        assert np.array_equal(u, u0) and np.array_equal(rhs, rhs0)
-        assert not np.shares_memory(out, u) and not np.shares_memory(out, rhs)
+        u, rhs, work = rng.standard_normal((3, 15, 16))
+        u0, rhs0, lam0 = u.copy(), rhs.copy(), op.eigenvalues.copy()
+        cfg = SmootherConfig(omega=omega, sweeps=3)
+        assert jacobi_sweep(op.eigenvalues, u, rhs, cfg, work) is None
+        assert np.array_equal(rhs, rhs0) and np.array_equal(op.eigenvalues, lam0)
+        want = residual_form_sweep(op, u0.T @ op.sine_basis[0], rhs0.T @ op.sine_basis[0], cfg)
+        assert np.abs(u.T @ op.sine_basis[0] - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_shape_mismatch(self):
+        lam = np.ones(7)
+        cfg = SmootherConfig(omega=0.5, sweeps=1)
+        for shapes in [((7, 8), (7, 8), (8, 7)), ((7, 8), (7, 4), (7, 8)),
+                       ((3, 8), (3, 8), (3, 8))]:
+            u, rhs, work = (np.zeros(shape) for shape in shapes)
+            with pytest.raises(ValueError):
+                jacobi_sweep(lam, u, rhs, cfg, work)
 
 
 class TestErrorMatrixRadius:

@@ -1,19 +1,33 @@
+"""The physical (n_t, n_x) reference stencils of ``oracles`` against their dense
+definitions, and the library's sine-coefficient transfers against those references."""
+
 import numpy as np
 import pytest
 
-from oracles import dense_restriction_space, dense_restriction_time, dense_transfer_pair
-from stmg.transfer import (prolong, prolong_space, prolong_time, restrict, restrict_space,
-                           restrict_time)
+from oracles import (dense_restriction_space, dense_restriction_time, dense_transfer_pair,
+                     prolong, prolong_space, prolong_time, restrict, restrict_space,
+                     restrict_time)
+from stmg import transfer
 
 
-def assembled_transfers(n_t, n_x, mt, mx):
-    """Dense matrices of the library's restrict and prolong, column by column."""
+def assembled_transfers(n_t, n_x, mt, mx, coefficients=False):
+    """Dense matrices of the references' restrict and prolong, column by column.
+
+    With ``coefficients``, those of the library's, on mode-major (n_x, n_t) arrays.
+    """
+    r_fn, p_fn = (transfer.restrict, transfer.prolong) if coefficients else (restrict, prolong)
     nc_t, nc_x = n_t // mt, (n_x + 1) // mx - 1
-    r = np.stack([restrict(e.reshape(n_t, n_x), mt, mx).ravel()
-                  for e in np.eye(n_t * n_x)], axis=1)
-    p = np.stack([prolong(e.reshape(nc_t, nc_x), mt, mx).ravel()
-                  for e in np.eye(nc_t * nc_x)], axis=1)
+    fine, coarse = ((n_x, n_t), (nc_x, nc_t)) if coefficients else ((n_t, n_x), (nc_t, nc_x))
+    r = np.stack([r_fn(e.reshape(fine), mt, mx).ravel() for e in np.eye(n_t * n_x)], axis=1)
+    p = np.stack([p_fn(e.reshape(coarse), mt, mx).ravel() for e in np.eye(nc_t * nc_x)],
+                 axis=1)
     return r, p
+
+
+def dst(n):
+    """The orthogonal, symmetric DST-I matrix of n points, from its definition."""
+    k = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
 
 
 class TestSpaceStencils:
@@ -127,3 +141,78 @@ class TestComposites:
             restrict(np.ones((16, 15)), *step)
         with pytest.raises(ValueError):
             prolong(np.ones((2, 7)), *step)
+
+
+class TestCoefficientSpace:
+    """Full weighting in the sine basis: S_c R S, which couples alias pairs of modes."""
+
+    @pytest.mark.parametrize("n_x", [3, 7, 15, 31, 63, 127, 255])
+    def test_restriction_is_the_transformed_stencil(self, n_x):
+        # column j of the identity is the sine coefficients of time step j alone
+        n_c = n_x // 2
+        want = dst(n_c) @ dense_restriction_space(n_x) @ dst(n_x)
+        r = transfer.restrict_space(np.eye(n_x))
+        assert np.abs(r - want).max() <= 1e-14
+        assert np.array_equal(transfer.prolong_space(np.eye(n_c)), 2.0 * r.T)
+        assert not r[:, n_c].any()  # the middle mode m/2 restricts to zero
+
+    def test_odd_size_required(self):
+        with pytest.raises(ValueError):
+            transfer.restrict_space(np.ones((6, 4)))
+
+
+class TestCoefficientTime:
+    """The time stencils on the last axis are the references' on the first, bit for bit."""
+
+    @pytest.mark.parametrize("mt", [2, 4])
+    def test_time_steps_equal_reference(self, mt):
+        rng = np.random.default_rng(mt)
+        fine, coarse = rng.standard_normal((16, 7)), rng.standard_normal((16 // mt, 7))
+        assert np.array_equal(transfer.restrict(fine.T, mt, 1), restrict(fine, mt, 1).T)
+        assert np.array_equal(transfer.prolong(coarse.T, mt, 1), prolong(coarse, mt, 1).T)
+
+    def test_odd_step_count(self):
+        with pytest.raises(ValueError):
+            transfer.restrict_time(np.ones((3, 7)))
+
+
+class TestCoefficientComposites:
+    """The composites on mode-major coefficients against the physical references."""
+
+    @pytest.mark.parametrize("step", [(2, 1), (4, 1), (2, 2), (4, 2)])
+    def test_equal_transformed_reference(self, step):
+        mt, mx = step
+        rng = np.random.default_rng(mt + mx)
+        n_t, n_x = 16, 31
+        n_c = (n_x + 1) // mx - 1
+        s, s_c = dst(n_x), dst(n_c)
+        fine, coarse = rng.standard_normal((n_t, n_x)), rng.standard_normal((n_t // mt, n_c))
+        got = transfer.restrict(s @ fine.T, mt, mx)
+        want = s_c @ restrict(fine, mt, mx).T
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        got = transfer.prolong(s_c @ coarse.T, mt, mx)
+        want = s @ prolong(coarse, mt, mx).T
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("step", [(2, 1), (2, 2), (4, 2)])
+    def test_adjoint_factor(self, step):
+        # as in the physical layout, P = mt**2 * mx * R^T, exactly
+        mt, mx = step
+        r, p = assembled_transfers(8, 7, mt, mx, coefficients=True)
+        assert np.array_equal(r, p.T / (mt * mt * mx))
+
+    def test_composite_equals_staged_strategy_transfers(self):
+        rng = np.random.default_rng(7)
+        fine = rng.standard_normal((15, 16))
+        staged = transfer.restrict(transfer.restrict(fine, 2, 2), 2, 1)
+        assert np.abs(staged - transfer.restrict(fine, 4, 2)).max() < 1e-15
+        coarse = rng.standard_normal((7, 4))
+        staged_p = transfer.prolong(transfer.prolong(coarse, 2, 1), 2, 2)
+        assert np.abs(staged_p - transfer.prolong(coarse, 4, 2)).max() < 1e-15
+
+    @pytest.mark.parametrize("step", [(3, 1), (8, 1), (1, 4)])
+    def test_unsupported_steps(self, step):
+        with pytest.raises(ValueError):
+            transfer.restrict(np.ones((15, 16)), *step)
+        with pytest.raises(ValueError):
+            transfer.prolong(np.ones((7, 2)), *step)
