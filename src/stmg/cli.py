@@ -1,8 +1,11 @@
 """Command-line front end emitting CSV data for every experiment.
 
-Every run echoes its full configuration as '#'-prefixed comment lines
-followed by one header row; floating point values carry 17 significant
-digits so runs are reproducible byte for byte (wall time excepted).
+Every run echoes its command, the package version and its full
+configuration as '#'-prefixed comment lines, followed by one header row;
+floating point values carry 17 significant digits so runs are
+reproducible byte for byte (wall time excepted).  The sweep flags that
+``solve``, ``lfa-rho`` and ``lfa-modes`` share and the ``--output`` flag of
+every command are each defined once, on a parent parser.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from . import __version__
 from .core import CoarseningStrategy, SpaceTimeGrid, check_sigma
 from .cycles import CyclePlan, plan_levels, solve
 from .heat import assemble_operator, assemble_rhs, heat_benchmark_problem
-from .lfa import (LfaConfig, low_mode_action, omega_opt_numeric, resolve_omega,
+from .lfa import (LfaConfig, low_mode_action, omega_opt_numeric, optimal_omega, resolve_omega,
                   rho_bar_details, smoothing_factor)
-from .smoother import optimal_omega
 
 #: the coarsening step (mt, mx) that each ``lfa-smoothing`` name analyses
 _SMOOTHING_STEPS = {"time2": (2, 1), "time4": (4, 1), "space": (1, 2), "full": (2, 2),
@@ -35,16 +37,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(output: str | None, config: dict, header: list[str], rows) -> None:
+def _emit(args, config: dict, header: list[str], rows) -> None:
+    """Write the run's echo, header and rows to ``--output``, or to stdout."""
+    config = {"command": args.command, "stmg_version": __version__, **config}
     lines = [f"# {key} = {_fmt(val)}" for key, val in config.items()]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     text = "\n".join(lines) + "\n"
-    if output is None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -73,6 +77,12 @@ def _eta_sweeps(args, strategy) -> tuple[int, int]:
     return tuple(default if value is None else value for value in (args.eta1, args.eta2))
 
 
+def _lfa_config(args, sigma: float, eta1: int, eta2: int) -> LfaConfig:
+    """The analysis at ``sigma`` with the sweep counts and ``--resolution`` of ``args``."""
+    return LfaConfig(sigma=sigma, nu1=args.nu1, nu2=args.nu2, eta1=eta1, eta2=eta2,
+                     resolution=args.resolution)
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -88,9 +98,7 @@ def _cmd_solve(args) -> int:
         if value < 0:
             raise ValueError(f"{flag} must be nonnegative, got {value}")
     op = assemble_operator(grid)
-    cfg = LfaConfig(sigma=grid.sigma, nu1=args.nu1, nu2=args.nu2,
-                    eta1=eta1, eta2=eta2, resolution=args.resolution)
-    omega = resolve_omega(args.omega, strategy, cfg)
+    omega = resolve_omega(args.omega, strategy, _lfa_config(args, grid.sigma, eta1, eta2))
     plan = replace(plan, omega=omega)
     stages = len(levels) // len(strategy)
     if args.omega in ("theorem", "numeric") and stages > 1:
@@ -105,7 +113,6 @@ def _cmd_solve(args) -> int:
     seconds = np.concatenate([[0.0], run.wall_seconds])
     rows = zip(iterations, run.error_history, cumulative, seconds)
     config = {
-        "command": "solve", "stmg_version": __version__,
         "strategy": args.strategy, "nx": args.nx, "nt": args.nt, "T": args.T,
         "h": grid.h, "tau": grid.tau, "sigma": grid.sigma,
         "omega_mode": args.omega, "omega": omega,
@@ -113,8 +120,7 @@ def _cmd_solve(args) -> int:
         "depth": args.depth, "iters": args.iters, "seed": args.seed,
         "resolution": args.resolution,
     }
-    _emit(args.output, config,
-          ["iteration", "error_LinfL2", "cumulative_block_solves", "wall_time_s"],
+    _emit(args, config, ["iteration", "error_LinfL2", "cumulative_block_solves", "wall_time_s"],
           rows)
     return 0
 
@@ -144,14 +150,11 @@ def _cmd_lfa_smoothing(args) -> int:
         else:
             omega = omega_star if args.omega == "theorem" else fixed
             rows.append((sigma, omega, smoothing_factor(step, omega, sigma)))
-    config = {
-        "command": "lfa-smoothing", "stmg_version": __version__,
-        "strategy": args.strategy, "sigma_range": args.sigma_range,
-        "omega_mode": args.omega,
-    }
+    config = {"strategy": args.strategy, "sigma_range": args.sigma_range,
+              "omega_mode": args.omega}
     header = (["sigma", "omega_used", "mu_S", "mu_S_half", "efficiency"]
               if both else ["sigma", "omega_used", "mu_S"])
-    _emit(args.output, config, header, rows)
+    _emit(args, config, header, rows)
     return 0
 
 
@@ -160,10 +163,11 @@ def _cmd_lfa_smoothing(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_lfa_rho(args) -> int:
+    # the eta counts smooth the original strategy's intermediate level; new has none
+    eta1, eta2 = _eta_sweeps(args, CoarseningStrategy.ORIGINAL)
     rows = []
     for sigma in _sigma_range(args.sigma_range):
-        base = LfaConfig(sigma=sigma, nu1=args.nu1, nu2=args.nu2,
-                         eta1=args.eta1, eta2=args.eta2, resolution=args.resolution)
+        base = _lfa_config(args, sigma, eta1, eta2)
         values = {}
         for name, strategy in _CYCLE_STRATEGIES.items():
             if args.omega == "numeric":
@@ -175,13 +179,11 @@ def _cmd_lfa_rho(args) -> int:
         rows.append((sigma, values["original"][1], values["new"][1],
                      values["original"][0], values["new"][0]))
     config = {
-        "command": "lfa-rho", "stmg_version": __version__,
         "sigma_range": args.sigma_range, "omega_mode": args.omega,
-        "nu1": args.nu1, "nu2": args.nu2, "eta1": args.eta1, "eta2": args.eta2,
+        "nu1": args.nu1, "nu2": args.nu2, "eta1": eta1, "eta2": eta2,
         "resolution": args.resolution,
     }
-    _emit(args.output, config,
-          ["sigma", "rho_original", "rho_new", "omega_original", "omega_new"], rows)
+    _emit(args, config, ["sigma", "rho_original", "rho_new", "omega_original", "omega_new"], rows)
     return 0
 
 
@@ -192,18 +194,16 @@ def _cmd_lfa_rho(args) -> int:
 def _cmd_lfa_modes(args) -> int:
     strategy = _CYCLE_STRATEGIES[args.strategy]
     eta1, eta2 = _eta_sweeps(args, strategy)
-    base = LfaConfig(sigma=args.sigma, nu1=args.nu1, nu2=args.nu2,
-                     eta1=eta1, eta2=eta2, resolution=args.resolution)
+    base = _lfa_config(args, args.sigma, eta1, eta2)
     omega = resolve_omega(args.omega, strategy, base)
     result = low_mode_action(strategy, replace(base, omega=omega))
     rows = zip(result.theta_t, result.theta_x, result.modulus)
     config = {
-        "command": "lfa-modes", "stmg_version": __version__,
         "strategy": args.strategy, "sigma": args.sigma, "omega_mode": args.omega,
         "omega": omega, "nu1": args.nu1, "nu2": args.nu2,
         "eta1": eta1, "eta2": eta2, "resolution": args.resolution,
     }
-    _emit(args.output, config, ["theta_t", "theta_x", "coeff_modulus"], rows)
+    _emit(args, config, ["theta_t", "theta_x", "coeff_modulus"], rows)
     return 0
 
 
@@ -217,63 +217,53 @@ def build_parser() -> argparse.ArgumentParser:
         description="Space-time multigrid experiments for the 1D heat equation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", help="run a heat solve with one strategy and emit its error curve")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None, help="write the CSV to this file, not stdout")
+    sweeps = argparse.ArgumentParser(add_help=False)
+    sweeps.add_argument("--nu1", type=int, default=3, help="fine-level pre-sweeps")
+    sweeps.add_argument("--nu2", type=int, default=3, help="fine-level post-sweeps")
+    for flag, kind in (("--eta1", "pre"), ("--eta2", "post")):
+        sweeps.add_argument(flag, type=int, default=None,
+                            help=f"intermediate-level {kind}-sweeps (original strategy only; "
+                                 "default 3 for original, 0 for new)")
+    omega_help = "damping: a number, 'theorem' or 'numeric'"
+
+    ps = sub.add_parser("solve", parents=[sweeps, output],
+                        help="run a heat solve with one strategy and emit its error curve")
     ps.add_argument("--nx", type=int, required=True, help="interior spatial unknowns, 2**k - 1")
     ps.add_argument("--nt", type=int, required=True, help="time steps, a power of two")
     ps.add_argument("--T", type=float, default=0.1, help="time horizon")
     ps.add_argument("--strategy", choices=sorted(_CYCLE_STRATEGIES), required=True)
-    ps.add_argument("--omega", default="0.5",
-                    help="damping: a number, 'theorem' or 'numeric'")
-    ps.add_argument("--nu1", type=int, default=3)
-    ps.add_argument("--nu2", type=int, default=3)
-    ps.add_argument("--eta1", type=int, default=None,
-                    help="intermediate-level pre-sweeps (original strategy only; "
-                         "default 3 for original, 0 for new)")
-    ps.add_argument("--eta2", type=int, default=None,
-                    help="intermediate-level post-sweeps (original strategy only; "
-                         "default 3 for original, 0 for new)")
+    ps.add_argument("--omega", default="0.5", help=omega_help)
     ps.add_argument("--iters", type=int, default=10)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--depth", type=int, default=1, help="coarsening stages")
     ps.add_argument("--resolution", type=int, default=64,
                     help="frequency resolution when omega is 'numeric'")
-    ps.add_argument("--output", default=None)
     ps.set_defaults(func=_cmd_solve)
 
-    pm = sub.add_parser("lfa-smoothing", help="smoothing factors over a sigma grid")
+    pm = sub.add_parser("lfa-smoothing", parents=[output],
+                        help="smoothing factors over a sigma grid")
     pm.add_argument("--strategy", choices=sorted(_SMOOTHING_STEPS), required=True)
     pm.add_argument("--sigma-range", required=True, metavar="MIN:MAX:COUNT")
     pm.add_argument("--omega", default="0.5",
                     help="a number, 'theorem', or 'both' for the efficiency column")
-    pm.add_argument("--output", default=None)
     pm.set_defaults(func=_cmd_lfa_smoothing)
 
-    pr = sub.add_parser("lfa-rho", help="two/three-grid convergence factors over sigma")
+    resolution_help = "frequency samples per axis of the low domain"
+    pr = sub.add_parser("lfa-rho", parents=[sweeps, output],
+                        help="two/three-grid convergence factors over sigma")
     pr.add_argument("--sigma-range", required=True, metavar="MIN:MAX:COUNT")
-    pr.add_argument("--omega", default="0.5",
-                    help="a number, 'theorem' or 'numeric'")
-    pr.add_argument("--nu1", type=int, default=3)
-    pr.add_argument("--nu2", type=int, default=3)
-    pr.add_argument("--eta1", type=int, default=3)
-    pr.add_argument("--eta2", type=int, default=3)
-    pr.add_argument("--resolution", type=int, default=128)
-    pr.add_argument("--output", default=None)
+    pr.add_argument("--omega", default="0.5", help=omega_help)
+    pr.add_argument("--resolution", type=int, default=128, help=resolution_help)
     pr.set_defaults(func=_cmd_lfa_rho)
 
-    pl = sub.add_parser("lfa-modes", help="low-mode action map for heatmap plotting")
+    pl = sub.add_parser("lfa-modes", parents=[sweeps, output],
+                        help="low-mode action map for heatmap plotting")
     pl.add_argument("--strategy", choices=sorted(_CYCLE_STRATEGIES), required=True)
     pl.add_argument("--sigma", type=float, required=True)
-    pl.add_argument("--omega", default="theorem")
-    pl.add_argument("--nu1", type=int, default=3)
-    pl.add_argument("--nu2", type=int, default=3)
-    pl.add_argument("--eta1", type=int, default=None,
-                    help="intermediate-level pre-sweeps (original strategy only; "
-                         "default 3 for original, 0 for new)")
-    pl.add_argument("--eta2", type=int, default=None,
-                    help="intermediate-level post-sweeps (original strategy only; "
-                         "default 3 for original, 0 for new)")
-    pl.add_argument("--resolution", type=int, default=128)
-    pl.add_argument("--output", default=None)
+    pl.add_argument("--omega", default="theorem", help=omega_help)
+    pl.add_argument("--resolution", type=int, default=128, help=resolution_help)
     pl.set_defaults(func=_cmd_lfa_modes)
 
     return parser

@@ -10,8 +10,9 @@ product is its group of Mt*Mx modes, eight for both strategies; smoother,
 operator and transfer symbols assemble their harmonic matrices, whose
 spectral radii, maximized over the low domain (-pi/Mt, pi/Mt] x
 (-pi/Mx, pi/Mx], predict the asymptotic convergence factor of the
-cycles.  The smoothing analysis takes a single coarsening step (mt, mx),
-such as a schedule's first step.
+cycles.  The smoothing theorem lives here too: the closed-form optimal
+damping, the worst high mode and the smoothing factor of a single
+coarsening step (mt, mx), such as a schedule's first step.
 
 A cycle matrix is built level by level from elementwise products and
 index gathers alone.  A group stays factored into its time and space
@@ -49,7 +50,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import check_omega, check_schedule, check_sigma
-from .smoother import _crossing, optimal_omega
 
 #: coarse symbols with modulus below this are treated as non-invertible
 #: and their frequency group is excluded from maximization
@@ -125,8 +125,48 @@ def restriction_symbol(theta):
 
 
 # ---------------------------------------------------------------------------
-# smoothing factor and its worst modes
+# smoothing analysis: optimal damping, worst modes and smoothing factor
 # ---------------------------------------------------------------------------
+
+def _crossing(step, sigma: float) -> float:
+    """Damping up to which the space mode is the worst high mode of ``step``.
+
+    The smoother symbol modulus over the high frequencies of the step
+    (mt, mx) peaks at the time mode (pi/mt, 0) or the space mode
+    (0, pi/mx).  The space mode is the worst for omega up to the value
+    returned here and the time mode above it: 0 for time
+    semi-coarsening, 1 for space semi-coarsening, and for mixed steps the
+    omega where the two branches cross, written with c = 1 + 2*sigma.
+    The (4, 2) branches cross only for c <= sqrt(2).
+    """
+    check_schedule((step,))
+    mt, mx = step
+    if mx == 1:
+        return 0.0
+    if mt == 1:
+        return 1.0
+    c = 1.0 + 2.0 * float(sigma)  # a Python float: c * c may overflow to inf, unwarned
+    if mt == 2:
+        return 2.0 * c / (c * c + 2.0 * c - 1.0)
+    r2 = math.sqrt(2.0)
+    if c > r2:
+        return 0.0
+    return (r2 * c * c - 2.0 * c) / ((r2 - 1.0) * c * c - 2.0 * c + 1.0)
+
+
+def optimal_omega(step, sigma: float) -> float:
+    """Closed-form damping minimizing the smoothing factor of ``step`` = (mt, mx).
+
+    The time-mode branch of the smoothing factor is least at omega = 1/2
+    and the space-mode branch decreases in omega, so the optimum is the
+    branch crossing, kept at least 1/2.  Time semi-coarsening (either
+    factor) gives 1/2 and space semi-coarsening 1 for every sigma; full
+    (2, 2) and direct (4, 2) coarsening give 1/2 above a sigma threshold
+    and the crossing below it.  The result always lies in [1/2, 1].
+    """
+    check_sigma(sigma)
+    return max(0.5, _crossing(step, sigma))
+
 
 def worst_smoothing_mode(step, omega: float, sigma: float) -> Frequency:
     """High frequency maximizing the smoother symbol modulus for ``step`` = (mt, mx).
@@ -372,9 +412,10 @@ def omega_opt_numeric(strategy, cfg: LfaConfig):
         return res.value
 
     def bound(om: float, first: int = 0) -> float:
-        """Lower bound on rho_bar(om): the largest radius at ``probes[first:]``."""
-        if first == len(probes):
-            return -math.inf
+        """Lower bound on rho_bar(om): the largest radius at ``probes[first:]``.
+
+        Never empty: the first sweep adds a probe, and the scan passes a stale ``first``.
+        """
         t, x = (np.array(a) for a in zip(*probes[first:]))
         radii, _ = spectral_radius_over_groups(strategy, replace(cfg, omega=om), t, x)
         return float(radii.max())
@@ -429,8 +470,6 @@ def resolve_omega(mode, strategy, cfg: LfaConfig) -> float:
     The theorem value is the optimal damping of the schedule's first
     step, the coarsening of the fine level.
     """
-    if isinstance(mode, (int, float)):
-        return float(mode)
     if mode == "theorem":
         return optimal_omega(strategy[0], cfg.sigma)
     if mode == "numeric":

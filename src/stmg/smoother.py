@@ -1,4 +1,4 @@
-"""Damped block-Jacobi smoother on sine coefficients and its closed-form optimal damping.
+"""Damped block-Jacobi smoother on sine coefficients.
 
 Every time block of the system holds the same Dirichlet Q = S diag(lam) S,
 so in the sine basis S a block solve is a division by lam and a sweep
@@ -7,12 +7,11 @@ acts on each sine mode's time series alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_omega, check_schedule, check_sigma
+from .core import check_omega
 
 
 @dataclass(frozen=True)
@@ -52,43 +51,3 @@ def jacobi_sweep(lam: np.ndarray, u: np.ndarray, rhs: np.ndarray, cfg: SmootherC
         work *= gain
         u *= 1.0 - omega
         u += work
-
-
-def _crossing(step, sigma: float) -> float:
-    """Damping up to which the space mode is the worst high mode of ``step``.
-
-    The smoother symbol modulus over the high frequencies of the step
-    (mt, mx) peaks at the time mode (pi/mt, 0) or the space mode
-    (0, pi/mx).  The space mode is the worst for omega up to the value
-    returned here and the time mode above it: 0 for time
-    semi-coarsening, 1 for space semi-coarsening, and for mixed steps the
-    omega where the two branches cross, written with c = 1 + 2*sigma.
-    The (4, 2) branches cross only for c <= sqrt(2).
-    """
-    check_schedule((step,))
-    mt, mx = step
-    if mx == 1:
-        return 0.0
-    if mt == 1:
-        return 1.0
-    c = 1.0 + 2.0 * float(sigma)  # a Python float: c * c may overflow to inf, unwarned
-    if mt == 2:
-        return 2.0 * c / (c * c + 2.0 * c - 1.0)
-    r2 = math.sqrt(2.0)
-    if c > r2:
-        return 0.0
-    return (r2 * c * c - 2.0 * c) / ((r2 - 1.0) * c * c - 2.0 * c + 1.0)
-
-
-def optimal_omega(step, sigma: float) -> float:
-    """Closed-form damping minimizing the smoothing factor of ``step`` = (mt, mx).
-
-    The time-mode branch of the smoothing factor is least at omega = 1/2
-    and the space-mode branch decreases in omega, so the optimum is the
-    branch crossing, kept at least 1/2.  Time semi-coarsening (either
-    factor) gives 1/2 and space semi-coarsening 1 for every sigma; full
-    (2, 2) and direct (4, 2) coarsening give 1/2 above a sigma threshold
-    and the crossing below it.  The result always lies in [1/2, 1].
-    """
-    check_sigma(sigma)
-    return max(0.5, _crossing(step, sigma))

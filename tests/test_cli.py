@@ -1,3 +1,4 @@
+import argparse
 import pathlib
 import sys
 
@@ -9,7 +10,7 @@ from stmg import cli, lfa
 from stmg.cli import main
 from stmg.core import SIGMA_MAX
 from stmg.core import CoarseningStrategy as CS
-from stmg.smoother import optimal_omega
+from stmg.lfa import optimal_omega
 
 
 def run(capsys, *argv):
@@ -29,6 +30,37 @@ def split_csv(text):
     rows = [line.split(",") for line in lines[n_config + 1:]]
     assert all(len(row) == len(header) for row in rows)
     return config, header, rows
+
+
+#: the sweep flags that ``solve``, ``lfa-rho`` and ``lfa-modes`` share, as parsed
+SWEEP_DEFAULTS = {"nu1": 3, "nu2": 3, "eta1": None, "eta2": None}
+
+
+class TestParser:
+    """Each subcommand keeps exactly its own flags and defaults, shared parents included."""
+
+    @pytest.mark.parametrize("argv,defaults", [
+        (["solve", "--nx", "7", "--nt", "16", "--strategy", "new"],
+         {"nx": 7, "nt": 16, "T": 0.1, "strategy": "new", "omega": "0.5", "iters": 10,
+          "seed": 0, "depth": 1, "resolution": 64, **SWEEP_DEFAULTS}),
+        (["lfa-smoothing", "--strategy", "full", "--sigma-range", "1:2:2"],
+         {"strategy": "full", "sigma_range": "1:2:2", "omega": "0.5"}),
+        (["lfa-rho", "--sigma-range", "1:2:2"],
+         {"sigma_range": "1:2:2", "omega": "0.5", "resolution": 128, **SWEEP_DEFAULTS}),
+        (["lfa-modes", "--strategy", "new", "--sigma", "1"],
+         {"strategy": "new", "sigma": 1.0, "omega": "theorem", "resolution": 128,
+          **SWEEP_DEFAULTS}),
+    ], ids=["solve", "lfa-smoothing", "lfa-rho", "lfa-modes"])
+    def test_flags_and_defaults(self, argv, defaults):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        options = {s for a in commands[argv[0]]._actions for s in a.option_strings}
+        want = {"--" + dest.replace("_", "-") for dest in defaults}
+        assert options == want | {"-h", "--help", "--output"}
+        args = vars(parser.parse_args(argv))
+        assert args.pop("func") is getattr(cli, "_cmd_" + argv[0].replace("-", "_"))
+        assert args == {"command": argv[0], "output": None, **defaults}
 
 
 class TestSolve:
@@ -305,6 +337,22 @@ class TestLfa:
         _, header, rows = split_csv(out)
         assert header == ["sigma", "rho_original", "rho_new", "omega_original", "omega_new"]
         assert len(rows) == 2
+
+    def test_rho_eta_flags(self, capsys):
+        # the eta counts smooth only the original strategy's intermediate level
+        argv = ["lfa-rho", "--sigma-range", "0.1:10:3", "--resolution", "16"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        config, header, default_rows = split_csv(out)
+        assert (config["eta1"], config["eta2"]) == ("3", "3")
+        code, out, _ = run(capsys, *argv, "--eta1", "1", "--eta2", "2")
+        assert code == 0
+        assert "# eta1 = 1\n# eta2 = 2\n" in out
+        _, _, rows = split_csv(out)
+        original, new = header.index("rho_original"), header.index("rho_new")
+        for row, default in zip(rows, default_rows):
+            assert float(row[original]) != float(default[original])
+            assert row[new] == default[new]
 
     def test_modes(self, capsys):
         code, out, _ = run(capsys, "lfa-modes", "--strategy", "new", "--sigma", "1",

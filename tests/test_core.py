@@ -168,6 +168,23 @@ class TestCheckSchedule:
             plan_levels(g, CyclePlan(strategy=CoarseningStrategy.NEW))
 
 
+class TestSweepCounts:
+    """A sweep count the plan or the analysis cannot run is rejected, with its own message."""
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: CyclePlan(strategy=CoarseningStrategy.NEW, nu1=-1),
+         r"^sweep counts must be nonnegative$"),
+        (lambda: CyclePlan(strategy=CoarseningStrategy.NEW, eta1=1),
+         r"^a one-step schedule has no intermediate level; eta sweep counts must be zero$"),
+        (lambda: CyclePlan(strategy=CoarseningStrategy.ORIGINAL, eta2=-1),
+         r"^eta sweep counts must be nonnegative$"),
+        (lambda: LfaConfig(sigma=1.0, eta1=-1), r"^sweep counts must be nonnegative$"),
+    ], ids=["CyclePlan-nu1", "CyclePlan-new-eta1", "CyclePlan-eta2", "LfaConfig-eta1"])
+    def test_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
 class TestCheckOmega:
     """Every damping parameter is checked by ``core.check_omega``, with one message."""
 

@@ -9,8 +9,7 @@ from stmg.core import CoarseningStrategy as CS
 from stmg.core import SpaceTimeGrid
 from stmg.cycles import CostCounter, CyclePlan, run_cycle, solve
 from stmg.heat import assemble_operator, assemble_rhs, heat_benchmark_problem
-from stmg.lfa import LfaConfig, rho_bar_details
-from stmg.smoother import optimal_omega
+from stmg.lfa import LfaConfig, optimal_omega, rho_bar_details
 
 
 def plan_for(strategy, depth, eta=3, **kw):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -139,6 +140,13 @@ class TestDirectSolve:
         res = np.abs(apply_operator(op, u) - rhs).max()
         assert res <= 1e-10 * max(np.abs(rhs).max(), 1e-300)
 
+
+    @pytest.mark.parametrize("shape", [(8, 6), (7, 7), (8, 7, 1), (56,)])
+    def test_shape_mismatch(self, shape):
+        op = assemble_operator(grid_for_sigma(7, 8, 1.0))
+        message = rf"^rhs shape {re.escape(str(shape))} does not match grid \(8, 7\)$"
+        with pytest.raises(ValueError, match=message):
+            direct_solve(op, np.zeros(shape))
 
     @pytest.mark.parametrize("nx,nt", [(63, 256), (63, 4096), (31, 256)])
     def test_in_place_recurrence_bit_identical(self, nx, nt):

@@ -7,11 +7,10 @@ from stmg import lfa
 from stmg.core import SIGMA_MAX
 from stmg.core import CoarseningStrategy as CS
 from stmg.lfa import (Frequency, LfaConfig, low_frequency_grid, low_mode_action,
-                      omega_opt_numeric, operator_symbol, resolve_omega, restriction_symbol,
-                      rho_bar_details, smoother_symbol, smoothing_factor, spectral_radius_batch,
-                      spectral_radius_over_groups, worst_smoothing_mode)
+                      omega_opt_numeric, operator_symbol, optimal_omega, resolve_omega,
+                      restriction_symbol, rho_bar_details, smoother_symbol, smoothing_factor,
+                      spectral_radius_batch, spectral_radius_over_groups, worst_smoothing_mode)
 from stmg.lfa import _companions, _cycle_matrices, _radius_bound, _scatter_first_columns
-from stmg.smoother import optimal_omega
 
 #: schedules whose harmonic groups cover every layout: the strategies, the
 #: single steps, both one-axis semi-coarsenings, the k-grid analysis of NEW

@@ -7,7 +7,8 @@ from oracles import (SMOOTHING_STEPS, dense_block_jacobi_error_matrix, dense_hea
                      omega_star_bruteforce, residual_form_sweep, squared_power_radius)
 from stmg.core import SpaceTimeGrid
 from stmg.heat import apply_operator, assemble_operator, direct_solve
-from stmg.smoother import SmootherConfig, jacobi_sweep, optimal_omega
+from stmg.lfa import optimal_omega
+from stmg.smoother import SmootherConfig, jacobi_sweep
 
 #: sigma above which full (2, 2) coarsening keeps omega* = 1/2 (the paper's bound)
 FULL_THRESHOLD = 1.0 / math.sqrt(2.0)
