@@ -20,7 +20,11 @@ axes, so each symbol is evaluated once per time or space companion.
 Restriction and prolongation map each mode onto one coarser mode, its
 index mod the coarser level's counts, so every coarse correction is a
 gather, not a matrix product.  The low-mode map builds only the matrix
-column of the low component, the one it reads.
+column of the low component, the one it reads, and only on the positive
+quadrant of the low domain.  Every symbol is real-stencil, even in
+theta_x and conjugated by negating theta_t, and the sample grid is
+antisymmetric bit for bit, so the other three quadrants are exact mirror
+images of it, filled by slice assignment.
 
 The sampled maximum of the spectral radius, rho_bar, is exact but
 eigen-solves only the few groups that can reach it.  Four batched
@@ -277,11 +281,18 @@ def low_frequency_grid(resolution: int, scale=(4, 2)):
     """Half-cell-offset samples of the low domain (-pi/Mt, pi/Mt] x (-pi/Mx, pi/Mx].
 
     The default ``scale`` is that of both strategies.  The offset avoids
-    the singular zero frequency and the domain boundaries; the grid is
-    symmetric under reflection of either axis.
+    the singular zero frequency and the domain boundaries.  Sample k >= res/2
+    is -pi/M + (k + 1/2) (2 pi/M) / res, and the negative half is the exact
+    negation of the positive half, reversed, so each axis is antisymmetric
+    bit for bit: the companions of a negated frequency are then the exact
+    negations of its own, which ``low_mode_action``'s mirror relies on.
     """
-    offsets = np.arange(resolution) + 0.5
-    return tuple(-np.pi / m + offsets * ((2 * np.pi / m) / resolution) for m in scale)
+    offsets = np.arange(resolution // 2, resolution) + 0.5
+    grids = []
+    for m in scale:
+        positive = -np.pi / m + offsets * ((2 * np.pi / m) / resolution)
+        grids.append(np.concatenate([-positive[::-1], positive]))
+    return tuple(grids)
 
 
 def spectral_radius_batch(mats: np.ndarray) -> np.ndarray:
@@ -337,8 +348,8 @@ def rho_bar_details(strategy, cfg: LfaConfig) -> RhoBarResult:
     """Maximize the harmonic-matrix spectral radius over the sampled low domain.
 
     The sweep covers the positive-frequency quadrant only: the symbol
-    moduli are even in both angles, so on the symmetric offset grid the
-    other three quadrants repeat its spectra (verified by tests).
+    moduli are even in both angles, so on the antisymmetric offset grid
+    the other three quadrants repeat its spectra (verified by tests).
 
     Only groups that can hold the maximum are eigen-solved.  The
     ``_SEEDS`` groups with the largest ``_radius_bound`` go first; any
@@ -501,6 +512,20 @@ def _scatter_first_columns(mats: np.ndarray, tc: np.ndarray, xc: np.ndarray,
     return LowModeMap(theta_t=tc.ravel(), theta_x=xc.ravel(), modulus=coeffs.ravel())
 
 
+def _mirror(quadrant: np.ndarray, h: int, sign_t: float, sign_x: float) -> np.ndarray:
+    """Flat (2h, 2h, n) map of the low domain from that of its (h, h) positive quadrant.
+
+    Row i < h is row 2h-1-i times ``sign_t``, and column j < h is column
+    2h-1-j times ``sign_x``; a sign of -1.0 negates exactly.
+    """
+    q = quadrant.reshape(h, h, -1)
+    full = np.empty((2 * h, 2 * h, q.shape[-1]))
+    full[h:, h:] = q
+    np.multiply(q[:, ::-1], sign_x, out=full[h:, :h])
+    np.multiply(full[h:][::-1], sign_t, out=full[:h])
+    return full.ravel()
+
+
 def low_mode_action(strategy, cfg: LfaConfig) -> LowModeMap:
     """Apply the cycle matrix to the all-ones low-frequency input.
 
@@ -508,7 +533,17 @@ def low_mode_action(strategy, cfg: LfaConfig) -> LowModeMap:
     the unit coefficient on its low component and zero on the other
     companions, so the output coefficients are the first matrix column,
     the only column built; their moduli are scattered onto the companion
-    frequencies across the full square.
+    frequencies across the full square, low frequencies theta_t-major and
+    each group's companions innermost.
+
+    Only the positive quadrant of the low domain is built; the other three
+    are its mirror images.  Every symbol is real-stencil: it is even in
+    theta_x, where only cosines appear, and negating theta_t conjugates it.
+    On the antisymmetric ``low_frequency_grid`` the companions of a
+    negated frequency are the exact negations of its own, so every entry
+    of the group's column at (+-theta_t, +-theta_x) is the same number or
+    its exact conjugate, and the moduli, and the singular masks, are
+    bitwise equal across the four quadrants.
 
     The cycle applies ``cfg.nu1`` pre- and ``cfg.nu2`` post-smoothing
     sweeps, and the peak moves with them: for the NEW cycle the
@@ -516,6 +551,10 @@ def low_mode_action(strategy, cfg: LfaConfig) -> LowModeMap:
     when nu1 + nu2 <= 2; more sweeps pull it inside the low band.
     """
     tg, xg = low_frequency_grid(cfg.resolution, _scale(strategy))
-    tt, tx = np.meshgrid(tg, xg, indexing="ij")
+    h = cfg.resolution // 2
+    tt, tx = np.meshgrid(tg[h:], xg[h:], indexing="ij")
     mats, singular, tc, xc = _cycle_matrices(strategy, cfg, tt.ravel(), tx.ravel(), [0])
-    return _scatter_first_columns(mats, tc, xc, singular)
+    q = _scatter_first_columns(mats, tc, xc, singular)
+    return LowModeMap(theta_t=_mirror(q.theta_t, h, -1.0, 1.0),
+                      theta_x=_mirror(q.theta_x, h, 1.0, -1.0),
+                      modulus=_mirror(q.modulus, h, 1.0, 1.0))

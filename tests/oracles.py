@@ -442,7 +442,7 @@ def harmonic_matrix(strategy, cfg, low) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# rho_bar by eigenvalues of every group
+# rho_bar and the low-mode map over every group
 # ---------------------------------------------------------------------------
 
 
@@ -457,6 +457,14 @@ def rho_bar_full(strategy, cfg) -> lfa.RhoBarResult:
         excluded=int(singular.sum()) * 4,
         argmax=lfa.Frequency(float(tt.ravel()[k]), float(tx.ravel()[k])),
     )
+
+
+def low_mode_action_full(strategy, cfg) -> lfa.LowModeMap:
+    """``lfa.low_mode_action`` with no mirror: column 0 built on every low group."""
+    tg, xg = lfa.low_frequency_grid(cfg.resolution, lfa._scale(strategy))
+    tt, tx = np.meshgrid(tg, xg, indexing="ij")
+    mats, singular, tc, xc = lfa._cycle_matrices(strategy, cfg, tt.ravel(), tx.ravel(), [0])
+    return lfa._scatter_first_columns(mats, tc, xc, singular)
 
 
 # ---------------------------------------------------------------------------

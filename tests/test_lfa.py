@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import (SMOOTHING_STEPS, group_arrays, harmonic_group, harmonic_matrix,
-                     omega_opt_scan, rho_bar_full, smoothing_factor_grid)
+                     low_mode_action_full, omega_opt_scan, rho_bar_full,
+                     smoothing_factor_grid)
 from stmg import lfa
 from stmg.core import SIGMA_MAX
 from stmg.core import CoarseningStrategy as CS
@@ -20,8 +21,20 @@ LAYOUT_SCHEDULES = [CS.NEW, CS.ORIGINAL, ((2, 1),), ((2, 2),), ((1, 2),), ((4, 1
                     ((2, 2), (2, 1), (2, 2), (2, 1))]
 
 
+#: schedules of the low-mode map tests: both strategies, the single steps
+#: (2, 1) and (2, 2), the k-grid analysis of NEW at depth 2 and four steps
+COLUMN_SCHEDULES = [((4, 2),), ((2, 1),), ((2, 2),), ((2, 2), (2, 1)),
+                    ((4, 2), (4, 2)), ((2, 2), (2, 1), (2, 2), (2, 1))]
+
+
 def _steps_id(steps):
     return "+".join(f"{mt}x{mx}" for mt, mx in steps)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: -0.0 differs from 0.0, and NaN equals itself."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestSymbols:
@@ -453,6 +466,16 @@ class TestScheduleScale:
             assert np.array_equal(st, tg * (4 / scale[0]))
             assert np.array_equal(sx, xg * (2 / scale[1]))
 
+    @pytest.mark.parametrize("scale", [(4, 2), (2, 2), (8, 4), (16, 4)])
+    def test_low_grid_is_antisymmetric(self, scale):
+        # the negative half mirrors the positive half, whose samples keep their formula
+        for res in (16, 18, 32, 128):
+            for m, grid in zip(scale, low_frequency_grid(res, scale)):
+                assert _same_bits(grid[::-1], -grid), (res, m)
+                samples = -np.pi / m + (np.arange(res) + 0.5) * ((2 * np.pi / m) / res)
+                assert _same_bits(grid[res // 2:], samples[res // 2:]), (res, m)
+                assert (grid[res // 2:] > 0).all()
+
     @pytest.mark.parametrize("steps", [((2, 1),), ((2, 2),), ((4, 2), (4, 2)),
                                        ((2, 2), (2, 1), (4, 2))])
     def test_pruned_sweep_equals_full_sweep(self, steps):
@@ -477,8 +500,7 @@ class TestScheduleScale:
 class TestColumnPath:
     """``low_mode_action`` builds column 0 alone, bit for bit that of the full matrices."""
 
-    @pytest.mark.parametrize("steps", [((4, 2),), ((2, 1),), ((2, 2),), ((2, 2), (2, 1)),
-                                       ((4, 2), (4, 2)), ((2, 2), (2, 1), (2, 2), (2, 1))])
+    @pytest.mark.parametrize("steps", COLUMN_SCHEDULES)
     def test_first_column_equals_full_matrices(self, steps):
         tg, xg = low_frequency_grid(16, lfa._scale(steps))
         # the group of the zero frequency is singular at every sigma
@@ -495,6 +517,61 @@ class TestColumnPath:
                 assert np.array_equal(col_singular, singular) and singular.sum() == 1
                 moduli = _scatter_first_columns(col, tc, xc, singular).modulus
                 assert not moduli.reshape(tc.shape)[singular].any()
+
+
+def _same_map(a, b) -> bool:
+    return all(_same_bits(getattr(a, f), getattr(b, f)) for f in ("theta_t", "theta_x", "modulus"))
+
+
+class TestQuadrantBuild:
+    """``low_mode_action`` builds the positive quadrant and mirrors it, bit for bit."""
+
+    @pytest.mark.parametrize("steps", COLUMN_SCHEDULES)
+    def test_reflected_frequencies_give_equal_columns(self, steps):
+        # the fact the mirror rests on: reflecting either axis negates the
+        # companions exactly and leaves every modulus and singular mask unchanged
+        tg, xg = low_frequency_grid(16, lfa._scale(steps))
+        tt, tx = (a.ravel() for a in np.meshgrid(tg[8:], xg[8:], indexing="ij"))
+        for sigma in (0.01, 1.0, 100.0):
+            for nu in (0, 1, 3):
+                cfg = LfaConfig(sigma=sigma, omega=0.7, nu1=nu, nu2=nu, eta1=nu, eta2=nu)
+                col, singular, tc, xc = _cycle_matrices(steps, cfg, tt, tx, [0])
+                for st, sx in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+                    got, got_singular, gtc, gxc = _cycle_matrices(steps, cfg, st * tt, sx * tx,
+                                                                  [0])
+                    assert _same_bits(np.abs(got), np.abs(col)), (sigma, nu, st, sx)
+                    assert _same_bits(got_singular, singular)
+                    assert _same_bits(gtc, st * tc) and _same_bits(gxc, sx * xc)
+
+    @pytest.mark.parametrize("steps", COLUMN_SCHEDULES)
+    def test_equals_full_build(self, steps):
+        # resolution 18 has an odd number of samples per half
+        for res in (16, 18):
+            for sigma in (0.01, 1.0, 100.0):
+                for nu in (0, 1, 3):
+                    cfg = LfaConfig(sigma=sigma, omega=0.7, nu1=nu, nu2=nu, eta1=nu, eta2=nu,
+                                    resolution=res)
+                    assert _same_map(low_mode_action(steps, cfg),
+                                     low_mode_action_full(steps, cfg)), (res, sigma, nu)
+
+    @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
+    def test_strategies_at_full_resolution(self, strategy):
+        cfg = LfaConfig(sigma=1.0, resolution=128)
+        assert _same_map(low_mode_action(strategy, cfg), low_mode_action_full(strategy, cfg))
+
+    @pytest.mark.parametrize("steps", [CS.NEW, CS.ORIGINAL, ((4, 2), (4, 2))])
+    def test_builds_one_quadrant(self, steps, monkeypatch):
+        sizes = []
+
+        def counting(*args):  # (steps, cfg, theta_t, theta_x, cols)
+            sizes.append(np.size(args[2]))
+            return _cycle_matrices(*args)
+        monkeypatch.setattr(lfa, "_cycle_matrices", counting)
+        for res in (16, 18, 64):
+            sizes.clear()
+            out = low_mode_action(steps, LfaConfig(sigma=1.0, resolution=res))
+            assert sizes == [(res // 2) ** 2], res
+            assert out.modulus.size == np.prod(lfa._scale(steps)) * res * res
 
 
 class TestOmegaOptNumeric:
