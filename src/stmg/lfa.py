@@ -38,11 +38,14 @@ count are those of a sweep over every group.
 The numeric damping search runs such a sweep only where its value could
 change the result.  rho_bar(omega) is a maximum over groups, so the
 radius of one group at omega bounds it from below, and a group's radius
-does not depend on the groups eigen-solved with it: at the argmax
-frequencies of earlier sweeps, ``spectral_radius_over_groups`` gives the
-very values a sweep would.  A point whose bound already exceeds the best
-value found cannot be picked, so skipping its sweep leaves the result
-bit-identical.
+does not depend on the groups built and eigen-solved with it, nor on
+their damping: at the argmax frequencies of earlier sweeps,
+``spectral_radius_over_groups`` gives the very values a sweep would.  A
+point whose bound already exceeds the best value found cannot be picked,
+so skipping its sweep leaves the result bit-identical.  The scan makes
+one matrix build per new probe: each sweep that finds a new argmax
+refreshes the bounds of all scan points still open at once, every group
+at its own omega.
 """
 
 from __future__ import annotations
@@ -202,7 +205,7 @@ def _scale(steps):
     return math.prod(mt for mt, _ in steps), math.prod(mx for _, mx in steps)
 
 
-def _cycle_matrices(steps, cfg: LfaConfig, theta_t, theta_x, cols=slice(None)):
+def _cycle_matrices(steps, cfg: LfaConfig, theta_t, theta_x, cols=slice(None), omega=None):
     """Batched harmonic matrices (N, n, len(cols)) of one cycle at low frequencies (N,).
 
     A group of the total scale (Mt, Mx) of ``steps`` stays two axes, the Mt
@@ -223,6 +226,11 @@ def _cycle_matrices(steps, cfg: LfaConfig, theta_t, theta_x, cols=slice(None)):
     left, so the rounding does not depend on the BLAS build.  Also returns
     the mask of groups with a coarse symbol below ``SINGULAR_TOL`` and the
     fine level's (N, n) companions ``tc``/``xc``.
+
+    ``omega``, if given, is a damping per group, shape (N,), in place of
+    ``cfg.omega``; it enters the smoother symbols alone.  Each entry is
+    the same elementwise arithmetic, so a group's matrix is bit for bit
+    the one built with its omega in ``cfg``.
     """
     check_schedule(steps)
     scales = [_scale(steps[:k]) for k in range(len(steps) + 1)]  # each level's, finest first
@@ -232,7 +240,9 @@ def _cycle_matrices(steps, cfg: LfaConfig, theta_t, theta_x, cols=slice(None)):
     freqs = [(t_all[..., :total_t // mt], x_all[..., :total_x // mx, :]) for mt, mx in scales]
 
     def flat(a):  # a level's (..., nx, nt) grid, flattened space-major
-        return a.reshape(a.shape[:-2] + (-1,))
+        return a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
+
+    om = cfg.omega if omega is None else np.asarray(omega, dtype=float)[..., None, None]
 
     grids = [operator_symbol(cfg.sigma, t, x, *scale) for (t, x), scale in zip(freqs, scales)]
     tc, xc = (flat(np.broadcast_to(a, grids[0].shape)) for a in (t_all, x_all))
@@ -258,7 +268,7 @@ def _cycle_matrices(steps, cfg: LfaConfig, theta_t, theta_x, cols=slice(None)):
     corr = (steps[-1][0] * w / ls[-1])[..., :, None] * (w[..., ins[-2]] * ls[-2])[..., None, :]
     for k in range(len(steps) - 1, -1, -1):
         pre, post = (cfg.nu1, cfg.nu2) if k == 0 else (cfg.eta1, cfg.eta2)
-        s = flat(smoother_symbol(cfg.omega, cfg.sigma, *freqs[k], *scales[k]))
+        s = flat(smoother_symbol(om, cfg.sigma, *freqs[k], *scales[k]))
         eye = np.eye(s.shape[-1], dtype=complex)[:, ins[k]]
         np.subtract(eye, corr, out=corr)  # in place: one buffer fewer
         cycle = (s ** post)[..., :, None] * corr * (s[..., ins[k]] ** pre)[..., None, :]
@@ -379,9 +389,12 @@ def rho_bar_details(strategy, cfg: LfaConfig) -> RhoBarResult:
 
 
 def spectral_radius_over_groups(strategy, cfg: LfaConfig, theta_t: np.ndarray,
-                                theta_x: np.ndarray):
-    """Spectral radii at explicit low frequencies; singular groups get -inf."""
-    mats, singular, _, _ = _cycle_matrices(strategy, cfg, theta_t, theta_x)
+                                theta_x: np.ndarray, omega=None):
+    """Spectral radii at explicit low frequencies; singular groups get -inf.
+
+    ``omega``, if given, is a damping per frequency in place of ``cfg.omega``.
+    """
+    mats, singular, _, _ = _cycle_matrices(strategy, cfg, theta_t, theta_x, omega=omega)
     return np.where(singular, -np.inf, spectral_radius_batch(mats)), singular
 
 
@@ -410,9 +423,13 @@ def omega_opt_numeric(strategy, cfg: LfaConfig):
     omega = 1/2, then always the unswept point with the smallest bound,
     and stops once no bound lies below the best value (an equal bound
     rules out only a point above the current argmin, which wins the tie).
-    A golden-section point whose bound alone decides the next comparison
-    against it is discarded by that comparison unswept; its bound stands
-    in for its value and is never the final pick.
+    A point ruled out stays out: bounds only rise and the best value only
+    falls.  So the bounds of the open points are kept current with one
+    batched build per new probe, the probe's group at each open point's
+    omega.  A golden-section
+    point whose bound alone decides the next comparison against it is
+    discarded by that comparison unswept; its bound stands in for its
+    value and is never the final pick.
     """
     probes = []  # argmax frequencies of the sweeps so far
 
@@ -422,30 +439,34 @@ def omega_opt_numeric(strategy, cfg: LfaConfig):
             probes.append(res.argmax)
         return res.value
 
-    def bound(om: float, first: int = 0) -> float:
-        """Lower bound on rho_bar(om): the largest radius at ``probes[first:]``.
-
-        Never empty: the first sweep adds a probe, and the scan passes a stale ``first``.
-        """
-        t, x = (np.array(a) for a in zip(*probes[first:]))
+    def bound(om: float) -> float:
+        """Lower bound on rho_bar(om): the largest radius at the probes, never empty."""
+        t, x = (np.array(a) for a in zip(*probes))
         radii, _ = spectral_radius_over_groups(strategy, replace(cfg, omega=om), t, x)
         return float(radii.max())
 
     omegas = np.arange(1, _SCAN_POINTS + 1) / _SCAN_POINTS
     index = np.arange(_SCAN_POINTS)
     values = np.full(_SCAN_POINTS, -np.inf)  # a lower bound, exact once swept
-    seen = np.zeros(_SCAN_POINTS, dtype=int)  # probes behind each bound
     swept = np.zeros(_SCAN_POINTS, dtype=bool)
+
+    def open_points():
+        """Unswept points whose bound could still beat the current argmin ``i``."""
+        i = int(np.argmin(np.where(swept, values, np.inf)))
+        return i, ~swept & ((values < values[i]) | (values == values[i]) & (index < i))
+
     j = _SCAN_POINTS // 2 - 1  # the first sweep is at omega = 1/2
     while True:
-        if seen[j] < len(probes):  # tighten a stale bound before sweeping
-            values[j] = max(values[j], bound(omegas[j], seen[j]))
-            seen[j] = len(probes)
-        else:
-            values[j] = sweep(omegas[j])
-            swept[j] = True
-        i = int(np.argmin(np.where(swept, values, np.inf)))
-        open_ = ~swept & ((values < values[i]) | (values == values[i]) & (index < i))
+        known = len(probes)
+        values[j] = sweep(omegas[j])
+        swept[j] = True
+        i, open_ = open_points()
+        if len(probes) > known and open_.any():  # open bounds were current before it
+            (t, x), om = probes[-1], omegas[open_]
+            radii, _ = spectral_radius_over_groups(strategy, cfg, np.full(om.size, t),
+                                                   np.full(om.size, x), omega=om)
+            values[open_] = np.maximum(values[open_], radii)
+            i, open_ = open_points()
         if not open_.any():
             break
         j = int(index[open_][np.argmin(values[open_])])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,11 @@ LAYOUT_SCHEDULES = [CS.NEW, CS.ORIGINAL, ((2, 1),), ((2, 2),), ((1, 2),), ((4, 1
 #: (2, 1) and (2, 2), the k-grid analysis of NEW at depth 2 and four steps
 COLUMN_SCHEDULES = [((4, 2),), ((2, 1),), ((2, 2),), ((2, 2), (2, 1)),
                     ((4, 2), (4, 2)), ((2, 2), (2, 1), (2, 2), (2, 1))]
+
+
+#: schedules of the schedule-scale tests: the single steps (2, 1) and (2, 2),
+#: the k-grid analysis of NEW at depth 2 and a three-step schedule of 64 modes
+SCALE_SCHEDULES = [((2, 1),), ((2, 2),), ((4, 2), (4, 2)), ((2, 2), (2, 1), (4, 2))]
 
 
 def _steps_id(steps):
@@ -476,8 +483,7 @@ class TestScheduleScale:
                 assert _same_bits(grid[res // 2:], samples[res // 2:]), (res, m)
                 assert (grid[res // 2:] > 0).all()
 
-    @pytest.mark.parametrize("steps", [((2, 1),), ((2, 2),), ((4, 2), (4, 2)),
-                                       ((2, 2), (2, 1), (4, 2))])
+    @pytest.mark.parametrize("steps", SCALE_SCHEDULES)
     def test_pruned_sweep_equals_full_sweep(self, steps):
         for sigma in (0.01, 1.0, 100.0):
             for nu in (0, 1, 3):
@@ -587,6 +593,50 @@ class TestOmegaOptNumeric:
                 assert omega_opt_numeric(strategy, cfg) == omega_opt_scan(strategy, cfg), \
                     (sigma, nu1, nu2)
 
+    @pytest.mark.parametrize("steps", SCALE_SCHEDULES, ids=_steps_id)
+    def test_schedule_equals_full_scan(self, steps):
+        # eta = nu, so nu = (0, 0) leaves rho_bar independent of omega on every level;
+        # an oracle scan of a 64-mode schedule takes seconds, so those run two
+        # cases: every scan point tied, and the default sweeps at sigma 0.1
+        cases = [(sigma, nu) for sigma in np.logspace(-3, 3, 7)
+                 for nu in ((0, 0), (1, 0), (1, 1), (3, 3))]
+        if np.prod(lfa._scale(steps)) > 8:
+            cases = [(1e-3, (0, 0)), (0.1, (3, 3))]
+        for sigma, (nu1, nu2) in cases:
+            cfg = LfaConfig(sigma=sigma, nu1=nu1, nu2=nu2, eta1=nu1, eta2=nu2, resolution=16)
+            assert omega_opt_numeric(steps, cfg) == omega_opt_scan(steps, cfg), (sigma, nu1, nu2)
+
+    @pytest.mark.parametrize("steps", [CS.NEW, CS.ORIGINAL, ((4, 2), (4, 2))], ids=_steps_id)
+    def test_batched_omegas_are_bit_identical(self, steps):
+        # the scan refreshes its bounds in one call over mixed (omega, frequency)
+        # pairs; each radius must be the one a call at that omega alone gives
+        rng = np.random.default_rng(5)
+        tg, xg = low_frequency_grid(16, lfa._scale(steps))
+        # all four quadrants, and the zero frequency, whose group is singular
+        tt, tx = (np.append(a.ravel(), 0.0) for a in np.meshgrid(tg, xg, indexing="ij"))
+        scan = np.arange(1, 65) / 64
+        for sigma, nu in [(1e-3, 0), (0.1, 1), (1.6, 3), (1e3, 3)]:
+            cfg = LfaConfig(sigma=sigma, nu1=nu, nu2=nu, eta1=nu, eta2=nu, resolution=16)
+            pick = np.append(rng.choice(tt.size - 1, 60), tt.size - 1)
+            omegas = rng.choice(scan[:8], pick.size)  # few omegas, each on many groups
+            radii, singular = spectral_radius_over_groups(steps, cfg, tt[pick], tx[pick],
+                                                          omega=omegas)
+            assert singular.sum() >= 1
+            for omega in np.unique(omegas):
+                at = omegas == omega
+                want, want_singular = spectral_radius_over_groups(
+                    steps, replace(cfg, omega=omega), tt[pick][at], tx[pick][at])
+                assert _same_bits(radii[at], want), (sigma, omega)
+                assert _same_bits(singular[at], want_singular)
+
+    @pytest.mark.parametrize("steps", [CS.NEW, CS.ORIGINAL, ((4, 2), (4, 2))], ids=_steps_id)
+    def test_empty_batch(self, steps):
+        cfg = LfaConfig(sigma=1.0, resolution=16)
+        for omega in (None, np.array([])):
+            radii, singular = spectral_radius_over_groups(steps, cfg, np.array([]),
+                                                          np.array([]), omega=omega)
+            assert _same_bits(radii, np.array([])) and _same_bits(singular, np.array([], bool))
+
     @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
     def test_subset_radii_are_bit_identical(self, strategy):
         # the bound is exact only if a group's radius does not depend on the
@@ -613,6 +663,19 @@ class TestOmegaOptNumeric:
         cfg = LfaConfig(sigma=1.6, nu1=3, nu2=3, resolution=32)
         omega_opt_numeric(strategy, cfg)
         assert 0 < len(calls) <= 30  # the full scan runs 83
+
+    @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
+    def test_few_matrix_builds(self, strategy, monkeypatch):
+        # sweeps, one batched scan refresh per new probe and one golden-section bound
+        # per step make 29 builds; a build per scan point and refresh takes 91 and 104
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return _cycle_matrices(*args, **kwargs)
+        monkeypatch.setattr(lfa, "_cycle_matrices", counting)
+        omega_opt_numeric(strategy, LfaConfig(sigma=1.6, nu1=3, nu2=3, resolution=16))
+        assert 0 < len(calls) <= 35
 
     def test_dominates_fixed_choices(self):
         for sigma in (0.05, 1.0):
