@@ -43,6 +43,12 @@ def check_omega(omega: float) -> None:
         raise ValueError(f"omega must lie in (0, 1], got {omega}")
 
 
+def check_resolution(resolution: int) -> None:
+    """Raise ``ValueError`` unless the LFA samples per axis, ``resolution``, are even and >= 16."""
+    if resolution < 16 or resolution % 2 != 0:
+        raise ValueError(f"resolution must be even and at least 16, got {resolution}")
+
+
 def check_step(mt: int, mx: int) -> None:
     """Raise ``ValueError`` unless (mt, mx) is a supported coarsening step.
 

@@ -94,7 +94,10 @@ def assemble_rhs(g: SpaceTimeGrid, p: ProblemData) -> np.ndarray:
     Block n holds tau*f(., t_n); block 1 additionally carries the initial
     value (B = I).  The tau factor matches Q = I - tau*A_h, i.e. the
     standard Backward Euler step u_{n+1} = u_n + tau*(A u_{n+1} + f_{n+1}).
+    The problem's horizon must be the grid's.
     """
+    if p.horizon != g.horizon:
+        raise ValueError(f"problem horizon {p.horizon} does not match grid horizon {g.horizon}")
     x = g.x
     rhs = g.tau * p.source(x[None, :], g.t[:, None])
     rhs = np.broadcast_to(rhs, (g.n_t, g.n_x)).copy()

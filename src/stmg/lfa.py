@@ -39,13 +39,11 @@ The numeric damping search runs such a sweep only where its value could
 change the result.  rho_bar(omega) is a maximum over groups, so the
 radius of one group at omega bounds it from below, and a group's radius
 does not depend on the groups built and eigen-solved with it, nor on
-their damping: at the argmax frequencies of earlier sweeps,
-``spectral_radius_over_groups`` gives the very values a sweep would.  A
-point whose bound already exceeds the best value found cannot be picked,
-so skipping its sweep leaves the result bit-identical.  The scan makes
-one matrix build per new probe: each sweep that finds a new argmax
-refreshes the bounds of all scan points still open at once, every group
-at its own omega.
+their damping: at the argmax frequencies of earlier sweeps, the probes,
+one build gives the very values a sweep would.  A point whose bound
+already exceeds the best value found cannot be picked, so skipping its
+sweep leaves the result bit-identical.  The scan and the golden section
+bound through one helper, one build per new probe or per step.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import check_omega, check_schedule, check_sigma
+from .core import check_omega, check_resolution, check_schedule, check_sigma
 
 #: coarse symbols with modulus below this are treated as non-invertible
 #: and their frequency group is excluded from maximization
@@ -85,8 +83,7 @@ class LfaConfig:
         check_omega(self.omega)
         if min(self.nu1, self.nu2, self.eta1, self.eta2) < 0:
             raise ValueError("sweep counts must be nonnegative")
-        if self.resolution < 16 or self.resolution % 2 != 0:
-            raise ValueError("resolution must be even and at least 16")
+        check_resolution(self.resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +224,10 @@ def _cycle_matrices(steps, cfg: LfaConfig, theta_t, theta_x, cols=slice(None), o
     the mask of groups with a coarse symbol below ``SINGULAR_TOL`` and the
     fine level's (N, n) companions ``tc``/``xc``.
 
-    ``omega``, if given, is a damping per group, shape (N,), in place of
-    ``cfg.omega``; it enters the smoother symbols alone.  Each entry is
-    the same elementwise arithmetic, so a group's matrix is bit for bit
-    the one built with its omega in ``cfg``.
+    ``omega``, if given, is a damping per group, shape (N,), which only
+    the numeric search's ``_probe_bounds`` passes.  It enters the smoother
+    symbols alone, so a group's matrix is bit for bit the one built with
+    its omega in ``cfg``.
     """
     check_schedule(steps)
     scales = [_scale(steps[:k]) for k in range(len(steps) + 1)]  # each level's, finest first
@@ -297,6 +294,7 @@ def low_frequency_grid(resolution: int, scale=(4, 2)):
     bit for bit: the companions of a negated frequency are then the exact
     negations of its own, which ``low_mode_action``'s mirror relies on.
     """
+    check_resolution(resolution)
     offsets = np.arange(resolution // 2, resolution) + 0.5
     grids = []
     for m in scale:
@@ -389,12 +387,12 @@ def rho_bar_details(strategy, cfg: LfaConfig) -> RhoBarResult:
 
 
 def spectral_radius_over_groups(strategy, cfg: LfaConfig, theta_t: np.ndarray,
-                                theta_x: np.ndarray, omega=None):
-    """Spectral radii at explicit low frequencies; singular groups get -inf.
+                                theta_x: np.ndarray):
+    """Spectral radii at explicit low frequencies and ``cfg.omega``; singular groups get -inf.
 
-    ``omega``, if given, is a damping per frequency in place of ``cfg.omega``.
+    Both phases of the numeric search bound rho_bar through ``_probe_bounds`` instead.
     """
-    mats, singular, _, _ = _cycle_matrices(strategy, cfg, theta_t, theta_x, omega=omega)
+    mats, singular, _, _ = _cycle_matrices(strategy, cfg, theta_t, theta_x)
     return np.where(singular, -np.inf, spectral_radius_batch(mats)), singular
 
 
@@ -407,6 +405,15 @@ _GOLDEN_TOL = 1e-5
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _probe_bounds(strategy, cfg: LfaConfig, omegas, probes) -> np.ndarray:
+    """Lower bounds on rho_bar at ``omegas``, each one's largest radius over ``probes``."""
+    t, x = (np.array(a * len(omegas)) for a in zip(*probes))  # each probe once per omega
+    om = np.repeat(omegas, len(probes))
+    mats, singular, _, _ = _cycle_matrices(strategy, cfg, t, x, omega=om)
+    radii = np.where(singular, -np.inf, spectral_radius_batch(mats))
+    return radii.reshape(len(omegas), len(probes)).max(axis=1)
+
+
 def omega_opt_numeric(strategy, cfg: LfaConfig):
     """Damping parameter minimizing the cycle convergence factor.
 
@@ -417,19 +424,18 @@ def omega_opt_numeric(strategy, cfg: LfaConfig):
     The result is that of sweeping every scan and golden-section point,
     but a full ``rho_bar_details`` sweep runs only where its value could
     change it.  rho_bar(omega) is a maximum over groups, so the radius of
-    any one group bounds it from below; the groups used are the argmax
-    frequencies of the sweeps run so far, and ``spectral_radius_over_groups``
-    computes their radii bit for bit as a sweep would.  The scan sweeps
+    any one group bounds it from below.  Both phases bound through one
+    helper, ``_probe_bounds``: it builds every (omega, probe) pair at
+    once, a probe being the argmax frequency of a sweep so far, and
+    gives each radius bit for bit as a sweep would.  The scan sweeps
     omega = 1/2, then always the unswept point with the smallest bound,
     and stops once no bound lies below the best value (an equal bound
     rules out only a point above the current argmin, which wins the tie).
     A point ruled out stays out: bounds only rise and the best value only
-    falls.  So the bounds of the open points are kept current with one
-    batched build per new probe, the probe's group at each open point's
-    omega.  A golden-section
-    point whose bound alone decides the next comparison against it is
-    discarded by that comparison unswept; its bound stands in for its
-    value and is never the final pick.
+    falls, so one build per new probe keeps the open points' bounds
+    current.  A golden-section point is bounded at every probe; if that
+    bound alone decides the next comparison against it, the point is
+    discarded unswept, and its bound is never the final pick.
     """
     probes = []  # argmax frequencies of the sweeps so far
 
@@ -438,12 +444,6 @@ def omega_opt_numeric(strategy, cfg: LfaConfig):
         if res.argmax not in probes:
             probes.append(res.argmax)
         return res.value
-
-    def bound(om: float) -> float:
-        """Lower bound on rho_bar(om): the largest radius at the probes, never empty."""
-        t, x = (np.array(a) for a in zip(*probes))
-        radii, _ = spectral_radius_over_groups(strategy, replace(cfg, omega=om), t, x)
-        return float(radii.max())
 
     omegas = np.arange(1, _SCAN_POINTS + 1) / _SCAN_POINTS
     index = np.arange(_SCAN_POINTS)
@@ -462,10 +462,8 @@ def omega_opt_numeric(strategy, cfg: LfaConfig):
         swept[j] = True
         i, open_ = open_points()
         if len(probes) > known and open_.any():  # open bounds were current before it
-            (t, x), om = probes[-1], omegas[open_]
-            radii, _ = spectral_radius_over_groups(strategy, cfg, np.full(om.size, t),
-                                                   np.full(om.size, x), omega=om)
-            values[open_] = np.maximum(values[open_], radii)
+            new = _probe_bounds(strategy, cfg, omegas[open_], probes[-1:])
+            values[open_] = np.maximum(values[open_], new)
             i, open_ = open_points()
         if not open_.any():
             break
@@ -473,7 +471,7 @@ def omega_opt_numeric(strategy, cfg: LfaConfig):
 
     def refine(om: float, limit: float, ties: bool) -> float:
         """rho_bar(om), or its bound if that is above ``limit`` (or equal, with ``ties``)."""
-        b = bound(om)
+        b = float(_probe_bounds(strategy, cfg, [om], probes)[0])  # probes is never empty
         return b if b > limit or ties and b == limit else sweep(om)
 
     lo = omegas[i - 1] if i > 0 else omegas[0] / 2

@@ -5,7 +5,7 @@ from oracles import TridiagonalMatrix, thomas_solve
 from stmg.core import (CoarseningStrategy, SpaceTimeGrid, check_schedule, coarsen_grid,
                        random_field, zero_field)
 from stmg.cycles import CyclePlan, plan_levels
-from stmg.lfa import LfaConfig, rho_bar_details, worst_smoothing_mode
+from stmg.lfa import LfaConfig, low_frequency_grid, rho_bar_details, worst_smoothing_mode
 from stmg.smoother import SmootherConfig
 
 
@@ -198,3 +198,18 @@ class TestCheckOmega:
     def test_rejected_with_one_message(self, make, omega):
         with pytest.raises(ValueError, match=rf"^omega must lie in \(0, 1\], got {omega}$"):
             make(omega)
+
+
+class TestCheckResolution:
+    """Every LFA sample count is checked by ``core.check_resolution``, with one message."""
+
+    @pytest.mark.parametrize("resolution", [0, 14, 15, 17])
+    @pytest.mark.parametrize("make", [
+        lambda res: LfaConfig(sigma=1.0, resolution=res),
+        lambda res: low_frequency_grid(res),
+        lambda res: low_frequency_grid(res, (2, 2)),
+    ], ids=["LfaConfig", "low_frequency_grid", "low_frequency_grid-2x2"])
+    def test_rejected_with_one_message(self, make, resolution):
+        with pytest.raises(ValueError,
+                           match=rf"^resolution must be even and at least 16, got {resolution}$"):
+            make(resolution)

@@ -117,6 +117,12 @@ class TestRhs:
             want = g.tau * (x**4 * (1 - x) ** 4 + 10 * np.sin(8 * t[n]))
             assert np.allclose(rhs[n], want, rtol=0, atol=1e-18)
 
+    def test_horizon_mismatch_rejected(self):
+        g = SpaceTimeGrid(n_x=7, n_t=16, horizon=0.2)
+        with pytest.raises(ValueError, match=r"^problem horizon 0\.1 does not match grid "
+                                             r"horizon 0\.2$"):
+            assemble_rhs(g, heat_benchmark_problem(horizon=0.1))
+
 
 class TestDirectSolve:
     def test_zero_rhs(self):

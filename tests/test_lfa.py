@@ -13,7 +13,8 @@ from stmg.lfa import (Frequency, LfaConfig, low_frequency_grid, low_mode_action,
                       omega_opt_numeric, operator_symbol, optimal_omega, resolve_omega,
                       restriction_symbol, rho_bar_details, smoother_symbol, smoothing_factor,
                       spectral_radius_batch, spectral_radius_over_groups, worst_smoothing_mode)
-from stmg.lfa import _companions, _cycle_matrices, _radius_bound, _scatter_first_columns
+from stmg.lfa import (_companions, _cycle_matrices, _probe_bounds, _radius_bound,
+                      _scatter_first_columns)
 
 #: schedules whose harmonic groups cover every layout: the strategies, the
 #: single steps, both one-axis semi-coarsenings, the k-grid analysis of NEW
@@ -475,10 +476,11 @@ class TestScheduleScale:
 
     @pytest.mark.parametrize("scale", [(4, 2), (2, 2), (8, 4), (16, 4)])
     def test_low_grid_is_antisymmetric(self, scale):
-        # the negative half mirrors the positive half, whose samples keep their formula
-        for res in (16, 18, 32, 128):
+        # every accepted resolution gives that many samples per axis, and the negative
+        # half mirrors the positive half, whose samples keep their formula
+        for res in range(16, 513, 2):
             for m, grid in zip(scale, low_frequency_grid(res, scale)):
-                assert _same_bits(grid[::-1], -grid), (res, m)
+                assert grid.shape == (res,) and _same_bits(grid[::-1], -grid), (res, m)
                 samples = -np.pi / m + (np.arange(res) + 0.5) * ((2 * np.pi / m) / res)
                 assert _same_bits(grid[res // 2:], samples[res // 2:]), (res, m)
                 assert (grid[res // 2:] > 0).all()
@@ -608,8 +610,8 @@ class TestOmegaOptNumeric:
 
     @pytest.mark.parametrize("steps", [CS.NEW, CS.ORIGINAL, ((4, 2), (4, 2))], ids=_steps_id)
     def test_batched_omegas_are_bit_identical(self, steps):
-        # the scan refreshes its bounds in one call over mixed (omega, frequency)
-        # pairs; each radius must be the one a call at that omega alone gives
+        # the search bounds rho_bar in one build over mixed (omega, frequency)
+        # pairs; each radius must be the one a build at that omega alone gives
         rng = np.random.default_rng(5)
         tg, xg = low_frequency_grid(16, lfa._scale(steps))
         # all four quadrants, and the zero frequency, whose group is singular
@@ -619,8 +621,8 @@ class TestOmegaOptNumeric:
             cfg = LfaConfig(sigma=sigma, nu1=nu, nu2=nu, eta1=nu, eta2=nu, resolution=16)
             pick = np.append(rng.choice(tt.size - 1, 60), tt.size - 1)
             omegas = rng.choice(scan[:8], pick.size)  # few omegas, each on many groups
-            radii, singular = spectral_radius_over_groups(steps, cfg, tt[pick], tx[pick],
-                                                          omega=omegas)
+            mats, singular, _, _ = _cycle_matrices(steps, cfg, tt[pick], tx[pick], omega=omegas)
+            radii = np.where(singular, -np.inf, spectral_radius_batch(mats))
             assert singular.sum() >= 1
             for omega in np.unique(omegas):
                 at = omegas == omega
@@ -633,9 +635,25 @@ class TestOmegaOptNumeric:
     def test_empty_batch(self, steps):
         cfg = LfaConfig(sigma=1.0, resolution=16)
         for omega in (None, np.array([])):
-            radii, singular = spectral_radius_over_groups(steps, cfg, np.array([]),
-                                                          np.array([]), omega=omega)
+            mats, singular, _, _ = _cycle_matrices(steps, cfg, np.array([]), np.array([]),
+                                                   omega=omega)
+            radii = spectral_radius_batch(mats)
             assert _same_bits(radii, np.array([])) and _same_bits(singular, np.array([], bool))
+
+    @pytest.mark.parametrize("steps", [CS.NEW, CS.ORIGINAL, ((4, 2), (4, 2))], ids=_steps_id)
+    def test_probe_bounds_are_largest_radii(self, steps):
+        # each omega's bound is its largest radius over the probes, a singular one
+        # counting as -inf, bit for bit as one public call per omega gives it
+        tg, xg = low_frequency_grid(16, lfa._scale(steps))
+        probes = [Frequency(tg[9], xg[12]), Frequency(tg[15], xg[8]), Frequency(0.0, 0.0)]
+        omegas = np.arange(1, 65)[::7] / 64
+        t, x = (np.array(a) for a in zip(*probes))
+        for sigma, nu in [(1e-3, 0), (1.6, 3), (1e3, 3)]:
+            cfg = LfaConfig(sigma=sigma, nu1=nu, nu2=nu, eta1=nu, eta2=nu, resolution=16)
+            got = _probe_bounds(steps, cfg, omegas, probes)
+            for om, bound in zip(omegas, got):
+                radii, singular = spectral_radius_over_groups(steps, replace(cfg, omega=om), t, x)
+                assert singular[-1] and _same_bits(bound, radii.max()), (sigma, om)
 
     @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
     def test_subset_radii_are_bit_identical(self, strategy):
@@ -664,10 +682,11 @@ class TestOmegaOptNumeric:
         omega_opt_numeric(strategy, cfg)
         assert 0 < len(calls) <= 30  # the full scan runs 83
 
-    @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
+    @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL, ((4, 2), (4, 2))])
     def test_few_matrix_builds(self, strategy, monkeypatch):
         # sweeps, one batched scan refresh per new probe and one golden-section bound
-        # per step make 29 builds; a build per scan point and refresh takes 91 and 104
+        # per step make 29, 29 and 27 builds; a build per scan point and refresh took
+        # 91 and 104 for the two strategies
         calls = []
 
         def counting(*args, **kwargs):
