@@ -12,6 +12,7 @@ contiguous row (see ``cycles``).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,18 @@ def check_omega(omega: float) -> None:
         raise ValueError(f"omega must lie in (0, 1], got {omega}")
 
 
+def check_integers(**counts) -> None:
+    """Raise ``ValueError`` naming the first count that is not an integer; numpy integers pass."""
+    for name, value in counts.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_resolution(resolution: int) -> None:
     """Raise ``ValueError`` unless the LFA samples per axis, ``resolution``, are even and >= 16."""
+    check_integers(resolution=resolution)
     if resolution < 16 or resolution % 2 != 0:
         raise ValueError(f"resolution must be even and at least 16, got {resolution}")
 
@@ -90,6 +101,7 @@ class SpaceTimeGrid:
     horizon: float
 
     def __post_init__(self):
+        check_integers(n_x=self.n_x, n_t=self.n_t)
         if self.n_x < 3 or not _is_pow2(self.n_x + 1):
             raise ValueError(f"n_x must be 2**k - 1 with k >= 2, got {self.n_x}")
         if self.n_t < 4 or not _is_pow2(self.n_t):

@@ -9,17 +9,16 @@ method.  Any other schedule that ``core.check_schedule`` accepts runs too.
 
 ``plan_levels`` plans a cycle before any work: its smoothed levels, finest
 first, each with its grid, its step down and its (pre, post) sweeps, and
-the coarsest grid, which is solved exactly.  ``run_cycle`` moves the
-iterate and the right-hand side into the sine basis once, ``_cycle`` walks
-the level list there (smooth, restrict the residual, recurse on the rest
-or solve exactly, prolong, smooth), and ``run_cycle`` moves back once.
-Every spatial block is Q = S diag(lam) S, so on the mode-major (n_x, n_t)
-coefficients a block solve is a division by lam, the coarsest solve is
-``heat.time_march`` and the space transfers couple alias pairs of modes
-(``stmg.transfer``): the only products with S are the three at the fine
-level.  ``run_cycle`` reads the counted work off the plan in closed form.
-Each coarse operator is built once per grid and reused by later cycles,
-so its eigenvalues are computed once too.
+the coarsest grid, which is solved exactly.  ``_cycle`` walks the levels
+on mode-major (n_x, n_t) sine coefficients (smooth, restrict the
+residual, recurse on the rest or solve exactly, prolong, smooth).  Every
+spatial block is Q = S diag(lam) S, so there a block solve is a division
+by lam, the coarsest solve is ``heat.time_march`` and the space transfers
+couple alias pairs of modes (``stmg.transfer``).  ``solve`` iterates in
+the basis: it plans once, and multiplies by S only to bring in the
+right-hand side and the initial guess and to return the solution.
+``run_cycle`` is the one-cycle physical wrapper.  Each coarse operator is
+built once per grid and reused, so its eigenvalues are computed once too.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SpaceTimeGrid, check_omega, check_schedule, coarsen_grid, random_field
-from .heat import (HeatOperator, apply_operator, assemble_operator, direct_solve, error_norm,
-                   time_march)
+from .core import (SpaceTimeGrid, check_integers, check_omega, check_schedule, coarsen_grid,
+                   random_field)
+from .heat import HeatOperator, assemble_operator, error_norm, time_march
 from .smoother import SmootherConfig, jacobi_sweep
 from .transfer import prolong, restrict
 
@@ -66,6 +65,8 @@ class CyclePlan:
     def __post_init__(self):
         check_schedule(self.strategy)
         check_omega(self.omega)
+        check_integers(nu1=self.nu1, nu2=self.nu2, eta1=self.eta1, eta2=self.eta2,
+                       depth=self.depth)
         if min(self.nu1, self.nu2) < 0:
             raise ValueError("sweep counts must be nonnegative")
         if self.depth < 1:
@@ -115,6 +116,34 @@ def _coarse_operator(g: SpaceTimeGrid) -> HeatOperator:
     return assemble_operator(g)
 
 
+def _setup(op: HeatOperator, plan: CyclePlan):
+    """The levels of one cycle on ``op``'s grid, every level's eigenvalues
+    (the coarsest grid's last) and the cycle's (block solves, transfer blocks).
+
+    With n_c = n_t/mt, a level takes (pre + post) n_t block solves and
+    3 (n_t - n_c) transfer blocks, one per output time step of each time
+    halving, plus 2 n_c for a space halving; the coarsest solve takes one
+    block solve per time step.
+    """
+    levels, coarsest = plan_levels(op.grid, plan)
+    solves, transfers = coarsest.n_t, 0
+    for level in levels:
+        (mt, mx), n_t = level.step, level.grid.n_t
+        solves += sum(level.sweeps) * n_t
+        transfers += 3 * (n_t - n_t // mt) + (2 * n_t // mt if mx == 2 else 0)
+    coarse_grids = [level.grid for level in levels[1:]] + [coarsest]
+    lams = [op.eigenvalues] + [_coarse_operator(g).eigenvalues for g in coarse_grids]
+    return levels, lams, (solves, transfers)
+
+
+def _residual(u, rhs, lam, out):
+    """Write the coefficient residual rhs - L u = rhs - lam u + shift(u) to ``out``; return it."""
+    np.multiply(u, lam[:, None], out=out)
+    np.subtract(rhs, out, out=out)
+    out[:, 1:] += u[:, :-1]
+    return out
+
+
 def _cycle(u, rhs, lams, levels: list[Level], omega: float) -> None:
     """Correct the mode-major coefficients ``u`` of ``levels[0]`` in place.
 
@@ -125,11 +154,7 @@ def _cycle(u, rhs, lams, levels: list[Level], omega: float) -> None:
     (mt, mx), (pre, post) = levels[0].step, levels[0].sweeps
     work = np.empty_like(u)
     jacobi_sweep(lams[0], u, rhs, SmootherConfig(omega, pre), work)
-    # the residual rhs - L u = rhs - lam u + shift(u)
-    np.multiply(u, lams[0][:, None], out=work)
-    np.subtract(rhs, work, out=work)
-    work[:, 1:] += u[:, :-1]
-    rc = restrict(work, mt, mx)
+    rc = restrict(_residual(u, rhs, lams[0], work), mt, mx)
     if len(levels) > 1:
         ec = np.zeros_like(rc)
         _cycle(ec, rc, lams[1:], levels[1:], omega)
@@ -145,25 +170,16 @@ def run_cycle(op: HeatOperator, u, rhs, plan: CyclePlan,
     """One iteration of the plan's cycle; returns the new field.
 
     ``u`` and ``rhs`` are never written; the result is a new (n_t, n_x)
-    array.  Adds the cycle's work to ``counter``, if given: with
-    n_c = n_t/mt, a level takes (pre + post) n_t block solves and
-    3 (n_t - n_c) transfer blocks, one per output time step of each time
-    halving, plus 2 n_c for a space halving; the coarsest solve takes one
-    block solve per time step.
+    array.  Adds the cycle's work (see ``_setup``) to ``counter``, if given.
     """
     g = op.grid
     if u.shape != (g.n_t, g.n_x) or rhs.shape != (g.n_t, g.n_x):
         raise ValueError(f"field shapes {u.shape} and {rhs.shape} do not match grid "
                          f"({g.n_t}, {g.n_x})")
-    levels, coarsest = plan_levels(g, plan)
+    levels, lams, (solves, transfers) = _setup(op, plan)
     if counter is not None:
-        counter.block_solves += coarsest.n_t
-        for level in levels:
-            (mt, mx), n_t = level.step, level.grid.n_t
-            counter.block_solves += sum(level.sweeps) * n_t
-            counter.transfer_blocks += 3 * (n_t - n_t // mt) + (2 * n_t // mt if mx == 2 else 0)
-    coarse_grids = [level.grid for level in levels[1:]] + [coarsest]
-    lams = [op.eigenvalues] + [_coarse_operator(g).eigenvalues for g in coarse_grids]
+        counter.block_solves += solves
+        counter.transfer_blocks += transfers
     s = op.sine_basis[0]
     uh = s @ u.T  # S is symmetric: the mode-major coefficients S u_n, column n
     _cycle(uh, s @ rhs.T, lams, levels, plan.omega)
@@ -175,7 +191,9 @@ class RunResult:
     """Iteration history of one solve run.
 
     Histories have one entry per completed iteration plus the initial
-    state; costs and wall seconds are per-iteration increments.
+    state; costs and wall seconds are per-iteration increments.  Residuals
+    are the L_inf(L2) norm of the coefficient residual, which is the
+    physical one as S is orthogonal; wall seconds time ``_cycle`` alone.
     """
 
     solution: np.ndarray
@@ -198,34 +216,37 @@ def solve(op: HeatOperator, rhs: np.ndarray, plan: CyclePlan, max_iters: int,
     The error is the L_inf(L2) distance to the exact direct solution
     (the quantity the convergence factors predict); the residual history
     is recorded for diagnostics.  Non-convergence is reported through the
-    history, never as an error.  Wall seconds time the cycle alone.
+    history, never as an error.
     """
+    check_integers(max_iters=max_iters)
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     g = op.grid
-    reference = direct_solve(op, rhs)  # precomputation, not counted
-    rng = np.random.default_rng(seed)
-    u = random_field(g, rng)
-    errors = [error_norm(u, reference, g)]
-    residuals = [float(np.abs(rhs - apply_operator(op, u)).max())]
-    solves, transfers, seconds = [], [], []
-    for _ in range(max_iters):
-        if errors[-1] <= tol:
+    if rhs.shape != (g.n_t, g.n_x):
+        raise ValueError(f"rhs shape {rhs.shape} does not match grid ({g.n_t}, {g.n_x})")
+    levels, lams, (solves, transfers) = _setup(op, plan)
+    s = op.sine_basis[0]
+    rhs_h = s @ rhs.T
+    reference = rhs_h.copy()  # precomputation, not counted
+    time_march(reference.T, lams[0])
+    u = s @ random_field(g, np.random.default_rng(seed)).T
+    work = np.empty_like(u)
+    errors, residuals, seconds = [], [], []
+    while True:
+        errors.append(error_norm(u.T, reference.T, g))
+        r = _residual(u, rhs_h, lams[0], work)
+        residuals.append(float(np.sqrt(g.h * np.sum(r * r, axis=0)).max()))
+        if len(seconds) == max_iters or errors[-1] <= tol:
             break
-        counter = CostCounter()
         t0 = time.perf_counter()
-        u = run_cycle(op, u, rhs, plan, counter)
+        _cycle(u, rhs_h, lams, levels, plan.omega)
         seconds.append(time.perf_counter() - t0)
-        errors.append(error_norm(u, reference, g))
-        residuals.append(float(np.abs(rhs - apply_operator(op, u)).max()))
-        solves.append(counter.block_solves)
-        transfers.append(counter.transfer_blocks)
     return RunResult(
-        solution=u,
+        solution=np.matmul(u.T, s),
         error_history=np.array(errors),
         residual_history=np.array(residuals),
-        block_solves=np.array(solves, dtype=int),
-        transfer_blocks=np.array(transfers, dtype=int),
+        block_solves=np.full(len(seconds), solves),
+        transfer_blocks=np.full(len(seconds), transfers),
         wall_seconds=np.array(seconds),
         seed=seed,
     )

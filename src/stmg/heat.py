@@ -2,11 +2,11 @@
 
 The all-at-once lower block bidiagonal system is defined by its grid
 alone: every spatial block Q has the constant stencil of sigma, so the
-operator applies it from sigma and caches only its eigenvalues and sine
-basis.  In that basis Q is diagonal, so the exact solve is one diagonal
-recurrence in time, ``time_march``, shared by ``direct_solve`` (the
-reference solution) and the cycles' coarsest solve.  Also here: the
-right-hand side and the discrete L_inf(0,T; L2) error norm.
+operator caches only Q's eigenvalues and sine basis.  In that basis Q is
+diagonal, so the exact solve is one diagonal recurrence in time,
+``time_march``, shared by ``direct_solve`` and the cycles, which solve
+the reference and the coarsest grid with it.  Also here: the right-hand
+side and the discrete L_inf(0,T; L2) error norm.
 """
 
 from __future__ import annotations
@@ -103,19 +103,6 @@ def assemble_rhs(g: SpaceTimeGrid, p: ProblemData) -> np.ndarray:
     rhs = np.broadcast_to(rhs, (g.n_t, g.n_x)).copy()
     rhs[0] += p.initial(x)
     return rhs
-
-
-def apply_operator(op: HeatOperator, u: np.ndarray) -> np.ndarray:
-    """Return L u for a field of shape (n_t, n_x)."""
-    g = op.grid
-    if u.shape != (g.n_t, g.n_x):
-        raise ValueError(f"field shape {u.shape} does not match grid ({g.n_t}, {g.n_x})")
-    s = op.sigma
-    out = (1.0 + 2.0 * s) * u
-    out[:, :-1] -= s * u[:, 1:]
-    out[:, 1:] -= s * u[:, :-1]
-    out[1:] -= u[:-1]
-    return out
 
 
 def time_march(v: np.ndarray, lam: np.ndarray) -> None:

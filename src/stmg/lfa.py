@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import check_omega, check_resolution, check_schedule, check_sigma
+from .core import check_integers, check_omega, check_resolution, check_schedule, check_sigma
 
 #: coarse symbols with modulus below this are treated as non-invertible
 #: and their frequency group is excluded from maximization
@@ -81,6 +81,7 @@ class LfaConfig:
     def __post_init__(self):
         check_sigma(self.sigma)
         check_omega(self.omega)
+        check_integers(nu1=self.nu1, nu2=self.nu2, eta1=self.eta1, eta2=self.eta2)
         if min(self.nu1, self.nu2, self.eta1, self.eta2) < 0:
             raise ValueError("sweep counts must be nonnegative")
         check_resolution(self.resolution)

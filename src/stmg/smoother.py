@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_omega
+from .core import check_integers, check_omega
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,7 @@ class SmootherConfig:
 
     def __post_init__(self):
         check_omega(self.omega)
+        check_integers(sweeps=self.sweeps)
         if self.sweeps < 0:
             raise ValueError("sweeps must be nonnegative")
 

@@ -16,7 +16,7 @@ import numpy as np
 from stmg import lfa
 from stmg.core import check_step
 from stmg.cycles import plan_levels
-from stmg.heat import apply_operator, assemble_operator
+from stmg.heat import HeatOperator, assemble_operator
 from stmg.smoother import SmootherConfig
 
 # ---------------------------------------------------------------------------
@@ -45,6 +45,19 @@ def dense_heat_matrix(n_t: int, n_x: int, sigma: float) -> np.ndarray:
         if b > 0:
             a[b * n_x:(b + 1) * n_x, (b - 1) * n_x:b * n_x] = -np.eye(n_x)
     return a
+
+
+def apply_operator(op: HeatOperator, u: np.ndarray) -> np.ndarray:
+    """Return L u for a field of shape (n_t, n_x)."""
+    g = op.grid
+    if u.shape != (g.n_t, g.n_x):
+        raise ValueError(f"field shape {u.shape} does not match grid ({g.n_t}, {g.n_x})")
+    s = op.sigma
+    out = (1.0 + 2.0 * s) * u
+    out[:, :-1] -= s * u[:, 1:]
+    out[:, 1:] -= s * u[:, :-1]
+    out[1:] -= u[:-1]
+    return out
 
 
 def dense_block_jacobi_error_matrix(n_t: int, n_x: int, sigma: float,

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from oracles import TridiagonalMatrix, thomas_solve
 from stmg.core import (CoarseningStrategy, SpaceTimeGrid, check_schedule, coarsen_grid,
                        random_field, zero_field)
-from stmg.cycles import CyclePlan, plan_levels
+from stmg.cycles import CyclePlan, plan_levels, solve
+from stmg.heat import assemble_operator
 from stmg.lfa import LfaConfig, low_frequency_grid, rho_bar_details, worst_smoothing_mode
 from stmg.smoother import SmootherConfig
 
@@ -213,3 +216,41 @@ class TestCheckResolution:
         with pytest.raises(ValueError,
                            match=rf"^resolution must be even and at least 16, got {resolution}$"):
             make(resolution)
+
+
+def solve_for(max_iters):
+    g = SpaceTimeGrid(n_x=15, n_t=64, horizon=0.1)
+    return solve(assemble_operator(g), np.zeros((64, 15)), CyclePlan(CoarseningStrategy.NEW),
+                 max_iters=max_iters, tol=0.0, seed=0)
+
+
+class TestCheckInteger:
+    """Every count is checked by ``core.check_integers`` up front, which names the field."""
+
+    @pytest.mark.parametrize("make,name,value", [
+        (lambda v: LfaConfig(sigma=1.0, resolution=v), "resolution", 16.0),
+        (lambda v: low_frequency_grid(v), "resolution", 16.0),
+        (lambda v: LfaConfig(sigma=1.0, nu1=v), "nu1", 2.5),
+        (lambda v: LfaConfig(sigma=1.0, eta2=v), "eta2", np.float64(1.0)),
+        (lambda v: CyclePlan(CoarseningStrategy.NEW, nu1=v), "nu1", 3.0),
+        (lambda v: CyclePlan(CoarseningStrategy.ORIGINAL, eta1=v), "eta1", "3"),
+        (lambda v: CyclePlan(CoarseningStrategy.NEW, depth=v), "depth", 2.0),
+        (lambda v: SmootherConfig(omega=0.5, sweeps=v), "sweeps", 1.5),
+        (lambda v: SpaceTimeGrid(v, 64, 0.1), "n_x", 15.0),
+        (lambda v: SpaceTimeGrid(15, v, 0.1), "n_t", 64.0),
+        (solve_for, "max_iters", 2.0),
+    ], ids=["LfaConfig-resolution", "low_frequency_grid", "LfaConfig-nu1", "LfaConfig-eta2",
+            "CyclePlan-nu1", "CyclePlan-eta1", "CyclePlan-depth", "SmootherConfig-sweeps",
+            "SpaceTimeGrid-n_x", "SpaceTimeGrid-n_t", "solve-max_iters"])
+    def test_rejected_naming_the_field(self, make, name, value):
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            make(value)
+
+    def test_numpy_integers_accepted(self):
+        i = np.int64
+        assert LfaConfig(sigma=1.0, nu1=i(2), eta1=np.int32(1), resolution=i(16)).resolution == 16
+        assert CyclePlan(CoarseningStrategy.NEW, nu1=i(2), depth=i(2)).depth == 2
+        assert SpaceTimeGrid(i(15), i(64), 0.1).h == 1 / 16
+        assert SmootherConfig(omega=0.5, sweeps=i(2)).sweeps == 2
+        assert solve_for(i(2)).iterations == 2

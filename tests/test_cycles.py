@@ -3,12 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import physical_cycle
+from oracles import apply_operator, physical_cycle
 from stmg import cycles
 from stmg.core import CoarseningStrategy as CS
-from stmg.core import SpaceTimeGrid
+from stmg.core import SpaceTimeGrid, random_field
 from stmg.cycles import CostCounter, CyclePlan, run_cycle, solve
-from stmg.heat import assemble_operator, assemble_rhs, heat_benchmark_problem
+from stmg.heat import (assemble_operator, assemble_rhs, direct_solve, error_norm,
+                       heat_benchmark_problem)
 from stmg.lfa import LfaConfig, optimal_omega, rho_bar_details
 
 
@@ -171,6 +172,62 @@ class TestCyclesToTolerance:
         rhs = assemble_rhs(g, heat_benchmark_problem(0.1))
         with pytest.raises(ValueError, match="max_iters must be nonnegative"):
             solve(op, rhs, plan_for(CS.NEW, 1), max_iters=-3, tol=0.0, seed=0)
+
+
+class TestSolveIsTheCycleLoop:
+    """``solve`` in the sine basis against ``run_cycle`` iterated on the physical field.
+
+    63x256, T = 0.1, seed 1, to an error of 1e-9.  The two paths round
+    differently, each by about eps times the solution's L_inf(L2) norm of
+    0.25, so the errors agree to a relative 1e-10 down to about 1e-6 and
+    to an absolute 1e-15 below that (they differ by 6e-10 relative at an
+    error of 1.3e-10 on 63x1024).
+    """
+
+    @staticmethod
+    def problem():
+        g = SpaceTimeGrid(n_x=63, n_t=256, horizon=0.1)
+        return assemble_operator(g), assemble_rhs(g, heat_benchmark_problem(0.1))
+
+    @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
+    @pytest.mark.parametrize("depth", [1, 5])
+    def test_same_iterations_and_errors(self, strategy, depth):
+        op, rhs = self.problem()
+        g, plan, tol = op.grid, plan_for(strategy, depth), 1e-9
+        reference = direct_solve(op, rhs)
+        u = random_field(g, np.random.default_rng(1))
+        want = [error_norm(u, reference, g)]
+        while len(want) <= 60 and want[-1] > tol:
+            u = run_cycle(op, u, rhs, plan)
+            want.append(error_norm(u, reference, g))
+        run = solve(op, rhs, plan, max_iters=60, tol=tol, seed=1)
+        assert run.iterations == len(want) - 1 < 60
+        np.testing.assert_allclose(run.error_history, want, rtol=1e-10, atol=1e-15)
+
+    @pytest.mark.parametrize("max_iters", [0, 1, 7])
+    def test_planned_once(self, max_iters, monkeypatch):
+        calls = []
+
+        def counting(g, plan, plan_levels=cycles.plan_levels):
+            calls.append(g)
+            return plan_levels(g, plan)
+
+        monkeypatch.setattr(cycles, "plan_levels", counting)
+        op, rhs = self.problem()
+        run = solve(op, rhs, plan_for(CS.ORIGINAL, 5), max_iters=max_iters, tol=0.0, seed=1)
+        assert run.iterations == max_iters
+        assert calls == [op.grid]
+
+    @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
+    @pytest.mark.parametrize("max_iters", [0, 5])
+    def test_residual_history_is_the_physical_residual(self, strategy, max_iters):
+        # S is orthogonal, so the coefficient residual has the physical L_inf(L2) norm
+        op, rhs = self.problem()
+        run = solve(op, rhs, plan_for(strategy, 5), max_iters=max_iters, tol=0.0, seed=1)
+        r = rhs - apply_operator(op, run.solution)
+        want = np.sqrt(op.grid.h * np.sum(r * r, axis=1)).max()
+        assert len(run.residual_history) == max_iters + 1
+        assert run.residual_history[-1] == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 class RowTally:

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (SMOOTHING_STEPS, dense_block_jacobi_error_matrix, dense_heat_matrix,
-                     omega_star_bruteforce, residual_form_sweep, squared_power_radius)
+from oracles import (SMOOTHING_STEPS, apply_operator, dense_block_jacobi_error_matrix,
+                     dense_heat_matrix, omega_star_bruteforce, residual_form_sweep,
+                     squared_power_radius)
 from stmg.core import SpaceTimeGrid
-from stmg.heat import apply_operator, assemble_operator, direct_solve
+from stmg.heat import assemble_operator, direct_solve
 from stmg.lfa import optimal_omega
 from stmg.smoother import SmootherConfig, jacobi_sweep
 
