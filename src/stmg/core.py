@@ -45,9 +45,11 @@ def check_omega(omega: float) -> None:
 
 
 def check_integers(**counts) -> None:
-    """Raise ``ValueError`` naming the first count that is not an integer; numpy integers pass."""
+    """Raise ``ValueError`` naming the first bool or non-integer count; numpy integers pass."""
     for name, value in counts.items():
         try:
+            if isinstance(value, bool):
+                raise TypeError
             operator.index(value)
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -77,6 +79,7 @@ def check_schedule(steps) -> None:
     if not steps:
         raise ValueError("a coarsening schedule needs at least one (mt, mx) step")
     for mt, mx in steps:
+        check_integers(mt=mt, mx=mx)
         check_step(mt, mx)
         if mt == mx == 1:
             raise ValueError("coarsening step (1, 1) coarsens nothing")

@@ -15,10 +15,10 @@ residual, recurse on the rest or solve exactly, prolong, smooth).  Every
 spatial block is Q = S diag(lam) S, so there a block solve is a division
 by lam, the coarsest solve is ``heat.time_march`` and the space transfers
 couple alias pairs of modes (``stmg.transfer``).  ``solve`` iterates in
-the basis: it plans once, and multiplies by S only to bring in the
-right-hand side and the initial guess and to return the solution.
-``run_cycle`` is the one-cycle physical wrapper.  Each coarse operator is
-built once per grid and reused, so its eigenvalues are computed once too.
+the basis, multiplying by S only to bring in the right-hand side and the
+initial guess and to return the solution; ``run_cycle`` is the one-cycle
+physical wrapper.  Both read ``_setup``: a cycle is planned once per
+operator and plan.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ class CyclePlan:
     """Schedule, sweep counts, damping and hierarchy depth for one cycle type.
 
     ``strategy`` is a stage's schedule, such as ``CoarseningStrategy.NEW``,
-    and ``depth`` counts stages.  ``eta1``/``eta2`` are the sweeps on each
-    intermediate level of a stage; a one-step schedule has none.
+    kept as a tuple of int pairs so that a plan hashes, and ``depth``
+    counts stages.  ``eta1``/``eta2`` are the sweeps on each intermediate
+    level of a stage; a one-step schedule has none.
     """
 
     strategy: tuple[tuple[int, int], ...]
@@ -64,6 +65,8 @@ class CyclePlan:
 
     def __post_init__(self):
         check_schedule(self.strategy)
+        if (steps := tuple((int(mt), int(mx)) for mt, mx in self.strategy)) != self.strategy:
+            object.__setattr__(self, "strategy", steps)
         check_omega(self.omega)
         check_integers(nu1=self.nu1, nu2=self.nu2, eta1=self.eta1, eta2=self.eta2,
                        depth=self.depth)
@@ -110,30 +113,26 @@ def plan_levels(g: SpaceTimeGrid, plan: CyclePlan) -> tuple[list[Level], SpaceTi
     return levels, g
 
 
-# one operator per coarse grid, so its cached eigenvalues outlive a cycle
-@lru_cache(maxsize=64)
-def _coarse_operator(g: SpaceTimeGrid) -> HeatOperator:
-    return assemble_operator(g)
-
-
+@lru_cache(maxsize=8)
 def _setup(op: HeatOperator, plan: CyclePlan):
-    """The levels of one cycle on ``op``'s grid, every level's eigenvalues
-    (the coarsest grid's last) and the cycle's (block solves, transfer blocks).
+    """One cycle of ``plan`` on ``op``'s grid, planned once per operator and plan.
 
-    With n_c = n_t/mt, a level takes (pre + post) n_t block solves and
-    3 (n_t - n_c) transfer blocks, one per output time step of each time
-    halving, plus 2 n_c for a space halving; the coarsest solve takes one
-    block solve per time step.
+    Returns each smoothed level's (step, eigenvalues, pre and post ``SmootherConfig``),
+    finest first, the coarsest grid's eigenvalues and the cycle's (block solves, transfer
+    blocks).  With n_c = n_t/mt, a level takes (pre + post) n_t block solves and
+    3 (n_t - n_c) transfer blocks, one per output time step of each time halving, plus
+    2 n_c for a space halving; the coarsest solve takes one block solve per time step.
+    An entry keeps ``op`` and its n_x**2 sine basis alive, so the cache is small.
     """
     levels, coarsest = plan_levels(op.grid, plan)
-    solves, transfers = coarsest.n_t, 0
-    for level in levels:
+    lams = [op.eigenvalues] + [assemble_operator(level.grid).eigenvalues for level in levels[1:]]
+    smoothed, solves, transfers = [], coarsest.n_t, 0
+    for level, lam in zip(levels, lams):
         (mt, mx), n_t = level.step, level.grid.n_t
         solves += sum(level.sweeps) * n_t
         transfers += 3 * (n_t - n_t // mt) + (2 * n_t // mt if mx == 2 else 0)
-    coarse_grids = [level.grid for level in levels[1:]] + [coarsest]
-    lams = [op.eigenvalues] + [_coarse_operator(g).eigenvalues for g in coarse_grids]
-    return levels, lams, (solves, transfers)
+        smoothed.append((level.step, lam, *(SmootherConfig(plan.omega, n) for n in level.sweeps)))
+    return tuple(smoothed), assemble_operator(coarsest).eigenvalues, (solves, transfers)
 
 
 def _residual(u, rhs, lam, out):
@@ -144,25 +143,25 @@ def _residual(u, rhs, lam, out):
     return out
 
 
-def _cycle(u, rhs, lams, levels: list[Level], omega: float) -> None:
-    """Correct the mode-major coefficients ``u`` of ``levels[0]`` in place.
+def _cycle(u, rhs, levels, coarsest) -> None:
+    """Correct the mode-major coefficients ``u`` of the finest of ``levels`` in place.
 
-    ``lams`` holds the eigenvalues of every level's Q, the coarsest grid's
-    last.  Smooth, correct from the rest of the list or by the exact
-    coarsest solve, smooth; ``rhs`` is never written.
+    ``levels`` and ``coarsest`` are ``_setup``'s: each smoothed level's (step, eigenvalues,
+    pre, post), finest first, and the coarsest grid's eigenvalues.  Smooth, correct from
+    the rest or by the exact coarsest solve, smooth; ``rhs`` is never written.
     """
-    (mt, mx), (pre, post) = levels[0].step, levels[0].sweeps
+    (mt, mx), lam, pre, post = levels[0]
     work = np.empty_like(u)
-    jacobi_sweep(lams[0], u, rhs, SmootherConfig(omega, pre), work)
-    rc = restrict(_residual(u, rhs, lams[0], work), mt, mx)
+    jacobi_sweep(lam, u, rhs, pre, work)
+    rc = restrict(_residual(u, rhs, lam, work), mt, mx)
     if len(levels) > 1:
         ec = np.zeros_like(rc)
-        _cycle(ec, rc, lams[1:], levels[1:], omega)
+        _cycle(ec, rc, levels[1:], coarsest)
     else:
         ec = rc
-        time_march(ec.T, lams[1])  # rows of the transpose are time steps
+        time_march(ec.T, coarsest)  # rows of the transpose are time steps
     u += prolong(ec, mt, mx)
-    jacobi_sweep(lams[0], u, rhs, SmootherConfig(omega, post), work)
+    jacobi_sweep(lam, u, rhs, post, work)
 
 
 def run_cycle(op: HeatOperator, u, rhs, plan: CyclePlan,
@@ -176,13 +175,13 @@ def run_cycle(op: HeatOperator, u, rhs, plan: CyclePlan,
     if u.shape != (g.n_t, g.n_x) or rhs.shape != (g.n_t, g.n_x):
         raise ValueError(f"field shapes {u.shape} and {rhs.shape} do not match grid "
                          f"({g.n_t}, {g.n_x})")
-    levels, lams, (solves, transfers) = _setup(op, plan)
+    levels, coarsest, (solves, transfers) = _setup(op, plan)
     if counter is not None:
         counter.block_solves += solves
         counter.transfer_blocks += transfers
     s = op.sine_basis[0]
     uh = s @ u.T  # S is symmetric: the mode-major coefficients S u_n, column n
-    _cycle(uh, s @ rhs.T, lams, levels, plan.omega)
+    _cycle(uh, s @ rhs.T, levels, coarsest)
     return np.matmul(uh.T, s)
 
 
@@ -224,22 +223,22 @@ def solve(op: HeatOperator, rhs: np.ndarray, plan: CyclePlan, max_iters: int,
     g = op.grid
     if rhs.shape != (g.n_t, g.n_x):
         raise ValueError(f"rhs shape {rhs.shape} does not match grid ({g.n_t}, {g.n_x})")
-    levels, lams, (solves, transfers) = _setup(op, plan)
-    s = op.sine_basis[0]
+    levels, coarsest, (solves, transfers) = _setup(op, plan)
+    s, lam = op.sine_basis
     rhs_h = s @ rhs.T
     reference = rhs_h.copy()  # precomputation, not counted
-    time_march(reference.T, lams[0])
+    time_march(reference.T, lam)
     u = s @ random_field(g, np.random.default_rng(seed)).T
     work = np.empty_like(u)
     errors, residuals, seconds = [], [], []
     while True:
         errors.append(error_norm(u.T, reference.T, g))
-        r = _residual(u, rhs_h, lams[0], work)
+        r = _residual(u, rhs_h, lam, work)
         residuals.append(float(np.sqrt(g.h * np.sum(r * r, axis=0)).max()))
         if len(seconds) == max_iters or errors[-1] <= tol:
             break
         t0 = time.perf_counter()
-        _cycle(u, rhs_h, lams, levels, plan.omega)
+        _cycle(u, rhs_h, levels, coarsest)
         seconds.append(time.perf_counter() - t0)
     return RunResult(
         solution=np.matmul(u.T, s),

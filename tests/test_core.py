@@ -147,7 +147,11 @@ class TestCheckSchedule:
         (((3, 1),), r"^time factor must be 1, 2 or 4, got 3$"),
         (((1, 1),), r"^coarsening step \(1, 1\) coarsens nothing$"),
         (((4, 2), (1, 1)), r"^coarsening step \(1, 1\) coarsens nothing$"),
-    ], ids=["empty", "bad-factor", "no-coarsening", "no-coarsening-second"])
+        # 4.0 and True compare equal to valid factors, but are no integer factors
+        (((4.0, 2),), r"^mt must be an integer, got 4\.0$"),
+        (((2, 2), (2, True)), r"^mx must be an integer, got True$"),
+    ], ids=["empty", "bad-factor", "no-coarsening", "no-coarsening-second", "float-factor",
+            "bool-factor"])
     @pytest.mark.parametrize("make", [
         check_schedule,
         lambda steps: CyclePlan(strategy=steps),
@@ -239,9 +243,17 @@ class TestCheckInteger:
         (lambda v: SpaceTimeGrid(v, 64, 0.1), "n_x", 15.0),
         (lambda v: SpaceTimeGrid(15, v, 0.1), "n_t", 64.0),
         (solve_for, "max_iters", 2.0),
+        # operator.index takes a bool, so each of these ran as a count of 0 or 1
+        (lambda v: CyclePlan(CoarseningStrategy.NEW, nu1=v, nu2=False), "nu1", True),
+        (lambda v: CyclePlan(CoarseningStrategy.NEW, depth=v), "depth", True),
+        (lambda v: SmootherConfig(0.5, v), "sweeps", True),
+        (solve_for, "max_iters", True),
+        (lambda v: LfaConfig(sigma=1, nu1=v, nu2=True, resolution=16), "nu1", True),
     ], ids=["LfaConfig-resolution", "low_frequency_grid", "LfaConfig-nu1", "LfaConfig-eta2",
             "CyclePlan-nu1", "CyclePlan-eta1", "CyclePlan-depth", "SmootherConfig-sweeps",
-            "SpaceTimeGrid-n_x", "SpaceTimeGrid-n_t", "solve-max_iters"])
+            "SpaceTimeGrid-n_x", "SpaceTimeGrid-n_t", "solve-max_iters", "CyclePlan-nu1-bool",
+            "CyclePlan-depth-bool", "SmootherConfig-sweeps-bool", "solve-max_iters-bool",
+            "LfaConfig-nu1-bool"])
     def test_rejected_naming_the_field(self, make, name, value):
         with pytest.raises(ValueError,
                            match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):

@@ -134,7 +134,7 @@ class TestCoarseOperatorCache:
             built.append((g.n_x, g.n_t))
             return assemble_operator(g)
 
-        cycles._coarse_operator.cache_clear()
+        cycles._setup.cache_clear()
         monkeypatch.setattr(cycles, "assemble_operator", counting)
         g = SpaceTimeGrid(n_x=63, n_t=256, horizon=0.1)
         op = assemble_operator(g)
@@ -143,6 +143,60 @@ class TestCoarseOperatorCache:
         for _ in range(2):
             u = run_cycle(op, u, rhs, plan_for(strategy, depth))
         assert built == grids
+
+
+class TestPlannedOnce:
+    """``_setup`` plans a cycle once per operator and plan, and its cache key is the whole plan."""
+
+    @staticmethod
+    def problem():
+        g = SpaceTimeGrid(n_x=63, n_t=256, horizon=0.1)
+        return assemble_operator(g), assemble_rhs(g, heat_benchmark_problem(0.1))
+
+    @pytest.mark.parametrize("strategy,levels", [(CS.NEW, 3), (CS.ORIGINAL, 6)])
+    def test_two_cycles_plan_once(self, strategy, levels, monkeypatch):
+        planned, built = [], []
+
+        def counting_plan(g, plan, plan_levels=cycles.plan_levels):
+            planned.append(g)
+            return plan_levels(g, plan)
+
+        def counting_config(omega, sweeps, config=cycles.SmootherConfig):
+            built.append(sweeps)
+            return config(omega, sweeps)
+
+        cycles._setup.cache_clear()
+        monkeypatch.setattr(cycles, "plan_levels", counting_plan)
+        monkeypatch.setattr(cycles, "SmootherConfig", counting_config)
+        op, rhs = self.problem()
+        u = np.zeros((op.grid.n_t, op.grid.n_x))
+        for _ in range(2):
+            u = run_cycle(op, u, rhs, plan_for(strategy, 5))
+        assert planned == [op.grid]
+        assert len(built) == 2 * levels  # (pre, post) per smoothed level
+
+    @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
+    def test_each_plan_its_own_entry(self, strategy):
+        # a warm entry of one plan must never serve another plan on the same grid
+        op, rhs = self.problem()
+        u = np.random.default_rng(4).standard_normal((op.grid.n_t, op.grid.n_x))
+        plans = [plan_for(strategy, 1, omega=0.5), plan_for(strategy, 1, omega=0.7),
+                 plan_for(strategy, 1, nu1=1), plan_for(strategy, 5)]
+        got = [run_cycle(op, u, rhs, plan) for plan in plans]
+        for plan, out in zip(plans, got):
+            cycles._setup.cache_clear()
+            assert np.array_equal(out, run_cycle(op, u, rhs, plan))
+            want = physical_cycle(op, u, rhs, plan)
+            assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_schedule_kept_as_int_pairs(self):
+        listed, tupled = CyclePlan([[4, 2]]), CyclePlan(((4, 2),))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert listed.strategy == CS.NEW
+        op, rhs = self.problem()
+        runs = [solve(op, rhs, plan, max_iters=5, tol=0.0, seed=1) for plan in (listed, tupled)]
+        assert np.array_equal(runs[0].error_history, runs[1].error_history)
+        assert np.array_equal(runs[0].residual_history, runs[1].residual_history)
 
 
 class TestCyclesToTolerance:
@@ -212,6 +266,7 @@ class TestSolveIsTheCycleLoop:
             calls.append(g)
             return plan_levels(g, plan)
 
+        cycles._setup.cache_clear()  # a warm cache would plan nothing
         monkeypatch.setattr(cycles, "plan_levels", counting)
         op, rhs = self.problem()
         run = solve(op, rhs, plan_for(CS.ORIGINAL, 5), max_iters=max_iters, tol=0.0, seed=1)
