@@ -1,3 +1,7 @@
+import gc
+import weakref
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +15,7 @@ from stmg.cycles import CostCounter, CyclePlan, run_cycle, solve
 from stmg.heat import (assemble_operator, assemble_rhs, direct_solve, error_norm,
                        heat_benchmark_problem)
 from stmg.lfa import LfaConfig, optimal_omega, rho_bar_details
+from stmg.transfer import block_rows
 
 
 def plan_for(strategy, depth, eta=3, **kw):
@@ -120,12 +125,16 @@ class TestCostCounts:
 
 
 class TestCoarseOperatorCache:
-    """Two cycles on 63x256 assemble each coarse grid's operator exactly once."""
+    """Two cycles on 63x256 assemble each grid's operator exactly once.
+
+    The plan reads every level's eigenvalues, the finest included, from
+    ``assemble_operator``, so it holds no reference to the caller's operator.
+    """
 
     @pytest.mark.parametrize("strategy,depth,grids", [
-        (CS.NEW, 5, [(31, 64), (15, 16), (7, 4)]),
+        (CS.NEW, 5, [(63, 256), (31, 64), (15, 16), (7, 4)]),
         # (2, 2) then (2, 1): the intermediate 31x128 level is smoothed too
-        (CS.ORIGINAL, 1, [(31, 128), (31, 64)]),
+        (CS.ORIGINAL, 1, [(63, 256), (31, 128), (31, 64)]),
     ])
     def test_each_grid_assembled_once(self, strategy, depth, grids, monkeypatch):
         built = []
@@ -197,6 +206,24 @@ class TestPlannedOnce:
         runs = [solve(op, rhs, plan, max_iters=5, tol=0.0, seed=1) for plan in (listed, tupled)]
         assert np.array_equal(runs[0].error_history, runs[1].error_history)
         assert np.array_equal(runs[0].residual_history, runs[1].residual_history)
+
+
+class TestSetupCache:
+    """``_setup``'s cache holds grids and plans, never the operator a caller passed."""
+
+    def test_operator_freed(self):
+        g = SpaceTimeGrid(n_x=255, n_t=16, horizon=0.1)
+        op = assemble_operator(g)
+        ref = weakref.ref(op)
+        rhs = assemble_rhs(g, heat_benchmark_problem(0.1))
+        plan = plan_for(CS.NEW, 1)
+        run_cycle(op, np.zeros((g.n_t, g.n_x)), rhs, plan)
+        solve(op, rhs, plan, max_iters=1, tol=0.0, seed=0)
+        assert op.sine_basis is not None  # the n_x**2 basis was built on the operator
+        del op
+        gc.collect()
+        assert ref() is None
+        assert cycles._setup.cache_info().currsize > 0
 
 
 class TestCyclesToTolerance:
@@ -291,7 +318,9 @@ class RowTally:
     The cycle's arrays are mode-major (n_x, n_t) sine coefficients.  A
     block solve is one time step of a sweep or of the coarsest solve.  A
     transfer block is one time step written by a time halving, and one
-    coarse time step of a space halving.
+    coarse time step of a space halving.  A call on a block of alias pairs
+    counts its share of the level's modes, so the blocks of a level add up
+    to the whole.
     """
 
     def __init__(self, mp):
@@ -300,21 +329,21 @@ class RowTally:
                                            cycles.restrict, cycles.prolong)
 
         def counted_sweep(lam, u, rhs, cfg, work):
-            self.block_solves += cfg.sweeps * u.shape[1]
+            self.block_solves += cfg.sweeps * u.shape[1] * self.share(u)
             return sweep(lam, u, rhs, cfg, work)
 
         def counted_march(v, lam):
             self.block_solves += v.shape[0]  # rows of the transpose are time steps
             return march(v, lam)
 
-        def counted_restrict(fine, mt, mx):
-            coarse = restrict(fine, mt, mx)
-            self.transfer_blocks += self.rows(coarse, fine, 1)
+        def counted_restrict(fine, mt, mx, out=None, pairs=None):
+            coarse = restrict(fine, mt, mx, out, pairs)
+            self.transfer_blocks += self.rows(coarse, fine, 1, pairs)
             return coarse
 
-        def counted_prolong(coarse, mt, mx):
-            fine = prolong(coarse, mt, mx)
-            self.transfer_blocks += self.rows(coarse, fine, 2)
+        def counted_prolong(coarse, mt, mx, add_to=None, pairs=None):
+            fine = prolong(coarse, mt, mx, add_to, pairs)
+            self.transfer_blocks += self.rows(coarse, fine, 2, pairs)
             return fine
 
         for name, fn in (("jacobi_sweep", counted_sweep), ("time_march", counted_march),
@@ -322,11 +351,22 @@ class RowTally:
             mp.setattr(cycles, name, fn)
 
     @staticmethod
-    def rows(coarse, fine, per_time_row):
+    def share(view):
+        """The share of its level's modes that a row view of a level's field holds."""
+        return Fraction(view.shape[0], (view if view.base is None else view.base).shape[0])
+
+    @staticmethod
+    def rows(coarse, fine, per_time_row, pairs):
         # restriction writes n_f/2, n_f/4, ..., n_c time steps, n_f - n_c in all,
         # and prolongation 2 n_c, 4 n_c, ..., n_f, twice as many
         n_f, n_c = fine.shape[1], coarse.shape[1]
-        return per_time_row * (n_f - n_c) + (n_c if coarse.shape[0] < fine.shape[0] else 0)
+        n = fine.shape[0]
+        a, b = (0, n // 2) if pairs is None else pairs
+        halved = coarse.shape[0] < n
+        # a space halving keeps one coarse mode per alias pair, and drops the middle mode
+        share = (Fraction(b - a, n // 2) if halved
+                 else Fraction(sum(r.stop - r.start for r in block_rows(n, (a, b))), n))
+        return share * (per_time_row * (n_f - n_c) + (n_c if halved else 0))
 
 
 class TestGridRobustness:
@@ -432,3 +472,74 @@ class TestPhysicalOracle:
         with pytest.raises(ValueError, match="do not match grid"):
             run_cycle(assemble_operator(g), np.zeros(u_shape), np.zeros(rhs_shape),
                       plan_for(CS.NEW, 1))
+
+
+#: the schedules the blocked cycle is checked on against the one-block cycle
+BLOCK_SCHEDULES = [CS.NEW, CS.ORIGINAL, ((2, 1),), ((4, 1), (2, 2))]
+
+
+@pytest.fixture
+def block_bytes(monkeypatch):
+    """Sets ``cycles._BLOCK_BYTES`` for one test; plans cached under it are dropped after."""
+    def set_budget(n):
+        monkeypatch.setattr(cycles, "_BLOCK_BYTES", n)
+        cycles._setup.cache_clear()
+    yield set_budget
+    cycles._setup.cache_clear()
+
+
+class TestBlocks:
+    """A level whose field exceeds ``cycles._BLOCK_BYTES`` works through blocks of alias pairs.
+
+    Rows are independent apart from the alias pairs of a space halving, so any
+    blocking gives the one-block cycle bit for bit.  A budget of 1 byte makes
+    every alias pair its own block on every level.
+    """
+
+    @staticmethod
+    def problem(n_x, n_t):
+        g = SpaceTimeGrid(n_x=n_x, n_t=n_t, horizon=0.1)
+        return assemble_operator(g), assemble_rhs(g, heat_benchmark_problem(0.1))
+
+    def test_layout(self):
+        # 63x4096 is 2 MB a field: four blocks, the outer three shells of two row runs
+        assert cycles._pair_blocks(63, 4096) == [(0, 7), (7, 15), (15, 23), (23, 31)]
+        assert cycles._pair_blocks(63, 256) == [(0, 31)]  # a level that fits is one block
+
+    @pytest.mark.parametrize("strategy", BLOCK_SCHEDULES)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("n_x,n_t", [(15, 64), (31, 128)])
+    def test_cycle_equals_one_block(self, strategy, depth, n_x, n_t, block_bytes):
+        op, _ = self.problem(n_x, n_t)
+        plan = plan_for(strategy, depth, eta=2, omega=0.7, nu1=2, nu2=1)
+        u, rhs = np.random.default_rng(n_x + depth).standard_normal((2, n_t, n_x))
+        block_bytes(2**40)
+        want = run_cycle(op, u, rhs, plan)
+        # 4 kB: the finest 15x64 (7.5 kB) takes two blocks and 31x128 (31 kB) eight
+        for budget, count in ((1, n_x // 2), (4096, {15: 2, 31: 8}[n_x])):
+            block_bytes(budget)
+            assert len(cycles._setup(op.grid, plan)[0][0][3]) == count
+            assert np.array_equal(run_cycle(op, u, rhs, plan), want)
+
+    @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
+    def test_solve_equals_one_block(self, strategy, block_bytes):
+        # ``solve`` keeps one workspace for all its cycles
+        op, rhs = self.problem(31, 128)
+        runs = []
+        for budget in (2**40, 1):
+            block_bytes(budget)
+            runs.append(solve(op, rhs, plan_for(strategy, 3), max_iters=6, tol=0.0, seed=1))
+        assert np.array_equal(runs[0].solution, runs[1].solution)
+        assert np.array_equal(runs[0].error_history, runs[1].error_history)
+        assert np.array_equal(runs[0].residual_history, runs[1].residual_history)
+
+    @pytest.mark.parametrize("strategy", BLOCK_SCHEDULES)
+    def test_counted_work_is_the_processed_rows(self, strategy, block_bytes, monkeypatch):
+        # each block counts its share of the level's modes; the shares add up to the plan's count
+        block_bytes(1)
+        op, rhs = self.problem(31, 128)
+        tally = RowTally(monkeypatch)
+        counter = CostCounter()
+        run_cycle(op, np.zeros((128, 31)), rhs, plan_for(strategy, 3), counter)
+        assert (counter.block_solves, counter.transfer_blocks) == (tally.block_solves,
+                                                                  tally.transfer_blocks)

@@ -216,3 +216,42 @@ class TestCoefficientComposites:
             transfer.restrict(np.ones((15, 16)), *step)
         with pytest.raises(ValueError):
             transfer.prolong(np.ones((7, 2)), *step)
+
+
+class TestAliasPairBlocks:
+    """The composites on blocks of alias pairs add up, bit for bit, to the whole field's."""
+
+    @staticmethod
+    def partitions(n):
+        # one block; a shell and the centre; every pair its own block
+        pairs = n // 2
+        yield [(0, pairs)]
+        if pairs > 1:
+            yield [(0, pairs // 2), (pairs // 2, pairs)]
+        yield [(k, k + 1) for k in range(pairs)]
+
+    @pytest.mark.parametrize("n", [3, 7, 15])
+    def test_blocks_tile_the_rows(self, n):
+        for blocks in self.partitions(n):
+            rows = [k for pairs in blocks for r in transfer.block_rows(n, pairs)
+                    for k in range(r.start, r.stop)]
+            assert sorted(rows) == list(range(n))
+            for pairs in blocks:  # closed under the alias pair k <-> n-1-k
+                block = {k for r in transfer.block_rows(n, pairs) for k in range(r.start, r.stop)}
+                assert block == {n - 1 - k for k in block}
+
+    @pytest.mark.parametrize("step", [(1, 2), (2, 1), (4, 1), (2, 2), (4, 2)])
+    @pytest.mark.parametrize("n", [3, 15])
+    def test_blocks_equal_whole(self, step, n):
+        mt, mx = step
+        rng = np.random.default_rng(n + mt + mx)
+        fine = rng.standard_normal((n, 16))
+        coarse = rng.standard_normal(((n + 1) // mx - 1, 16 // mt))
+        base = rng.standard_normal(fine.shape)
+        for blocks in self.partitions(n):
+            out, add_to = np.full_like(coarse, np.nan), base.copy()
+            for pairs in blocks:
+                transfer.restrict(fine, mt, mx, out, pairs)
+                transfer.prolong(coarse, mt, mx, add_to, pairs)
+            assert np.array_equal(out, transfer.restrict(fine, mt, mx))
+            assert np.array_equal(add_to, base + transfer.prolong(coarse, mt, mx))
