@@ -160,3 +160,26 @@ def zero_field(g: SpaceTimeGrid) -> np.ndarray:
 def random_field(g: SpaceTimeGrid, rng: np.random.Generator) -> np.ndarray:
     """Uniform[0, 1) field, one value per space-time unknown."""
     return rng.random((g.n_t, g.n_x))
+
+
+def flat(a: np.ndarray) -> np.ndarray:
+    """The flat row-major view of ``a``, which a kernel writes through.
+
+    Raises ``ValueError`` unless ``a`` is C-contiguous: ``reshape`` would
+    then return a copy, and the writes would be lost.
+    """
+    if not a.flags.c_contiguous:
+        raise ValueError(f"a flat-view kernel needs a C-contiguous array, got strides {a.strides}")
+    return a.reshape(-1)
+
+
+def mode_field(values: np.ndarray, n_t: int) -> np.ndarray:
+    """Read-only mode-major (len(values), n_t) field whose row k holds values[k] throughout.
+
+    A per-mode coefficient held as a field multiplies a field of that shape
+    as one contiguous operand, not as a (rows, 1) column broadcast (see
+    ``cycles``); each product is the same IEEE operation either way.
+    """
+    field = np.repeat(np.asarray(values, dtype=float)[:, None], n_t, axis=1)
+    field.flags.writeable = False
+    return field

@@ -99,8 +99,8 @@ def assemble_rhs(g: SpaceTimeGrid, p: ProblemData) -> np.ndarray:
     if p.horizon != g.horizon:
         raise ValueError(f"problem horizon {p.horizon} does not match grid horizon {g.horizon}")
     x = g.x
-    rhs = g.tau * p.source(x[None, :], g.t[:, None])
-    rhs = np.broadcast_to(rhs, (g.n_t, g.n_x)).copy()
+    rhs = np.empty((g.n_t, g.n_x))
+    np.multiply(g.tau, p.source(x[None, :], g.t[:, None]), out=rhs)
     rhs[0] += p.initial(x)
     return rhs
 

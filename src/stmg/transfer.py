@@ -17,6 +17,18 @@ c_k = cos^2(pi k/2m) and s_k = sin^2(pi k/2m), coarse mode k is
 and the interpolation, twice the transpose, sends coarse mode k to
 sqrt(2) c_k in fine mode k and -sqrt(2) s_k in fine mode m - k.
 
+The time stencils run on flat row-major views: with an even step count,
+``fine.reshape(-1)[1::2]`` is the row-wise ``fine[..., 1::2]``.  The
+one coarse or fine step per row that the flat shift fills across a row
+boundary is restored or rewritten, so every element sees the operations
+of the 2-D strided slices.  Those took 23-43 % longer per restriction and
+8-91 % longer per prolongation on 15x256 to 16x4096 fields (numpy 2.4.6,
+timeit minima).  The alias weights stay (n_c, 1) columns.  As (n_c, n_t)
+fields they made a cycle up to 4 % faster on 63x256 and 31x256, but up
+to 2.3 % slower on 63x4096 at depth 5, where four extra half-size fields
+per level stream from L3; and they would hold two more fields per space
+halving.
+
 Each composite takes the whole field or one block of alias pairs
 (``block_rows``): the restriction writes the block's coarse rows into a
 given coarse field, and the prolongation adds the block's correction into
@@ -37,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import check_step
+from .core import check_step, flat
 
 
 # ---------------------------------------------------------------------------
@@ -115,27 +127,36 @@ def restrict_time(fine: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 
     Coarse step k lives at fine time t_{2k}.  The step before t_1 is the
     known initial value (zero in correction space) and steps beyond t_Nt
-    are zero-padded, so the final coarse step only sees two terms.
+    are zero-padded, so the final coarse step only sees two terms.  The
+    stencil runs on flat views (an even step count keeps the parities
+    aligned across rows), so ``out`` must be C-contiguous (``core.flat``).
     """
     nt = fine.shape[-1]
     if nt % 2 != 0:
         raise ValueError(f"time step count must be even, got {nt}")
+    if out is None:
+        out = np.empty(fine.shape[:-1] + (nt // 2,))
+    f, o = np.ravel(fine), flat(out)
     # 1/4 (f_{2k} + 2 f_{2k+1} + f_{2k+2}): scaling by powers of two is exact
-    coarse = np.multiply(fine[..., 1::2], 2.0, out=out)
-    coarse += fine[..., 0::2]
-    coarse[..., :-1] += fine[..., 2::2]
-    coarse *= 0.25
-    return coarse
+    np.multiply(f[1::2], 2.0, out=o)
+    o += f[0::2]
+    last = out[..., -1].copy()  # the flat shift adds the next row's first step here
+    o[:-1] += f[2::2]
+    out[..., -1] = last
+    o *= 0.25
+    return out
 
 
 def prolong_time(coarse: np.ndarray) -> np.ndarray:
     """Linear interpolation along the last (time) axis; twice the transposed restriction."""
     nc = coarse.shape[-1]
     fine = np.empty(coarse.shape[:-1] + (2 * nc,))
-    fine[..., 1::2] = coarse
+    c, f = np.ravel(coarse), flat(fine)
+    f[1::2] = c
+    # on the flat view, step 0 of each row takes the previous row's last step: rewritten below
+    np.add(c[:-1], c[1:], out=f[2::2])
+    f[2::2] *= 0.5
     np.multiply(coarse[..., 0], 0.5, out=fine[..., 0])
-    np.add(coarse[..., :-1], coarse[..., 1:], out=fine[..., 2::2])
-    fine[..., 2::2] *= 0.5
     return fine
 
 

@@ -314,6 +314,57 @@ def physical_cycle(op, u: np.ndarray, rhs: np.ndarray, plan) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# coefficient kernels on 2-D views: column broadcasts and shifted slices
+# ---------------------------------------------------------------------------
+#
+# The sweep, the residual and the time stencils as the cycle ran them before
+# they moved to flat views and mode fields.  The library's kernels make the
+# same IEEE operations on every element, so they must equal these bit for bit.
+
+
+def jacobi_sweep_2d(gain: np.ndarray, u: np.ndarray, rhs: np.ndarray, cfg,
+                    work: np.ndarray) -> None:
+    """``smoother.jacobi_sweep`` with omega / lam[k] as an (n, 1) column ``gain``."""
+    for _ in range(cfg.sweeps):
+        work[:, 0] = rhs[:, 0]
+        np.add(rhs[:, 1:], u[:, :-1], out=work[:, 1:])
+        work *= gain
+        u *= 1.0 - cfg.omega
+        u += work
+
+
+def residual_2d(u: np.ndarray, rhs: np.ndarray, lam: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``cycles._residual`` with the eigenvalues as an (n, 1) column ``lam``."""
+    np.multiply(u, lam, out=out)
+    np.subtract(rhs, out, out=out)
+    out[:, 1:] += u[:, :-1]
+    return out
+
+
+def restrict_time_2d(fine: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``transfer.restrict_time`` on strided views of the last axis."""
+    nt = fine.shape[-1]
+    if nt % 2 != 0:
+        raise ValueError(f"time step count must be even, got {nt}")
+    coarse = np.multiply(fine[..., 1::2], 2.0, out=out)
+    coarse += fine[..., 0::2]
+    coarse[..., :-1] += fine[..., 2::2]
+    coarse *= 0.25
+    return coarse
+
+
+def prolong_time_2d(coarse: np.ndarray) -> np.ndarray:
+    """``transfer.prolong_time`` on strided views of the last axis."""
+    nc = coarse.shape[-1]
+    fine = np.empty(coarse.shape[:-1] + (2 * nc,))
+    fine[..., 1::2] = coarse
+    np.multiply(coarse[..., 0], 0.5, out=fine[..., 0])
+    np.add(coarse[..., :-1], coarse[..., 1:], out=fine[..., 2::2])
+    fine[..., 2::2] *= 0.5
+    return fine
+
+
+# ---------------------------------------------------------------------------
 # smoothing-factor grid search and damping brute force
 # ---------------------------------------------------------------------------
 

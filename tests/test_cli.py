@@ -110,6 +110,13 @@ class TestSolve:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "too small" in err
 
+    def test_huge_horizon_runs_without_overflow(self, capsys):
+        # a RuntimeWarning from the residual history would fail this test
+        code, out, _ = run(capsys, "solve", "--nx", "7", "--nt", "16", "--strategy", "new",
+                           "--T", "1e300", "--iters", "2")
+        _, _, rows = split_csv(out)
+        assert code == 0 and len(rows) == 3
+
     def test_zero_depth(self, capsys):
         code, _, err = run(capsys, "solve", "--nx", "15", "--nt", "64",
                            "--strategy", "new", "--depth", "0")

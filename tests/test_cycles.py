@@ -247,6 +247,25 @@ class TestCyclesToTolerance:
         assert run.iterations == iters
         assert run.error_history[-1] <= 1e-5 < run.error_history[-2]
 
+    def test_residual_history_finite_at_huge_sigma(self):
+        # sigma 4e300 is below core.SIGMA_MAX, but squaring the residual overflowed
+        g = SpaceTimeGrid(n_x=7, n_t=16, horizon=1e300)
+        op = assemble_operator(g)
+        rhs = assemble_rhs(g, heat_benchmark_problem(1e300))
+        run = solve(op, rhs, plan_for(CS.NEW, 1), max_iters=2, tol=0.0, seed=0)
+        assert np.isfinite(run.residual_history).all()
+        r = (rhs - apply_operator(op, run.solution)) / 1e300
+        want = 1e300 * np.sqrt(g.h * np.sum(r * r, axis=1)).max()
+        assert run.residual_history[-1] == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-5, 1.0, 3e7, 1e100])
+    def test_scaled_norm_is_bit_identical(self, scale):
+        # the power-of-two column scaling is exact where the unscaled norm is finite
+        r = scale * np.random.default_rng(2).standard_normal((63, 256))
+        r[:, 3] = 0.0
+        want = np.sqrt(0.015625 * np.sum(r * r, axis=0)).max()
+        assert cycles._linf_l2(r, 0.015625) == want
+
     def test_negative_iterations_rejected(self):
         g = SpaceTimeGrid(n_x=15, n_t=64, horizon=0.1)
         op = assemble_operator(g)
@@ -328,9 +347,9 @@ class RowTally:
         sweep, march, restrict, prolong = (cycles.jacobi_sweep, cycles.time_march,
                                            cycles.restrict, cycles.prolong)
 
-        def counted_sweep(lam, u, rhs, cfg, work):
+        def counted_sweep(gain, u, rhs, cfg, work):
             self.block_solves += cfg.sweeps * u.shape[1] * self.share(u)
-            return sweep(lam, u, rhs, cfg, work)
+            return sweep(gain, u, rhs, cfg, work)
 
         def counted_march(v, lam):
             self.block_solves += v.shape[0]  # rows of the transpose are time steps

@@ -118,6 +118,17 @@ class TestRhs:
             want = g.tau * (x**4 * (1 - x) ** 4 + 10 * np.sin(8 * t[n]))
             assert np.allclose(rhs[n], want, rtol=0, atol=1e-18)
 
+    @pytest.mark.parametrize("n_x,n_t,horizon", [(63, 256, 0.1), (63, 4096, 0.1),
+                                                 (31, 256, 0.4)])
+    def test_equals_three_step_form(self, n_x, n_t, horizon):
+        # tau * f written into one array: the product, broadcast and copy it replaced
+        g = SpaceTimeGrid(n_x=n_x, n_t=n_t, horizon=horizon)
+        p = heat_benchmark_problem(horizon)
+        want = g.tau * p.source(g.x[None, :], g.t[:, None])
+        want = np.broadcast_to(want, (g.n_t, g.n_x)).copy()
+        want[0] += p.initial(g.x)
+        assert np.array_equal(assemble_rhs(g, p), want)
+
     def test_horizon_mismatch_rejected(self):
         g = SpaceTimeGrid(n_x=7, n_t=16, horizon=0.2)
         with pytest.raises(ValueError, match=r"^problem horizon 0\.1 does not match grid "

@@ -6,7 +6,7 @@ import pytest
 from oracles import (SMOOTHING_STEPS, apply_operator, dense_block_jacobi_error_matrix,
                      dense_heat_matrix, omega_star_bruteforce, residual_form_sweep,
                      squared_power_radius)
-from stmg.core import SpaceTimeGrid
+from stmg.core import SpaceTimeGrid, mode_field
 from stmg.heat import assemble_operator, direct_solve
 from stmg.lfa import optimal_omega
 from stmg.smoother import SmootherConfig, jacobi_sweep
@@ -26,7 +26,8 @@ def sweep(op, u, rhs, cfg):
     """The coefficient sweep on a physical (n_t, n_x) field: into the sine basis and back."""
     s, lam = op.sine_basis
     uh = s @ u.T
-    jacobi_sweep(lam, uh, s @ rhs.T, cfg, np.empty_like(uh))
+    jacobi_sweep(mode_field(cfg.omega / lam, uh.shape[1]), uh, s @ rhs.T, cfg,
+                 np.empty_like(uh))
     return uh.T @ s
 
 
@@ -46,7 +47,7 @@ class TestJacobiSweep:
     def test_zero_sweeps(self):
         u = np.random.default_rng(1).standard_normal((7, 8))
         u0 = u.copy()
-        jacobi_sweep(self.op.eigenvalues, u, self.rhs.T.copy(),
+        jacobi_sweep(mode_field(0.5 / self.op.eigenvalues, 8), u, self.rhs.T.copy(),
                      SmootherConfig(omega=0.5, sweeps=0), np.empty_like(u))
         assert np.array_equal(u, u0)
 
@@ -117,19 +118,19 @@ class TestFusedSweep:
         u, rhs, work = rng.standard_normal((3, 15, 16))
         u0, rhs0, lam0 = u.copy(), rhs.copy(), op.eigenvalues.copy()
         cfg = SmootherConfig(omega=omega, sweeps=3)
-        assert jacobi_sweep(op.eigenvalues, u, rhs, cfg, work) is None
+        assert jacobi_sweep(mode_field(omega / op.eigenvalues, 16), u, rhs, cfg, work) is None
         assert np.array_equal(rhs, rhs0) and np.array_equal(op.eigenvalues, lam0)
         want = residual_form_sweep(op, u0.T @ op.sine_basis[0], rhs0.T @ op.sine_basis[0], cfg)
         assert np.abs(u.T @ op.sine_basis[0] - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_shape_mismatch(self):
-        lam = np.ones(7)
+        gain = mode_field(np.ones(7), 8)
         cfg = SmootherConfig(omega=0.5, sweeps=1)
         for shapes in [((7, 8), (7, 8), (8, 7)), ((7, 8), (7, 4), (7, 8)),
                        ((3, 8), (3, 8), (3, 8))]:
             u, rhs, work = (np.zeros(shape) for shape in shapes)
             with pytest.raises(ValueError):
-                jacobi_sweep(lam, u, rhs, cfg, work)
+                jacobi_sweep(gain, u, rhs, cfg, work)
 
 
 class TestErrorMatrixRadius:
