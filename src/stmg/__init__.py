@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .core import CoarseningStrategy, SpaceTimeGrid, coarsen_grid, random_field, zero_field
 from .heat import (HeatOperator, ProblemData, assemble_operator, assemble_rhs, direct_solve,
-                   error_norm, heat_benchmark_problem, time_march)
+                   heat_benchmark_problem, time_march)
 from .smoother import SmootherConfig, jacobi_sweep
 from .transfer import prolong, prolong_space, prolong_time, restrict, restrict_space, restrict_time
 from .cycles import CostCounter, CyclePlan, RunResult, run_cycle, solve

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .core import CoarseningStrategy, SpaceTimeGrid, check_sigma
+from .core import CoarseningStrategy, SpaceTimeGrid, check_counts, check_sigma
 from .cycles import CyclePlan, plan_levels, solve
 from .heat import assemble_operator, assemble_rhs, heat_benchmark_problem
 from .lfa import (LfaConfig, low_mode_action, omega_opt_numeric, optimal_omega, resolve_omega,
@@ -94,9 +94,7 @@ def _cmd_solve(args) -> int:
     plan = CyclePlan(strategy=strategy, nu1=args.nu1, nu2=args.nu2,
                      eta1=eta1, eta2=eta2, depth=args.depth)
     levels, _ = plan_levels(grid, plan)
-    for flag, value in (("--iters", args.iters), ("--seed", args.seed)):
-        if value < 0:
-            raise ValueError(f"{flag} must be nonnegative, got {value}")
+    check_counts(**{"--iters": args.iters, "--seed": args.seed})
     op = assemble_operator(grid)
     omega = resolve_omega(args.omega, strategy, _lfa_config(args, grid.sigma, eta1, eta2))
     plan = replace(plan, omega=omega)

@@ -55,6 +55,14 @@ def check_integers(**counts) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def check_counts(**counts) -> None:
+    """Raise ``ValueError`` naming the first count that is no integer or is negative."""
+    check_integers(**counts)
+    for name, value in counts.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 def check_resolution(resolution: int) -> None:
     """Raise ``ValueError`` unless the LFA samples per axis, ``resolution``, are even and >= 16."""
     check_integers(resolution=resolution)
@@ -62,27 +70,36 @@ def check_resolution(resolution: int) -> None:
         raise ValueError(f"resolution must be even and at least 16, got {resolution}")
 
 
-def check_step(mt: int, mx: int) -> None:
-    """Raise ``ValueError`` unless (mt, mx) is a supported coarsening step.
+def check_step(mt: int, mx: int) -> tuple[int, int]:
+    """The coarsening step (mt, mx) as Python ints; the one check of valid factors.
 
-    Time factors are 1, 2 or 4 and space factors 1 or 2, so a factor m
-    is ``m.bit_length() - 1`` factor-2 halvings in its direction.
+    Raises ``ValueError`` naming ``mt`` or ``mx`` for a bool or non-integer
+    factor (numpy integers pass), then unless the time factor is 1, 2 or 4
+    and the space factor 1 or 2.  A returned factor m is
+    ``m.bit_length() - 1`` factor-2 halvings in its direction.
     """
+    if type(mt) is not int or type(mx) is not int:  # every transfer call checks: keep ints fast
+        check_integers(mt=mt, mx=mx)
+        mt, mx = operator.index(mt), operator.index(mx)
     if mt not in (1, 2, 4):
         raise ValueError(f"time factor must be 1, 2 or 4, got {mt}")
     if mx not in (1, 2):
         raise ValueError(f"space factor must be 1 or 2, got {mx}")
+    return mt, mx
 
 
-def check_schedule(steps) -> None:
-    """Raise ``ValueError`` unless ``steps`` is a nonempty schedule of coarsening steps."""
+def check_schedule(steps) -> tuple[tuple[int, int], ...]:
+    """``steps`` as a tuple of ``check_step`` pairs of Python ints.
+
+    Raises ``ValueError`` for an empty schedule, a step ``check_step``
+    rejects or the step (1, 1), which coarsens nothing.
+    """
     if not steps:
         raise ValueError("a coarsening schedule needs at least one (mt, mx) step")
-    for mt, mx in steps:
-        check_integers(mt=mt, mx=mx)
-        check_step(mt, mx)
-        if mt == mx == 1:
-            raise ValueError("coarsening step (1, 1) coarsens nothing")
+    checked = tuple(check_step(mt, mx) for mt, mx in steps)
+    if (1, 1) in checked:
+        raise ValueError("coarsening step (1, 1) coarsens nothing")
+    return checked
 
 
 def _is_pow2(n: int) -> bool:
@@ -138,18 +155,17 @@ class SpaceTimeGrid:
 
 
 def coarsen_grid(g: SpaceTimeGrid, mt: int, mx: int) -> SpaceTimeGrid:
-    """Coarsen by factor ``mt`` in time and ``mx`` in space.
+    """Coarsen by factor ``mt`` in time and ``mx`` in space, checked by ``check_step``.
 
     The coarse grid keeps the horizon, so tau_c = mt*tau and
     h_c = mx*h, giving sigma_c = (mt/mx**2)*sigma.  The cycles use three
     cases: the direct (4, 2) step keeps sigma, full (2, 2) coarsening
-    halves it and time semi-coarsening (2, 1) doubles it.
+    halves it and time semi-coarsening (2, 1) doubles it.  n_t and n_x + 1
+    are powers of two of at least 4 and the factors at most 4 and 2, so
+    the division is exact; a coarse grid too small is ``SpaceTimeGrid``'s
+    own size error.
     """
-    check_step(mt, mx)
-    if g.n_t % mt != 0:
-        raise ValueError(f"n_t={g.n_t} not divisible by time factor {mt}")
-    if (g.n_x + 1) % mx != 0:
-        raise ValueError(f"n_x+1={g.n_x + 1} not divisible by space factor {mx}")
+    mt, mx = check_step(mt, mx)
     return SpaceTimeGrid(n_x=(g.n_x + 1) // mx - 1, n_t=g.n_t // mt, horizon=g.horizon)
 
 

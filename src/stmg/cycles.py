@@ -62,9 +62,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (SpaceTimeGrid, check_integers, check_omega, check_schedule, coarsen_grid,
-                   flat, mode_field, random_field)
-from .heat import HeatOperator, assemble_operator, error_norm, time_march
+from .core import (SpaceTimeGrid, check_counts, check_integers, check_omega, check_schedule,
+                   coarsen_grid, flat, mode_field, random_field)
+from .heat import HeatOperator, assemble_operator, time_march
 from .smoother import SmootherConfig, jacobi_sweep
 from .transfer import block_rows, prolong, restrict
 
@@ -82,7 +82,8 @@ class CyclePlan:
     """Schedule, sweep counts, damping and hierarchy depth for one cycle type.
 
     ``strategy`` is a stage's schedule, such as ``CoarseningStrategy.NEW``,
-    kept as a tuple of int pairs so that a plan hashes, and ``depth``
+    kept as the tuple of Python-int pairs that ``core.check_schedule``
+    returns (the caller's own, if it is one), so that a plan hashes.  ``depth``
     counts stages.  ``eta1``/``eta2`` are the sweeps on each intermediate
     level of a stage; a one-step schedule has none.
     """
@@ -96,21 +97,17 @@ class CyclePlan:
     depth: int = 1
 
     def __post_init__(self):
-        check_schedule(self.strategy)
-        if (steps := tuple((int(mt), int(mx)) for mt, mx in self.strategy)) != self.strategy:
+        steps = check_schedule(self.strategy)
+        if steps != self.strategy or any(type(f) is not int for s in self.strategy for f in s):
             object.__setattr__(self, "strategy", steps)
         check_omega(self.omega)
-        check_integers(nu1=self.nu1, nu2=self.nu2, eta1=self.eta1, eta2=self.eta2,
-                       depth=self.depth)
-        if min(self.nu1, self.nu2) < 0:
-            raise ValueError("sweep counts must be nonnegative")
+        check_counts(nu1=self.nu1, nu2=self.nu2, eta1=self.eta1, eta2=self.eta2)
+        check_integers(depth=self.depth)
         if self.depth < 1:
             raise ValueError(f"depth must be at least 1, got {self.depth}")
         if len(self.strategy) == 1 and (self.eta1 or self.eta2):
             raise ValueError("a one-step schedule has no intermediate level; "
                              "eta sweep counts must be zero")
-        if min(self.eta1, self.eta2) < 0:
-            raise ValueError("eta sweep counts must be nonnegative")
 
 
 class Level(NamedTuple):
@@ -314,14 +311,12 @@ def solve(op: HeatOperator, rhs: np.ndarray, plan: CyclePlan, max_iters: int,
           tol: float, seed: int) -> RunResult:
     """Iterate the chosen cycle from a seeded uniform[0,1) initial guess.
 
-    The error is the L_inf(L2) distance to the exact direct solution
-    (the quantity the convergence factors predict); the residual history
-    is recorded for diagnostics.  Non-convergence is reported through the
-    history, never as an error.
+    The error is the L_inf(L2) distance to the exact direct solution (the
+    quantity the convergence factors predict); the residual is recorded for
+    diagnostics; both through ``_linf_l2``.  Non-convergence is reported
+    through the history, never as an error.
     """
-    check_integers(max_iters=max_iters)
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
+    check_counts(max_iters=max_iters)
     g = op.grid
     if rhs.shape != (g.n_t, g.n_x):
         raise ValueError(f"rhs shape {rhs.shape} does not match grid ({g.n_t}, {g.n_x})")
@@ -336,7 +331,7 @@ def solve(op: HeatOperator, rhs: np.ndarray, plan: CyclePlan, max_iters: int,
     lam_field = levels[0][4]
     errors, residuals, seconds = [], [], []
     while True:
-        errors.append(error_norm(u.T, reference.T, g))
+        errors.append(_linf_l2(u - reference, g.h))
         residuals.append(_linf_l2(_residual(u, rhs_h, lam_field, work), g.h))
         if len(seconds) == max_iters or errors[-1] <= tol:
             break

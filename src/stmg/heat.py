@@ -5,8 +5,7 @@ alone: every spatial block Q has the constant stencil of sigma, so the
 operator caches only Q's eigenvalues and sine basis.  In that basis Q is
 diagonal, so the exact solve is one diagonal recurrence in time,
 ``time_march``, shared by ``direct_solve`` and the cycles, which solve
-the reference and the coarsest grid with it.  Also here: the right-hand
-side and the discrete L_inf(0,T; L2) error norm.
+the reference and the coarsest grid with it.  Also here: the right-hand side.
 """
 
 from __future__ import annotations
@@ -133,11 +132,3 @@ def direct_solve(op: HeatOperator, rhs: np.ndarray) -> np.ndarray:
     v = rhs @ s
     time_march(v, lam)
     return v @ s
-
-
-def error_norm(u: np.ndarray, ref: np.ndarray, g: SpaceTimeGrid) -> float:
-    """Discrete L_inf in time of the L2 norm in space of u - ref."""
-    if u.shape != ref.shape:
-        raise ValueError("field shapes differ")
-    d = u - ref
-    return float(np.sqrt(g.h * np.sum(d * d, axis=1)).max())

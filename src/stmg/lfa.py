@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import check_integers, check_omega, check_resolution, check_schedule, check_sigma
+from .core import check_counts, check_omega, check_resolution, check_schedule, check_sigma
 
 #: coarse symbols with modulus below this are treated as non-invertible
 #: and their frequency group is excluded from maximization
@@ -81,9 +81,7 @@ class LfaConfig:
     def __post_init__(self):
         check_sigma(self.sigma)
         check_omega(self.omega)
-        check_integers(nu1=self.nu1, nu2=self.nu2, eta1=self.eta1, eta2=self.eta2)
-        if min(self.nu1, self.nu2, self.eta1, self.eta2) < 0:
-            raise ValueError("sweep counts must be nonnegative")
+        check_counts(nu1=self.nu1, nu2=self.nu2, eta1=self.eta1, eta2=self.eta2)
         check_resolution(self.resolution)
 
 
@@ -144,8 +142,7 @@ def _crossing(step, sigma: float) -> float:
     omega where the two branches cross, written with c = 1 + 2*sigma.
     The (4, 2) branches cross only for c <= sqrt(2).
     """
-    check_schedule((step,))
-    mt, mx = step
+    (mt, mx), = check_schedule((step,))
     if mx == 1:
         return 0.0
     if mt == 1:
@@ -230,7 +227,7 @@ def _cycle_matrices(steps, cfg: LfaConfig, theta_t, theta_x, cols=slice(None), o
     symbols alone, so a group's matrix is bit for bit the one built with
     its omega in ``cfg``.
     """
-    check_schedule(steps)
+    steps = check_schedule(steps)
     scales = [_scale(steps[:k]) for k in range(len(steps) + 1)]  # each level's, finest first
     total_t, total_x = scales[-1]
     t_all = _companions(theta_t, total_t)[..., None, :]

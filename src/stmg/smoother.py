@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_integers, check_omega, flat
+from .core import check_counts, check_omega, flat
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,7 @@ class SmootherConfig:
 
     def __post_init__(self):
         check_omega(self.omega)
-        check_integers(sweeps=self.sweeps)
-        if self.sweeps < 0:
-            raise ValueError("sweeps must be nonnegative")
+        check_counts(sweeps=self.sweeps)
 
 
 def jacobi_sweep(gain: np.ndarray, u: np.ndarray, rhs: np.ndarray, cfg: SmootherConfig,

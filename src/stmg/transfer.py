@@ -173,7 +173,7 @@ def restrict(fine: np.ndarray, mt: int, mx: int, out: np.ndarray | None = None,
     ``block_rows`` names is restricted, and only its coarse rows are written:
     rows a..b-1 after a space halving, the block's own rows otherwise.
     """
-    check_step(mt, mx)
+    mt, mx = check_step(mt, mx)
     n, n_t = fine.shape
     pairs = (0, n // 2) if pairs is None else pairs
     if out is None:
@@ -202,7 +202,7 @@ def prolong(coarse: np.ndarray, mt: int, mx: int, add_to: np.ndarray | None = No
     ``pairs`` = (a, b), only the fine block of alias pairs that ``block_rows``
     names takes its correction, from the coarse rows ``restrict`` writes for it.
     """
-    check_step(mt, mx)
+    mt, mx = check_step(mt, mx)
     if add_to is None:
         add_to = np.zeros(((coarse.shape[0] + 1) * mx - 1, coarse.shape[1] * mt))
     n = add_to.shape[0]

@@ -155,6 +155,18 @@ def time_stepping_solve(op, rhs: np.ndarray) -> np.ndarray:
     return u
 
 
+def error_norm(u: np.ndarray, ref: np.ndarray, g) -> float:
+    """Discrete L_inf in time of the L2 norm in space of u - ref, physical (n_t, n_x) fields.
+
+    The unscaled form of ``cycles._linf_l2``, which ``cycles.solve`` takes
+    on coefficients: the reference for the solve's error history.
+    """
+    if u.shape != ref.shape:
+        raise ValueError("field shapes differ")
+    d = u - ref
+    return float(np.sqrt(g.h * np.sum(d * d, axis=1)).max())
+
+
 def residual_form_sweep(op, u: np.ndarray, rhs: np.ndarray, cfg) -> np.ndarray:
     """Damped block-Jacobi in residual form, u <- u + omega Q^{-1}(rhs - L u).
 

@@ -6,10 +6,16 @@ import pytest
 from oracles import TridiagonalMatrix, thomas_solve
 from stmg.core import (CoarseningStrategy, SpaceTimeGrid, check_schedule, coarsen_grid,
                        random_field, zero_field)
-from stmg.cycles import CyclePlan, plan_levels, solve
+from stmg.cycles import CyclePlan, plan_levels, run_cycle, solve
 from stmg.heat import assemble_operator
-from stmg.lfa import LfaConfig, low_frequency_grid, rho_bar_details, worst_smoothing_mode
+from stmg.lfa import (LfaConfig, low_frequency_grid, low_mode_action, omega_opt_numeric,
+                      operator_symbol, optimal_omega, rho_bar_details, smoother_symbol,
+                      smoothing_factor, spectral_radius_over_groups, worst_smoothing_mode)
 from stmg.smoother import SmootherConfig
+from stmg.transfer import prolong, restrict
+
+#: every step that ``core.check_step`` accepts
+VALID_STEPS = [(mt, mx) for mt in (1, 2, 4) for mx in (1, 2)]
 
 
 def tri(sub, diag, sup):
@@ -138,25 +144,65 @@ class TestCoarsenGrid:
         with pytest.raises(ValueError):
             coarsen_grid(g, 1, 4)
 
+    def test_sizes_or_the_coarse_grid_error(self):
+        # n_t and n_x + 1 are powers of two of at least 4 and every valid factor divides
+        # them, so the coarse sizes are exact or the coarse grid rejects them itself
+        for k in range(2, 11):
+            for m in range(2, 15):
+                g = SpaceTimeGrid(2**k - 1, 2**m, 0.1)
+                for mt, mx in VALID_STEPS:
+                    assert (g.n_x + 1) % mx == 0 and g.n_t % mt == 0
+                    try:
+                        want = SpaceTimeGrid((g.n_x + 1) // mx - 1, g.n_t // mt, 0.1)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                            coarsen_grid(g, mt, mx)
+                    else:
+                        assert coarsen_grid(g, mt, mx) == want
+
+
+def _schedule_rejections():
+    """(make, steps, message) cases: every schedule consumer on every bad schedule, and
+    every single-step consumer, run on each step in turn, on every bad factor."""
+    cases = [
+        ("empty", (), r"^a coarsening schedule needs at least one \(mt, mx\) step$"),
+        ("bad-factor", ((3, 1),), r"^time factor must be 1, 2 or 4, got 3$"),
+        ("no-coarsening", ((1, 1),), r"^coarsening step \(1, 1\) coarsens nothing$"),
+        ("no-coarsening-second", ((4, 2), (1, 1)),
+         r"^coarsening step \(1, 1\) coarsens nothing$"),
+        # 4.0 and True compare equal to valid factors, but are no integer factors
+        ("float-factor", ((4.0, 2),), r"^mt must be an integer, got 4\.0$"),
+        ("bool-factor", ((2, 2), (2, True)), r"^mx must be an integer, got True$"),
+    ]
+    cfg = LfaConfig(sigma=1.0, resolution=16)
+    g = SpaceTimeGrid(n_x=15, n_t=64, horizon=0.1)
+    schedule_makes = [
+        ("check_schedule", check_schedule),
+        ("CyclePlan", lambda steps: CyclePlan(strategy=steps)),
+        ("rho_bar_details", lambda steps: rho_bar_details(steps, cfg)),
+        ("low_mode_action", lambda steps: low_mode_action(steps, cfg)),
+        ("spectral_radius_over_groups",
+         lambda steps: spectral_radius_over_groups(steps, cfg, np.ones(3), np.ones(3))),
+        ("omega_opt_numeric", lambda steps: omega_opt_numeric(steps, cfg)),
+    ]
+    step_makes = [
+        ("restrict", lambda mt, mx: restrict(np.zeros((15, 16)), mt, mx)),
+        ("prolong", lambda mt, mx: prolong(np.zeros((7, 4)), mt, mx)),
+        ("coarsen_grid", lambda mt, mx: coarsen_grid(g, mt, mx)),
+    ]
+    params = [pytest.param(make, steps, message, id=f"{name}-{case}")
+              for name, make in schedule_makes for case, steps, message in cases]
+    params += [pytest.param(lambda steps, run=run: [run(*step) for step in steps], steps,
+                            message, id=f"{name}-{case}")
+               for name, run in step_makes for case, steps, message in cases
+               if case in ("bad-factor", "float-factor", "bool-factor")]
+    return params
+
 
 class TestCheckSchedule:
     """A strategy is its schedule, and ``core.check_schedule`` rejects one that cannot run."""
 
-    @pytest.mark.parametrize("steps,message", [
-        ((), r"^a coarsening schedule needs at least one \(mt, mx\) step$"),
-        (((3, 1),), r"^time factor must be 1, 2 or 4, got 3$"),
-        (((1, 1),), r"^coarsening step \(1, 1\) coarsens nothing$"),
-        (((4, 2), (1, 1)), r"^coarsening step \(1, 1\) coarsens nothing$"),
-        # 4.0 and True compare equal to valid factors, but are no integer factors
-        (((4.0, 2),), r"^mt must be an integer, got 4\.0$"),
-        (((2, 2), (2, True)), r"^mx must be an integer, got True$"),
-    ], ids=["empty", "bad-factor", "no-coarsening", "no-coarsening-second", "float-factor",
-            "bool-factor"])
-    @pytest.mark.parametrize("make", [
-        check_schedule,
-        lambda steps: CyclePlan(strategy=steps),
-        lambda steps: rho_bar_details(steps, LfaConfig(sigma=1.0, resolution=16)),
-    ], ids=["check_schedule", "CyclePlan", "rho_bar_details"])
+    @pytest.mark.parametrize("make,steps,message", _schedule_rejections())
     def test_rejected(self, make, steps, message):
         with pytest.raises(ValueError, match=message):
             make(steps)
@@ -176,16 +222,16 @@ class TestCheckSchedule:
 
 
 class TestSweepCounts:
-    """A sweep count the plan or the analysis cannot run is rejected, with its own message."""
+    """A sweep count the plan or the analysis cannot run is rejected, naming the count."""
 
     @pytest.mark.parametrize("make,message", [
         (lambda: CyclePlan(strategy=CoarseningStrategy.NEW, nu1=-1),
-         r"^sweep counts must be nonnegative$"),
+         r"^nu1 must be nonnegative, got -1$"),
         (lambda: CyclePlan(strategy=CoarseningStrategy.NEW, eta1=1),
          r"^a one-step schedule has no intermediate level; eta sweep counts must be zero$"),
         (lambda: CyclePlan(strategy=CoarseningStrategy.ORIGINAL, eta2=-1),
-         r"^eta sweep counts must be nonnegative$"),
-        (lambda: LfaConfig(sigma=1.0, eta1=-1), r"^sweep counts must be nonnegative$"),
+         r"^eta2 must be nonnegative, got -1$"),
+        (lambda: LfaConfig(sigma=1.0, eta1=-1), r"^eta1 must be nonnegative, got -1$"),
     ], ids=["CyclePlan-nu1", "CyclePlan-new-eta1", "CyclePlan-eta2", "LfaConfig-eta1"])
     def test_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
@@ -266,3 +312,36 @@ class TestCheckInteger:
         assert SpaceTimeGrid(i(15), i(64), 0.1).h == 1 / 16
         assert SmootherConfig(omega=0.5, sweeps=i(2)).sweeps == 2
         assert solve_for(i(2)).iterations == 2
+        # np.int64 factors run as the Python ints they equal, bit for bit
+        g = SpaceTimeGrid(15, 64, 0.1)
+        op, rng = assemble_operator(g), np.random.default_rng(1)
+        u, rhs = rng.random((64, 15)), rng.random((64, 15))
+        cfg = LfaConfig(sigma=1.0, resolution=16)
+        tt, tx = low_frequency_grid(16)
+
+        def results(steps):
+            plan = CyclePlan(steps)
+            run = solve(op, rhs, plan, max_iters=3, tol=0.0, seed=0)
+            rho = rho_bar_details(steps, cfg)
+            modes = low_mode_action(steps, cfg)
+            return [run_cycle(op, u, rhs, plan), run.solution, run.error_history,
+                    run.residual_history, [rho.value, *rho.argmax, rho.excluded],
+                    *spectral_radius_over_groups(steps, cfg, tt, tx), modes.theta_t,
+                    modes.theta_x, modes.modulus, omega_opt_numeric(steps, cfg)]
+
+        def step_results(mt, mx):
+            coarse = coarsen_grid(g, mt, mx)
+            return [restrict(rhs.T, mt, mx), prolong(rhs.T[:coarse.n_x, :coarse.n_t], mt, mx),
+                    [coarse.n_x, coarse.n_t, coarse.sigma], optimal_omega((mt, mx), 0.3),
+                    smoothing_factor((mt, mx), 0.6, 0.3), worst_smoothing_mode((mt, mx), 0.6, 0.3),
+                    smoother_symbol(0.6, 0.3, tt, tx, mt, mx), operator_symbol(0.3, tt, tx, mt, mx)]
+
+        for steps in (CoarseningStrategy.NEW, CoarseningStrategy.ORIGINAL):
+            wide = tuple((i(mt), i(mx)) for mt, mx in steps)
+            assert {type(f) for step in CyclePlan(wide).strategy for f in step} == {int}
+            for got, want in zip(results(wide), results(steps), strict=True):
+                assert np.array_equal(got, want)
+        for mt, mx in VALID_STEPS:
+            if (mt, mx) != (1, 1):
+                for got, want in zip(step_results(i(mt), i(mx)), step_results(mt, mx), strict=True):
+                    assert np.array_equal(got, want)

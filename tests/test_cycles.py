@@ -7,13 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import apply_operator, physical_cycle
+from oracles import apply_operator, error_norm, physical_cycle
 from stmg import cycles
 from stmg.core import CoarseningStrategy as CS
 from stmg.core import SpaceTimeGrid, random_field
 from stmg.cycles import CostCounter, CyclePlan, run_cycle, solve
-from stmg.heat import (assemble_operator, assemble_rhs, direct_solve, error_norm,
-                       heat_benchmark_problem)
+from stmg.heat import assemble_operator, assemble_rhs, direct_solve, heat_benchmark_problem
 from stmg.lfa import LfaConfig, optimal_omega, rho_bar_details
 from stmg.transfer import block_rows
 

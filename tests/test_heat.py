@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (apply_operator, dense_heat_matrix, dense_q_matrix, time_stepping_solve,
-                     tridiagonal_q)
+from oracles import (apply_operator, dense_heat_matrix, dense_q_matrix, error_norm,
+                     time_stepping_solve, tridiagonal_q)
 from periodic import assemble_periodic_operator, fourier_mode, time_frequencies
 from stmg.core import SpaceTimeGrid, random_field
-from stmg.heat import (ProblemData, assemble_operator, assemble_rhs, direct_solve, error_norm,
+from stmg.heat import (ProblemData, assemble_operator, assemble_rhs, direct_solve,
                        heat_benchmark_problem)
 
 
