@@ -78,9 +78,8 @@ def check_step(mt: int, mx: int) -> tuple[int, int]:
     and the space factor 1 or 2.  A returned factor m is
     ``m.bit_length() - 1`` factor-2 halvings in its direction.
     """
-    if type(mt) is not int or type(mx) is not int:  # every transfer call checks: keep ints fast
-        check_integers(mt=mt, mx=mx)
-        mt, mx = operator.index(mt), operator.index(mx)
+    check_integers(mt=mt, mx=mx)
+    mt, mx = operator.index(mt), operator.index(mx)
     if mt not in (1, 2, 4):
         raise ValueError(f"time factor must be 1, 2 or 4, got {mt}")
     if mx not in (1, 2):
@@ -91,6 +90,8 @@ def check_step(mt: int, mx: int) -> tuple[int, int]:
 def check_schedule(steps) -> tuple[tuple[int, int], ...]:
     """``steps`` as a tuple of ``check_step`` pairs of Python ints.
 
+    ``steps`` itself is returned when it already is such a tuple, so a
+    strategy such as ``CoarseningStrategy.NEW`` stays the same object.
     Raises ``ValueError`` for an empty schedule, a step ``check_step``
     rejects or the step (1, 1), which coarsens nothing.
     """
@@ -99,6 +100,8 @@ def check_schedule(steps) -> tuple[tuple[int, int], ...]:
     checked = tuple(check_step(mt, mx) for mt, mx in steps)
     if (1, 1) in checked:
         raise ValueError("coarsening step (1, 1) coarsens nothing")
+    if checked == steps and all(type(f) is int for step in steps for f in step):
+        return steps
     return checked
 
 

@@ -97,9 +97,7 @@ class CyclePlan:
     depth: int = 1
 
     def __post_init__(self):
-        steps = check_schedule(self.strategy)
-        if steps != self.strategy or any(type(f) is not int for s in self.strategy for f in s):
-            object.__setattr__(self, "strategy", steps)
+        object.__setattr__(self, "strategy", check_schedule(self.strategy))
         check_omega(self.omega)
         check_counts(nu1=self.nu1, nu2=self.nu2, eta1=self.eta1, eta2=self.eta2)
         check_integers(depth=self.depth)

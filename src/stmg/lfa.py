@@ -131,18 +131,17 @@ def restriction_symbol(theta):
 # smoothing analysis: optimal damping, worst modes and smoothing factor
 # ---------------------------------------------------------------------------
 
-def _crossing(step, sigma: float) -> float:
-    """Damping up to which the space mode is the worst high mode of ``step``.
+def _crossing(mt: int, mx: int, sigma: float) -> float:
+    """Damping up to which the space mode is the worst high mode of a checked step.
 
     The smoother symbol modulus over the high frequencies of the step
-    (mt, mx) peaks at the time mode (pi/mt, 0) or the space mode
-    (0, pi/mx).  The space mode is the worst for omega up to the value
+    (mt, mx), as ``core.check_schedule`` returns it, peaks at the time
+    mode (pi/mt, 0) or the space mode (0, pi/mx).  The space mode is the worst for omega up to the value
     returned here and the time mode above it: 0 for time
     semi-coarsening, 1 for space semi-coarsening, and for mixed steps the
     omega where the two branches cross, written with c = 1 + 2*sigma.
     The (4, 2) branches cross only for c <= sqrt(2).
     """
-    (mt, mx), = check_schedule((step,))
     if mx == 1:
         return 0.0
     if mt == 1:
@@ -167,7 +166,8 @@ def optimal_omega(step, sigma: float) -> float:
     and the crossing below it.  The result always lies in [1/2, 1].
     """
     check_sigma(sigma)
-    return max(0.5, _crossing(step, sigma))
+    (mt, mx), = check_schedule((step,))
+    return max(0.5, _crossing(mt, mx, sigma))
 
 
 def worst_smoothing_mode(step, omega: float, sigma: float) -> Frequency:
@@ -179,8 +179,8 @@ def worst_smoothing_mode(step, omega: float, sigma: float) -> Frequency:
     """
     check_omega(omega)
     check_sigma(sigma)
-    mt, mx = step
-    if omega <= _crossing(step, sigma):
+    (mt, mx), = check_schedule((step,))
+    if omega <= _crossing(mt, mx, sigma):
         return Frequency(0.0, np.pi / mx)
     return Frequency(np.pi / mt, 0.0)
 
@@ -365,6 +365,7 @@ def rho_bar_details(strategy, cfg: LfaConfig) -> RhoBarResult:
     group, ``spectral_radius_over_groups``, bit for bit.  A NaN bound is
     never skipped, so eigvals rejects it as it would in a full sweep.
     """
+    strategy = check_schedule(strategy)
     tg, xg = low_frequency_grid(cfg.resolution, _scale(strategy))
     tt, tx = (a.ravel() for a in np.meshgrid(tg[tg > 0], xg[xg > 0], indexing="ij"))
     mats, singular, _, _ = _cycle_matrices(strategy, cfg, tt, tx)
@@ -567,6 +568,7 @@ def low_mode_action(strategy, cfg: LfaConfig) -> LowModeMap:
     least-damped low mode sits on the boundary |theta_t| = pi/4 only
     when nu1 + nu2 <= 2; more sweeps pull it inside the low band.
     """
+    strategy = check_schedule(strategy)
     tg, xg = low_frequency_grid(cfg.resolution, _scale(strategy))
     h = cfg.resolution // 2
     tt, tx = np.meshgrid(tg[h:], xg[h:], indexing="ij")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import TridiagonalMatrix, thomas_solve
+from stmg import lfa
 from stmg.core import (CoarseningStrategy, SpaceTimeGrid, check_schedule, coarsen_grid,
                        random_field, zero_field)
 from stmg.cycles import CyclePlan, plan_levels, run_cycle, solve
@@ -215,6 +216,15 @@ class TestCheckSchedule:
             check_schedule(steps)
             assert CyclePlan(strategy=steps).strategy is steps
 
+    @pytest.mark.parametrize("analyse", [rho_bar_details, low_mode_action])
+    def test_rejected_before_any_grid(self, analyse, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a low-frequency grid was built for a rejected schedule")
+
+        monkeypatch.setattr(lfa, "low_frequency_grid", no_grid)
+        with pytest.raises(ValueError, match=r"^mt must be an integer, got 4\.0$"):
+            analyse(((4.0, 2),), LfaConfig(sigma=1.0, resolution=16))
+
     def test_too_small_grid_names_the_steps(self):
         g = SpaceTimeGrid(n_x=3, n_t=16, horizon=0.1)
         with pytest.raises(ValueError, match=r"too small for one coarsening stage \(\(4, 2\),\)"):
@@ -345,3 +355,5 @@ class TestCheckInteger:
             if (mt, mx) != (1, 1):
                 for got, want in zip(step_results(i(mt), i(mx)), step_results(mt, mx), strict=True):
                     assert np.array_equal(got, want)
+                # array_equal passes np.float64 too: the mode must hold the Python floats
+                assert {type(a) for a in worst_smoothing_mode((i(mt), i(mx)), 0.6, 0.3)} == {float}
