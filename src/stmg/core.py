@@ -105,6 +105,11 @@ def check_schedule(steps) -> tuple[tuple[int, int], ...]:
     return checked
 
 
+def stage_levels(schedule, nu, eta) -> tuple:
+    """One stage of a checked ``schedule``: ((step, nu), (step, eta), ...), finest first."""
+    return tuple((step, eta if k else nu) for k, step in enumerate(schedule))
+
+
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 

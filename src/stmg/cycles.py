@@ -63,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (SpaceTimeGrid, check_counts, check_integers, check_omega, check_schedule,
-                   coarsen_grid, flat, mode_field, random_field)
+                   coarsen_grid, flat, mode_field, random_field, stage_levels)
 from .heat import HeatOperator, assemble_operator, time_march
 from .smoother import SmootherConfig, jacobi_sweep
 from .transfer import block_rows, prolong, restrict
@@ -117,24 +117,23 @@ class Level(NamedTuple):
 def plan_levels(g: SpaceTimeGrid, plan: CyclePlan) -> tuple[list[Level], SpaceTimeGrid]:
     """The smoothed levels of one cycle on ``g``, finest first, and the coarsest grid.
 
-    A stage's first level takes ``nu1``/``nu2`` sweeps and its others
-    ``eta1``/``eta2``.  Stages repeat while ``depth`` allows and every grid
-    of the next stage is valid; if not even one stage fits, raises ``ValueError``.
+    Each stage lays ``core.stage_levels`` (``nu1``/``nu2``, then ``eta1``/``eta2``)
+    down its grids.  Stages repeat while ``depth`` allows and every grid of the
+    next stage is valid; if not even one stage fits, raises ``ValueError``.
     """
-    steps = plan.strategy
-    sweeps = [(plan.nu1, plan.nu2)] + [(plan.eta1, plan.eta2)] * (len(steps) - 1)
+    stage_plan = stage_levels(plan.strategy, (plan.nu1, plan.nu2), (plan.eta1, plan.eta2))
     levels = []
     for _ in range(plan.depth):
         stage, coarse = [], g
         try:
-            for step, pre_post in zip(steps, sweeps):
-                stage.append(Level(coarse, step, pre_post))
+            for step, sweeps in stage_plan:
+                stage.append(Level(coarse, step, sweeps))
                 coarse = coarsen_grid(coarse, *step)
         except ValueError as exc:
             if levels:
                 break
             raise ValueError(f"grid n_x={g.n_x}, n_t={g.n_t} is too small for one "
-                             f"coarsening stage {steps}: {exc}") from None
+                             f"coarsening stage {plan.strategy}: {exc}") from None
         levels += stage
         g = coarse
     return levels, g

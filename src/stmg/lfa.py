@@ -1,18 +1,18 @@
 """Fourier-symbol machinery for the space-time multigrid analysis.
 
 Everything here operates on angular frequencies (theta_t, theta_x) in
-(-pi, pi].  A strategy is its coarsening schedule, the tuple of (mt, mx)
-steps of one stage that the solver in ``cycles`` runs, and a cycle's
-matrix follows those steps.  The product of the steps is the total scale
-(Mt, Mx).  Per low frequency, one fold rule builds the Mt time and Mx
-space companions that alias onto it on the coarsest level, and their
-product is its group of Mt*Mx modes, eight for both strategies; smoother,
-operator and transfer symbols assemble their harmonic matrices, whose
-spectral radii, maximized over the low domain (-pi/Mt, pi/Mt] x
-(-pi/Mx, pi/Mx], predict the asymptotic convergence factor of the
-cycles.  The smoothing theorem lives here too: the closed-form optimal
-damping, the worst high mode and the smoothing factor of a single
-coarsening step (mt, mx), such as a schedule's first step.
+(-pi, pi].  A strategy is a stage's (mt, mx) steps.  A cycle matrix walks
+the stage's (step, sweeps) levels of ``core.stage_levels``, the list that
+``cycles.plan_levels`` runs, at one damping or one per group, on one path.
+The product of the steps is the total scale (Mt, Mx).  Per low frequency,
+one fold rule builds the Mt time and Mx space companions that alias onto
+it on the coarsest level, and their product is its group of Mt*Mx modes,
+eight for both strategies; smoother, operator and transfer symbols
+assemble their harmonic matrices, whose spectral radii, maximized over the
+low domain (-pi/Mt, pi/Mt] x (-pi/Mx, pi/Mx], predict the asymptotic
+convergence factor of the cycles.  The smoothing theorem lives here too:
+the closed-form optimal damping, the worst high mode and the smoothing
+factor of one coarsening step (mt, mx), such as a schedule's first.
 
 A cycle matrix is built level by level from elementwise products and
 index gathers alone.  A group stays factored into its time and space
@@ -54,7 +54,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import check_counts, check_omega, check_resolution, check_schedule, check_sigma
+from .core import (check_counts, check_integers, check_omega, check_resolution, check_schedule,
+                   check_sigma, stage_levels)
 
 #: coarse symbols with modulus below this are treated as non-invertible
 #: and their frequency group is excluded from maximization
@@ -200,34 +201,35 @@ def _scale(steps):
     return math.prod(mt for mt, _ in steps), math.prod(mx for _, mx in steps)
 
 
-def _cycle_matrices(steps, cfg: LfaConfig, theta_t, theta_x, cols=slice(None), omega=None):
+def _levels(strategy, cfg: LfaConfig):
+    """``strategy``, checked once, as ``core.stage_levels`` with the sweeps of ``cfg``."""
+    return stage_levels(check_schedule(strategy), (cfg.nu1, cfg.nu2), (cfg.eta1, cfg.eta2))
+
+
+def _cycle_matrices(levels, sigma, omega, theta_t, theta_x, cols=slice(None)):
     """Batched harmonic matrices (N, n, len(cols)) of one cycle at low frequencies (N,).
 
-    A group of the total scale (Mt, Mx) of ``steps`` stays two axes, the Mt
-    time companions last and the Mx space companions before them, and each
-    symbol's grid is flattened space-major: mode i is time companion i % Mt
-    and space companion i // Mt.  Level (mt, mx) keeps the first Mt/mt time
-    and Mx/mx space companions; a finer mode folds onto it by its index mod
-    those counts on each axis.  ``cols`` picks the input modes whose columns
-    are built, all by default; only the fine level is cut.  One pass per
-    level, coarsest first, smooths a correction from the level below, as
-    ``cycles.plan_levels`` plans it: ``nu1``/``nu2`` sweeps on the fine
-    level, ``eta1``/``eta2`` on the others.  The coarsest level, a single
-    mode, is inverted.  Restriction multiplies one full-weighting symbol
-    per halving and P = mt * R^T, so P A R L has one nonzero term per
-    entry and is an index gather, corr[a, i] = mt w_a A[f(a), f(i)] w_i L_i
-    with f the fold of the finer level's modes onto the coarser one's.
-    Every entry is thus a few elementwise products and no BLAS product is
-    left, so the rounding does not depend on the BLAS build.  Also returns
-    the mask of groups with a coarse symbol below ``SINGULAR_TOL`` and the
-    fine level's (N, n) companions ``tc``/``xc``.
-
-    ``omega``, if given, is a damping per group, shape (N,), which only
-    the numeric search's ``_probe_bounds`` passes.  It enters the smoother
-    symbols alone, so a group's matrix is bit for bit the one built with
-    its omega in ``cfg``.
+    ``levels`` is a stage's checked (step, (pre, post)) pairs, finest first
+    (``core.stage_levels``); ``omega``, a scalar or one per group (N,), enters
+    the smoother symbols alone, so a group's matrix is bit for bit that at its
+    own omega.  A group of the total scale (Mt, Mx) of the steps stays two
+    axes, the Mt time companions last and the Mx space companions before them,
+    and each symbol's grid is flattened space-major: mode i is time companion
+    i % Mt and space companion i // Mt.  Level (mt, mx) keeps the first Mt/mt
+    time and Mx/mx space companions; a finer mode folds onto it by its index
+    mod those counts on each axis.  ``cols`` picks the input modes whose
+    columns are built, all by default; only the fine level is cut.  One pass
+    per level, coarsest first, smooths a correction from the level below with
+    its own sweeps; the coarsest level, a single mode, is inverted.
+    Restriction multiplies one full-weighting symbol per halving and
+    P = mt * R^T, so P A R L has one nonzero term per entry and is an index
+    gather, corr[a, i] = mt w_a A[f(a), f(i)] w_i L_i with f the fold of the
+    finer level's modes onto the coarser one's: a few elementwise products and
+    no BLAS product, so the rounding does not depend on the BLAS build.  Also
+    returns the mask of groups with a coarse symbol below ``SINGULAR_TOL`` and
+    the fine level's (N, n) companions ``tc``/``xc``.
     """
-    steps = check_schedule(steps)
+    steps = [step for step, _ in levels]
     scales = [_scale(steps[:k]) for k in range(len(steps) + 1)]  # each level's, finest first
     total_t, total_x = scales[-1]
     t_all = _companions(theta_t, total_t)[..., None, :]
@@ -237,9 +239,8 @@ def _cycle_matrices(steps, cfg: LfaConfig, theta_t, theta_x, cols=slice(None), o
     def flat(a):  # a level's (..., nx, nt) grid, flattened space-major
         return a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
 
-    om = cfg.omega if omega is None else np.asarray(omega, dtype=float)[..., None, None]
-
-    grids = [operator_symbol(cfg.sigma, t, x, *scale) for (t, x), scale in zip(freqs, scales)]
+    om = np.asarray(omega, dtype=float)[..., None, None]
+    grids = [operator_symbol(sigma, t, x, *scale) for (t, x), scale in zip(freqs, scales)]
     tc, xc = (flat(np.broadcast_to(a, grids[0].shape)) for a in (t_all, x_all))
     ins = [cols] + [slice(None)] * len(steps)  # the input columns of each level
     ls = [flat(g)[..., c] for g, c in zip(grids, ins)]
@@ -262,8 +263,8 @@ def _cycle_matrices(steps, cfg: LfaConfig, theta_t, theta_x, cols=slice(None), o
     w = weights[-1]
     corr = (steps[-1][0] * w / ls[-1])[..., :, None] * (w[..., ins[-2]] * ls[-2])[..., None, :]
     for k in range(len(steps) - 1, -1, -1):
-        pre, post = (cfg.nu1, cfg.nu2) if k == 0 else (cfg.eta1, cfg.eta2)
-        s = flat(smoother_symbol(om, cfg.sigma, *freqs[k], *scales[k]))
+        pre, post = levels[k][1]
+        s = flat(smoother_symbol(om, sigma, *freqs[k], *scales[k]))
         eye = np.eye(s.shape[-1], dtype=complex)[:, ins[k]]
         np.subtract(eye, corr, out=corr)  # in place: one buffer fewer
         cycle = (s ** post)[..., :, None] * corr * (s[..., ins[k]] ** pre)[..., None, :]
@@ -291,14 +292,26 @@ def low_frequency_grid(resolution: int, scale=(4, 2)):
     negation of the positive half, reversed, so each axis is antisymmetric
     bit for bit: the companions of a negated frequency are then the exact
     negations of its own, which ``low_mode_action``'s mirror relies on.
+    Raises ``ValueError`` naming ``scale`` unless each entry is a power of
+    two of at least 1, the scale of some schedule; numpy integers pass.
     """
     check_resolution(resolution)
+    for m in scale:
+        check_integers(scale=m)
+        if m < 1 or m & (m - 1):
+            raise ValueError(f"scale must hold powers of two of at least 1, got {scale!r}")
     offsets = np.arange(resolution // 2, resolution) + 0.5
     grids = []
     for m in scale:
         positive = -np.pi / m + offsets * ((2 * np.pi / m) / resolution)
         grids.append(np.concatenate([-positive[::-1], positive]))
     return tuple(grids)
+
+
+def _quadrant(levels, resolution: int):
+    """Flat theta_t-major samples of the positive quadrant of the levels' low domain."""
+    tg, xg = low_frequency_grid(resolution, _scale([step for step, _ in levels]))
+    return tuple(a.ravel() for a in np.meshgrid(tg[tg > 0], xg[xg > 0], indexing="ij"))
 
 
 def spectral_radius_batch(mats: np.ndarray) -> np.ndarray:
@@ -365,10 +378,9 @@ def rho_bar_details(strategy, cfg: LfaConfig) -> RhoBarResult:
     group, ``spectral_radius_over_groups``, bit for bit.  A NaN bound is
     never skipped, so eigvals rejects it as it would in a full sweep.
     """
-    strategy = check_schedule(strategy)
-    tg, xg = low_frequency_grid(cfg.resolution, _scale(strategy))
-    tt, tx = (a.ravel() for a in np.meshgrid(tg[tg > 0], xg[xg > 0], indexing="ij"))
-    mats, singular, _, _ = _cycle_matrices(strategy, cfg, tt, tx)
+    levels = _levels(strategy, cfg)
+    tt, tx = _quadrant(levels, cfg.resolution)
+    mats, singular, _, _ = _cycle_matrices(levels, cfg.sigma, cfg.omega, tt, tx)
     bound = np.where(singular, -np.inf, _radius_bound(mats))
     radii = np.full(tt.shape, -np.inf)
     seeds = np.argpartition(bound, -_SEEDS)[-_SEEDS:]
@@ -391,7 +403,8 @@ def spectral_radius_over_groups(strategy, cfg: LfaConfig, theta_t: np.ndarray,
 
     Both phases of the numeric search bound rho_bar through ``_probe_bounds`` instead.
     """
-    mats, singular, _, _ = _cycle_matrices(strategy, cfg, theta_t, theta_x)
+    mats, singular, _, _ = _cycle_matrices(_levels(strategy, cfg), cfg.sigma, cfg.omega,
+                                           theta_t, theta_x)
     return np.where(singular, -np.inf, spectral_radius_batch(mats)), singular
 
 
@@ -408,7 +421,7 @@ def _probe_bounds(strategy, cfg: LfaConfig, omegas, probes) -> np.ndarray:
     """Lower bounds on rho_bar at ``omegas``, each one's largest radius over ``probes``."""
     t, x = (np.array(a * len(omegas)) for a in zip(*probes))  # each probe once per omega
     om = np.repeat(omegas, len(probes))
-    mats, singular, _, _ = _cycle_matrices(strategy, cfg, t, x, omega=om)
+    mats, singular, _, _ = _cycle_matrices(_levels(strategy, cfg), cfg.sigma, om, t, x)
     radii = np.where(singular, -np.inf, spectral_radius_batch(mats))
     return radii.reshape(len(omegas), len(probes)).max(axis=1)
 
@@ -568,11 +581,10 @@ def low_mode_action(strategy, cfg: LfaConfig) -> LowModeMap:
     least-damped low mode sits on the boundary |theta_t| = pi/4 only
     when nu1 + nu2 <= 2; more sweeps pull it inside the low band.
     """
-    strategy = check_schedule(strategy)
-    tg, xg = low_frequency_grid(cfg.resolution, _scale(strategy))
+    levels = _levels(strategy, cfg)
+    tt, tx = _quadrant(levels, cfg.resolution)
+    mats, singular, tc, xc = _cycle_matrices(levels, cfg.sigma, cfg.omega, tt, tx, [0])
     h = cfg.resolution // 2
-    tt, tx = np.meshgrid(tg[h:], xg[h:], indexing="ij")
-    mats, singular, tc, xc = _cycle_matrices(strategy, cfg, tt.ravel(), tx.ravel(), [0])
     q = _scatter_first_columns(mats, tc, xc, singular)
     return LowModeMap(theta_t=_mirror(q.theta_t, h, -1.0, 1.0),
                       theta_x=_mirror(q.theta_x, h, 1.0, -1.0),

@@ -511,7 +511,8 @@ def harmonic_group(theta_t: float, theta_x: float) -> HarmonicGroup:
 
 def harmonic_matrix(strategy, cfg, low) -> np.ndarray:
     """Harmonic matrix of the strategy's cycle at one low frequency, 8x8 at scale (4, 2)."""
-    mats, singular, _, _ = lfa._cycle_matrices(strategy, cfg, *low)
+    mats, singular, _, _ = lfa._cycle_matrices(lfa._levels(strategy, cfg), cfg.sigma, cfg.omega,
+                                               *low)
     if singular:
         raise ZeroDivisionError(f"coarse symbol singular at {low}")
     return mats
@@ -539,7 +540,8 @@ def low_mode_action_full(strategy, cfg) -> lfa.LowModeMap:
     """``lfa.low_mode_action`` with no mirror: column 0 built on every low group."""
     tg, xg = lfa.low_frequency_grid(cfg.resolution, lfa._scale(strategy))
     tt, tx = np.meshgrid(tg, xg, indexing="ij")
-    mats, singular, tc, xc = lfa._cycle_matrices(strategy, cfg, tt.ravel(), tx.ravel(), [0])
+    mats, singular, tc, xc = lfa._cycle_matrices(lfa._levels(strategy, cfg), cfg.sigma,
+                                                 cfg.omega, tt.ravel(), tx.ravel(), [0])
     return lfa._scatter_first_columns(mats, tc, xc, singular)
 
 

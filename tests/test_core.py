@@ -290,6 +290,7 @@ class TestCheckInteger:
     @pytest.mark.parametrize("make,name,value", [
         (lambda v: LfaConfig(sigma=1.0, resolution=v), "resolution", 16.0),
         (lambda v: low_frequency_grid(v), "resolution", 16.0),
+        (lambda v: low_frequency_grid(16, (4, v)), "scale", 2.0),
         (lambda v: LfaConfig(sigma=1.0, nu1=v), "nu1", 2.5),
         (lambda v: LfaConfig(sigma=1.0, eta2=v), "eta2", np.float64(1.0)),
         (lambda v: CyclePlan(CoarseningStrategy.NEW, nu1=v), "nu1", 3.0),
@@ -305,7 +306,8 @@ class TestCheckInteger:
         (lambda v: SmootherConfig(0.5, v), "sweeps", True),
         (solve_for, "max_iters", True),
         (lambda v: LfaConfig(sigma=1, nu1=v, nu2=True, resolution=16), "nu1", True),
-    ], ids=["LfaConfig-resolution", "low_frequency_grid", "LfaConfig-nu1", "LfaConfig-eta2",
+    ], ids=["LfaConfig-resolution", "low_frequency_grid", "low_frequency_grid-scale",
+            "LfaConfig-nu1", "LfaConfig-eta2",
             "CyclePlan-nu1", "CyclePlan-eta1", "CyclePlan-depth", "SmootherConfig-sweeps",
             "SpaceTimeGrid-n_x", "SpaceTimeGrid-n_t", "solve-max_iters", "CyclePlan-nu1-bool",
             "CyclePlan-depth-bool", "SmootherConfig-sweeps-bool", "solve-max_iters-bool",

@@ -7,14 +7,16 @@ from oracles import (SMOOTHING_STEPS, group_arrays, harmonic_group, harmonic_mat
                      low_mode_action_full, omega_opt_scan, rho_bar_full,
                      smoothing_factor_grid)
 from stmg import lfa
-from stmg.core import SIGMA_MAX
+from stmg.core import SIGMA_MAX, SpaceTimeGrid, stage_levels
 from stmg.core import CoarseningStrategy as CS
+from stmg.cycles import CyclePlan, plan_levels
 from stmg.lfa import (Frequency, LfaConfig, low_frequency_grid, low_mode_action,
                       omega_opt_numeric, operator_symbol, optimal_omega, resolve_omega,
                       restriction_symbol, rho_bar_details, smoother_symbol, smoothing_factor,
                       spectral_radius_batch, spectral_radius_over_groups, worst_smoothing_mode)
-from stmg.lfa import (_companions, _cycle_matrices, _probe_bounds, _radius_bound,
-                      _scatter_first_columns)
+from stmg.lfa import (_companions, _cycle_matrices, _levels, _probe_bounds, _quadrant,
+                      _radius_bound, _scatter_first_columns)
+from test_periodic import STEPS_UNDER_TEST
 
 #: schedules whose harmonic groups cover every layout: the strategies, the
 #: single steps, both one-axis semi-coarsenings, the k-grid analysis of NEW
@@ -182,7 +184,8 @@ class TestFrequencyFolding:
         tx = rng.uniform(-np.pi / mx, np.pi / mx, shape)
         cfg = LfaConfig(sigma=1.0, omega=0.7)
         for cols in (slice(None), [0]):
-            mats, singular, tc, xc = _cycle_matrices(steps, cfg, tt, tx, cols)
+            mats, singular, tc, xc = _cycle_matrices(_levels(steps, cfg), cfg.sigma, cfg.omega,
+                                                     tt, tx, cols)
             t_ref, x_ref = group_arrays(tt, tx, (mt, mx))
             assert tc.shape == xc.shape == shape + (mt * mx,)
             assert np.array_equal(tc, t_ref) and np.array_equal(xc, x_ref)
@@ -206,7 +209,7 @@ class TestFrequencyFolding:
         spy("restriction", lfa.restriction_symbol, (0,))
         groups = 5
         tt, tx = np.full(groups, 0.1 / total_t), np.full(groups, 0.2 / total_x)
-        _cycle_matrices(steps, LfaConfig(sigma=1.0, omega=0.7), tt, tx)
+        _cycle_matrices(_levels(steps, LfaConfig(sigma=1.0)), 1.0, 0.7, tt, tx)
         scales = [lfa._scale(steps[:k]) for k in range(len(steps) + 1)]
         for name, levels in (("operator", scales), ("smoother", scales[-2::-1])):
             assert [c[1] for c in calls[name]] == levels
@@ -396,7 +399,8 @@ def _quadrant_stack(strategy, cfg):
     """Harmonic matrices of every group that ``rho_bar_details`` sweeps."""
     tg, xg = low_frequency_grid(cfg.resolution, lfa._scale(strategy))
     tt, tx = np.meshgrid(tg[tg > 0], xg[xg > 0], indexing="ij")
-    return _cycle_matrices(strategy, cfg, tt.ravel(), tx.ravel())[0]
+    return _cycle_matrices(_levels(strategy, cfg), cfg.sigma, cfg.omega, tt.ravel(),
+                           tx.ravel())[0]
 
 
 class TestPrunedSweep:
@@ -485,6 +489,19 @@ class TestScheduleScale:
                 assert _same_bits(grid[res // 2:], samples[res // 2:]), (res, m)
                 assert (grid[res // 2:] > 0).all()
 
+    @pytest.mark.parametrize("scale", [(0, 2), (4, 0), (3, 2), (4, 6), (-2, 2), (4, 2.0),
+                                       (True, 2), (4, "2")])
+    def test_low_grid_rejects_a_scale_no_schedule_has(self, scale):
+        # (0, 2) divided by zero and (3, 2) sampled a domain no schedule has
+        with pytest.raises(ValueError, match=r"^scale must "):
+            low_frequency_grid(16, scale)
+
+    def test_low_grid_takes_numpy_integer_scales(self):
+        for scale in ((4, 2), (1, 1), (16, 4)):
+            want = low_frequency_grid(16, scale)
+            got = low_frequency_grid(16, tuple(np.int64(m) for m in scale))
+            assert all(_same_bits(a, b) for a, b in zip(got, want)), scale
+
     @pytest.mark.parametrize("steps", SCALE_SCHEDULES)
     def test_pruned_sweep_equals_full_sweep(self, steps):
         for sigma in (0.01, 1.0, 100.0):
@@ -505,6 +522,72 @@ class TestScheduleScale:
         assert ((np.abs(out.theta_t) <= np.pi) & (np.abs(out.theta_x) <= np.pi)).all()
 
 
+#: (nu, eta) sweep pairs of the level-list tests; eta is 0 for a one-step schedule
+SWEEP_PAIRS = [((3, 3), (3, 3)), ((1, 0), (0, 2)), ((0, 2), (1, 1)), ((2, 1), (0, 0))]
+
+
+def _planned(steps, nu, eta, n_x=15, n_t=64, sigma=1.0, depth=1):
+    """The (step, sweeps) of each level that ``cycles.plan_levels`` plans."""
+    grid = SpaceTimeGrid(n_x, n_t, sigma * n_t / (n_x + 1) ** 2)
+    plan = CyclePlan(steps, nu1=nu[0], nu2=nu[1], eta1=eta[0], eta2=eta[1], depth=depth)
+    return tuple(level[1:] for level in plan_levels(grid, plan)[0])
+
+
+class TestLevelList:
+    """The solver and the LFA walk one level list, ``core.stage_levels``."""
+
+    @pytest.mark.parametrize("steps", STEPS_UNDER_TEST, ids=_steps_id)
+    def test_solver_plans_the_stage_levels(self, steps):
+        for nu, eta in SWEEP_PAIRS:
+            eta = eta if len(steps) > 1 else (0, 0)
+            assert _planned(steps, nu, eta) == stage_levels(steps, nu, eta), (nu, eta)
+
+    @pytest.mark.parametrize("steps", STEPS_UNDER_TEST, ids=_steps_id)
+    def test_every_entry_point_passes_the_planned_levels(self, steps, monkeypatch):
+        seen = []
+
+        def spy(*args):
+            seen.append(args[0])
+            return _cycle_matrices(*args)
+        monkeypatch.setattr(lfa, "_cycle_matrices", spy)
+        tt, tx = (np.array([0.1 / m, -0.2 / m]) for m in lfa._scale(steps))
+        for nu, eta in SWEEP_PAIRS:
+            eta = eta if len(steps) > 1 else (0, 0)
+            cfg = LfaConfig(sigma=1.0, nu1=nu[0], nu2=nu[1], eta1=eta[0], eta2=eta[1],
+                            resolution=16)
+            calls = {
+                "rho_bar_details": lambda: rho_bar_details(steps, cfg),
+                "spectral_radius_over_groups":
+                    lambda: spectral_radius_over_groups(steps, cfg, tt, tx),
+                "_probe_bounds": lambda: _probe_bounds(steps, cfg, [0.5, 0.7],
+                                                       [Frequency(tt[0], tx[0])]),
+                "low_mode_action": lambda: low_mode_action(steps, cfg),
+            }
+            if np.prod(lfa._scale(steps)) <= 8:  # a 64-mode search takes seconds
+                calls["omega_opt_numeric"] = lambda: omega_opt_numeric(steps, cfg)
+            want = stage_levels(steps, nu, eta)
+            assert want == _planned(steps, nu, eta), (nu, eta)
+            for name, call in calls.items():
+                seen.clear()
+                call()
+                assert seen and all(levels == want for levels in seen), (name, nu, eta)
+
+    def test_planned_depth_two_is_the_k_grid_schedule(self):
+        # NEW at depth 2 puts nu on both levels: the schedule ((4,2),(4,2)) with
+        # eta = nu, whose rho_bar is the k-grid LFA of the depth-2 run
+        planned = _planned(CS.NEW, (3, 3), (0, 0), n_x=63, n_t=4096, sigma=0.1, depth=2)
+        kgrid = ((4, 2), (4, 2))
+        cfg = LfaConfig(sigma=0.1, resolution=16)
+        tt, tx = _quadrant(planned, cfg.resolution)
+        got = _cycle_matrices(planned, cfg.sigma, cfg.omega, tt, tx)[0]
+        assert np.array_equal(got, _cycle_matrices(_levels(kgrid, cfg), cfg.sigma, cfg.omega,
+                                                   tt, tx)[0])
+        assert round(rho_bar_details(kgrid, cfg).value, 4) == 0.7324
+        eta_zero = replace(cfg, eta1=0, eta2=0)
+        assert not np.array_equal(got, _cycle_matrices(_levels(kgrid, eta_zero), cfg.sigma,
+                                                       cfg.omega, tt, tx)[0])
+
+
 class TestColumnPath:
     """``low_mode_action`` builds column 0 alone, bit for bit that of the full matrices."""
 
@@ -517,8 +600,9 @@ class TestColumnPath:
         for sigma in (0.01, 1.0, 100.0):
             for nu in (0, 1, 3):
                 cfg = LfaConfig(sigma=sigma, omega=0.7, nu1=nu, nu2=nu, eta1=nu, eta2=nu)
-                full, singular, tc, xc = _cycle_matrices(steps, cfg, tt, tx)
-                col, col_singular, *companions = _cycle_matrices(steps, cfg, tt, tx, [0])
+                args = _levels(steps, cfg), cfg.sigma, cfg.omega, tt, tx
+                full, singular, tc, xc = _cycle_matrices(*args)
+                col, col_singular, *companions = _cycle_matrices(*args, [0])
                 assert all(np.array_equal(a, b) for a, b in zip(companions, (tc, xc)))
                 assert col.shape == full.shape[:-1] + (1,), (sigma, nu)
                 assert np.array_equal(col[..., 0], full[..., 0]), (sigma, nu)
@@ -543,10 +627,11 @@ class TestQuadrantBuild:
         for sigma in (0.01, 1.0, 100.0):
             for nu in (0, 1, 3):
                 cfg = LfaConfig(sigma=sigma, omega=0.7, nu1=nu, nu2=nu, eta1=nu, eta2=nu)
-                col, singular, tc, xc = _cycle_matrices(steps, cfg, tt, tx, [0])
+                levels = _levels(steps, cfg)
+                col, singular, tc, xc = _cycle_matrices(levels, cfg.sigma, cfg.omega, tt, tx, [0])
                 for st, sx in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
-                    got, got_singular, gtc, gxc = _cycle_matrices(steps, cfg, st * tt, sx * tx,
-                                                                  [0])
+                    got, got_singular, gtc, gxc = _cycle_matrices(levels, cfg.sigma, cfg.omega,
+                                                                  st * tt, sx * tx, [0])
                     assert _same_bits(np.abs(got), np.abs(col)), (sigma, nu, st, sx)
                     assert _same_bits(got_singular, singular)
                     assert _same_bits(gtc, st * tc) and _same_bits(gxc, sx * xc)
@@ -571,8 +656,8 @@ class TestQuadrantBuild:
     def test_builds_one_quadrant(self, steps, monkeypatch):
         sizes = []
 
-        def counting(*args):  # (steps, cfg, theta_t, theta_x, cols)
-            sizes.append(np.size(args[2]))
+        def counting(*args):  # (levels, sigma, omega, theta_t, theta_x, cols)
+            sizes.append(np.size(args[3]))
             return _cycle_matrices(*args)
         monkeypatch.setattr(lfa, "_cycle_matrices", counting)
         for res in (16, 18, 64):
@@ -621,7 +706,8 @@ class TestOmegaOptNumeric:
             cfg = LfaConfig(sigma=sigma, nu1=nu, nu2=nu, eta1=nu, eta2=nu, resolution=16)
             pick = np.append(rng.choice(tt.size - 1, 60), tt.size - 1)
             omegas = rng.choice(scan[:8], pick.size)  # few omegas, each on many groups
-            mats, singular, _, _ = _cycle_matrices(steps, cfg, tt[pick], tx[pick], omega=omegas)
+            mats, singular, _, _ = _cycle_matrices(_levels(steps, cfg), cfg.sigma, omegas,
+                                                   tt[pick], tx[pick])
             radii = np.where(singular, -np.inf, spectral_radius_batch(mats))
             assert singular.sum() >= 1
             for omega in np.unique(omegas):
@@ -634,9 +720,9 @@ class TestOmegaOptNumeric:
     @pytest.mark.parametrize("steps", [CS.NEW, CS.ORIGINAL, ((4, 2), (4, 2))], ids=_steps_id)
     def test_empty_batch(self, steps):
         cfg = LfaConfig(sigma=1.0, resolution=16)
-        for omega in (None, np.array([])):
-            mats, singular, _, _ = _cycle_matrices(steps, cfg, np.array([]), np.array([]),
-                                                   omega=omega)
+        for omega in (cfg.omega, np.array([])):
+            mats, singular, _, _ = _cycle_matrices(_levels(steps, cfg), cfg.sigma, omega,
+                                                   np.array([]), np.array([]))
             radii = spectral_radius_batch(mats)
             assert _same_bits(radii, np.array([])) and _same_bits(singular, np.array([], bool))
 

@@ -6,8 +6,8 @@ from periodic import (cycle_matrix, discrete_low_frequencies, fourier_mode, harm
                       operator_matrix, prolongation_matrix, restriction_matrix,
                       smoother_matrix, time_frequencies)
 from stmg.core import CoarseningStrategy as CS
-from stmg.lfa import (LfaConfig, _cycle_matrices, _scale, operator_symbol, restriction_symbol,
-                      smoother_symbol)
+from stmg.lfa import (LfaConfig, _cycle_matrices, _levels, _scale, operator_symbol,
+                      restriction_symbol, smoother_symbol)
 
 #: the strategies' schedules and two more of scale (4, 2) that only the
 #: schedule defines: time semi-coarsening first, and space semi-coarsening
@@ -93,7 +93,8 @@ class TestCycleHarmonicBlocks:
             scale = _scale(steps)
             lows = discrete_low_frequencies(n_t, n_x, scale)
             dense = cycle_matrix(steps, n_t, n_x, sigma, 0.6, 2, 1, 2, 1)
-            mats, singular, _, _ = _cycle_matrices(steps, cfg, *np.array(lows).T)
+            mats, singular, _, _ = _cycle_matrices(_levels(steps, cfg), sigma, 0.6,
+                                                   *np.array(lows).T)
             assert mats.shape == (len(lows), scale[0] * scale[1], scale[0] * scale[1]), steps
             assert singular.sum() == 1, steps  # only the group of the zero mode
             for (tt, tx), mat, skip in zip(lows, mats, singular):
