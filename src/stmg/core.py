@@ -12,6 +12,7 @@ contiguous row (see ``cycles``).
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -32,14 +33,16 @@ SIGMA_MAX = float(np.finfo(float).max) / 8
 
 
 def check_sigma(sigma: float) -> None:
-    """Raise ``ValueError`` unless 0 < sigma <= ``SIGMA_MAX``; NaN and inf fail too."""
+    """Raise ``ValueError`` unless sigma is real (``_check_reals``) and in (0, ``SIGMA_MAX``]."""
+    _check_reals(sigma=sigma)
     if not 0.0 < sigma <= SIGMA_MAX:
         raise ValueError(f"sigma must be finite and positive, at most {SIGMA_MAX!r}, "
                          f"got {sigma}")
 
 
 def check_omega(omega: float) -> None:
-    """Raise ``ValueError`` unless the damping satisfies 0 < omega <= 1; NaN fails too."""
+    """Raise ``ValueError`` unless the damping is real (``_check_reals``) and in (0, 1]."""
+    _check_reals(omega=omega)
     if not 0.0 < omega <= 1.0:
         raise ValueError(f"omega must lie in (0, 1], got {omega}")
 
@@ -53,6 +56,13 @@ def check_integers(**counts) -> None:
             operator.index(value)
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_reals(**values) -> None:
+    """Raise ``ValueError`` naming the first bool or non-``numbers.Real`` value; never converts."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def check_counts(**counts) -> None:
@@ -87,20 +97,34 @@ def check_step(mt: int, mx: int) -> tuple[int, int]:
     return mt, mx
 
 
-def check_schedule(steps) -> tuple[tuple[int, int], ...]:
-    """``steps`` as a tuple of ``check_step`` pairs of Python ints.
+def _checked_step(step) -> tuple[int, int]:
+    try:
+        mt, mx = step
+    except (TypeError, ValueError):
+        raise ValueError(f"a coarsening step must be an (mt, mx) pair, got {step!r}") from None
+    return check_step(mt, mx)
 
-    ``steps`` itself is returned when it already is such a tuple, so a
-    strategy such as ``CoarseningStrategy.NEW`` stays the same object.
-    Raises ``ValueError`` for an empty schedule, a step ``check_step``
-    rejects or the step (1, 1), which coarsens nothing.
+
+def check_schedule(steps) -> tuple[tuple[int, int], ...]:
+    """``steps``, any iterable of (mt, mx) pairs, as a tuple of Python-int ``check_step`` pairs.
+
+    The rows of a numpy (k, 2) integer array are pairs too; a tuple of
+    Python-int tuples is returned itself, so ``CoarseningStrategy.NEW`` stays
+    the same object.  Raises ``ValueError`` naming a schedule that is not
+    iterable or a step that is no pair, then for an empty schedule, a step
+    ``check_step`` rejects or (1, 1), which coarsens nothing.  Each public
+    entry point that takes a schedule calls this once, before any work.
     """
-    if not steps:
+    try:
+        checked = tuple(_checked_step(step) for step in steps)
+    except TypeError:
+        raise ValueError(f"a coarsening schedule must be an iterable of (mt, mx) steps, "
+                         f"got {steps!r}") from None
+    if not checked:
         raise ValueError("a coarsening schedule needs at least one (mt, mx) step")
-    checked = tuple(check_step(mt, mx) for mt, mx in steps)
     if (1, 1) in checked:
         raise ValueError("coarsening step (1, 1) coarsens nothing")
-    if checked == steps and all(type(f) is int for step in steps for f in step):
+    if type(steps) is tuple and all(type(s) is tuple and {*map(type, s)} == {int} for s in steps):
         return steps
     return checked
 
@@ -130,6 +154,7 @@ class SpaceTimeGrid:
 
     def __post_init__(self):
         check_integers(n_x=self.n_x, n_t=self.n_t)
+        _check_reals(horizon=self.horizon)
         if self.n_x < 3 or not _is_pow2(self.n_x + 1):
             raise ValueError(f"n_x must be 2**k - 1 with k >= 2, got {self.n_x}")
         if self.n_t < 4 or not _is_pow2(self.n_t):

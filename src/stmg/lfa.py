@@ -43,19 +43,22 @@ their damping: at the argmax frequencies of earlier sweeps, the probes,
 one build gives the very values a sweep would.  A point whose bound
 already exceeds the best value found cannot be picked, so skipping its
 sweep leaves the result bit-identical.  The scan and the golden section
-bound through one helper, one build per new probe or per step.
+bound through one helper, one build per new probe or per step.  Each
+public entry point checks its schedule once, before any work; the private
+helpers below it (``_rho_bar``, ``_radii``, ``_probe_bounds``) run on the
+checked level list, so the search makes no further ``LfaConfig`` or check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (check_counts, check_integers, check_omega, check_resolution, check_schedule,
-                   check_sigma, stage_levels)
+from .core import (_is_pow2, check_counts, check_integers, check_omega, check_resolution,
+                   check_schedule, check_sigma, stage_levels)
 
 #: coarse symbols with modulus below this are treated as non-invertible
 #: and their frequency group is excluded from maximization
@@ -69,14 +72,14 @@ class Frequency(NamedTuple):
 
 @dataclass(frozen=True)
 class LfaConfig:
-    """Parameters of one harmonic-space analysis."""
+    """Parameters of one harmonic-space analysis; omega and sweeps default as in ``CyclePlan``."""
 
     sigma: float
     omega: float = 0.5
     nu1: int = 3
     nu2: int = 3
-    eta1: int = 3
-    eta2: int = 3
+    eta1: int = 0
+    eta2: int = 0
     resolution: int = 128
 
     def __post_init__(self):
@@ -137,11 +140,11 @@ def _crossing(mt: int, mx: int, sigma: float) -> float:
 
     The smoother symbol modulus over the high frequencies of the step
     (mt, mx), as ``core.check_schedule`` returns it, peaks at the time
-    mode (pi/mt, 0) or the space mode (0, pi/mx).  The space mode is the worst for omega up to the value
-    returned here and the time mode above it: 0 for time
-    semi-coarsening, 1 for space semi-coarsening, and for mixed steps the
-    omega where the two branches cross, written with c = 1 + 2*sigma.
-    The (4, 2) branches cross only for c <= sqrt(2).
+    mode (pi/mt, 0) or the space mode (0, pi/mx).  The space mode is the
+    worst for omega up to the value returned here and the time mode above
+    it: 0 for time semi-coarsening, 1 for space semi-coarsening, and for
+    mixed steps the omega where the two branches cross, written with
+    c = 1 + 2*sigma.  The (4, 2) branches cross only for c <= sqrt(2).
     """
     if mx == 1:
         return 0.0
@@ -298,7 +301,7 @@ def low_frequency_grid(resolution: int, scale=(4, 2)):
     check_resolution(resolution)
     for m in scale:
         check_integers(scale=m)
-        if m < 1 or m & (m - 1):
+        if not _is_pow2(m):
             raise ValueError(f"scale must hold powers of two of at least 1, got {scale!r}")
     offsets = np.arange(resolution // 2, resolution) + 0.5
     grids = []
@@ -379,8 +382,12 @@ def rho_bar_details(strategy, cfg: LfaConfig) -> RhoBarResult:
     never skipped, so eigvals rejects it as it would in a full sweep.
     """
     levels = _levels(strategy, cfg)
-    tt, tx = _quadrant(levels, cfg.resolution)
-    mats, singular, _, _ = _cycle_matrices(levels, cfg.sigma, cfg.omega, tt, tx)
+    return _rho_bar(levels, cfg.sigma, cfg.omega, *_quadrant(levels, cfg.resolution))
+
+
+def _rho_bar(levels, sigma, omega, tt, tx) -> RhoBarResult:
+    """``rho_bar_details`` on checked ``levels`` at the quadrant samples ``tt``/``tx``."""
+    mats, singular, _, _ = _cycle_matrices(levels, sigma, omega, tt, tx)
     bound = np.where(singular, -np.inf, _radius_bound(mats))
     radii = np.full(tt.shape, -np.inf)
     seeds = np.argpartition(bound, -_SEEDS)[-_SEEDS:]
@@ -399,12 +406,13 @@ def rho_bar_details(strategy, cfg: LfaConfig) -> RhoBarResult:
 
 def spectral_radius_over_groups(strategy, cfg: LfaConfig, theta_t: np.ndarray,
                                 theta_x: np.ndarray):
-    """Spectral radii at explicit low frequencies and ``cfg.omega``; singular groups get -inf.
+    """Spectral radii at explicit low frequencies and ``cfg.omega``; singular groups get -inf."""
+    return _radii(_levels(strategy, cfg), cfg.sigma, cfg.omega, theta_t, theta_x)
 
-    Both phases of the numeric search bound rho_bar through ``_probe_bounds`` instead.
-    """
-    mats, singular, _, _ = _cycle_matrices(_levels(strategy, cfg), cfg.sigma, cfg.omega,
-                                           theta_t, theta_x)
+
+def _radii(levels, sigma, omega, theta_t, theta_x):
+    """``spectral_radius_over_groups`` on checked ``levels``, at one omega or one per group."""
+    mats, singular, _, _ = _cycle_matrices(levels, sigma, omega, theta_t, theta_x)
     return np.where(singular, -np.inf, spectral_radius_batch(mats)), singular
 
 
@@ -417,12 +425,10 @@ _GOLDEN_TOL = 1e-5
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _probe_bounds(strategy, cfg: LfaConfig, omegas, probes) -> np.ndarray:
+def _probe_bounds(levels, sigma, omegas, probes) -> np.ndarray:
     """Lower bounds on rho_bar at ``omegas``, each one's largest radius over ``probes``."""
     t, x = (np.array(a * len(omegas)) for a in zip(*probes))  # each probe once per omega
-    om = np.repeat(omegas, len(probes))
-    mats, singular, _, _ = _cycle_matrices(_levels(strategy, cfg), cfg.sigma, om, t, x)
-    radii = np.where(singular, -np.inf, spectral_radius_batch(mats))
+    radii, _ = _radii(levels, sigma, np.repeat(omegas, len(probes)), t, x)
     return radii.reshape(len(omegas), len(probes)).max(axis=1)
 
 
@@ -433,26 +439,27 @@ def omega_opt_numeric(strategy, cfg: LfaConfig):
     to a bracket of 1e-5; ties resolve toward the smallest omega.  The
     omega stored in ``cfg`` is ignored.  Returns (omega_opt, rho_bar).
 
-    The result is that of sweeping every scan and golden-section point,
-    but a full ``rho_bar_details`` sweep runs only where its value could
-    change it.  rho_bar(omega) is a maximum over groups, so the radius of
-    any one group bounds it from below.  Both phases bound through one
-    helper, ``_probe_bounds``: it builds every (omega, probe) pair at
-    once, a probe being the argmax frequency of a sweep so far, and
-    gives each radius bit for bit as a sweep would.  The scan sweeps
-    omega = 1/2, then always the unswept point with the smallest bound,
-    and stops once no bound lies below the best value (an equal bound
-    rules out only a point above the current argmin, which wins the tie).
-    A point ruled out stays out: bounds only rise and the best value only
-    falls, so one build per new probe keeps the open points' bounds
-    current.  A golden-section point is bounded at every probe; if that
-    bound alone decides the next comparison against it, the point is
-    discarded unswept, and its bound is never the final pick.
+    The schedule is checked, and its levels and samples built, once; every
+    sweep (``_rho_bar``) and bound (``_probe_bounds``) runs on them.  The
+    result is that of sweeping every scan and golden-section point, but a
+    sweep runs only where its value could change it (see the module
+    docstring); a bound is the largest radius at the probes, the argmax
+    frequencies of the sweeps so far.  The scan sweeps omega = 1/2, then
+    always the unswept point with the smallest bound, and stops once no
+    bound lies below the best value (an equal bound rules out only a point
+    above the current argmin, which wins the tie).  A point ruled out stays
+    out: bounds only rise and the best value only falls, so one build per
+    new probe keeps the open points' bounds current.  A golden-section
+    point is bounded at every probe; if that bound alone decides the next
+    comparison against it, the point is discarded unswept, and its bound is
+    never the final pick.
     """
+    levels = _levels(strategy, cfg)
+    tt, tx = _quadrant(levels, cfg.resolution)
     probes = []  # argmax frequencies of the sweeps so far
 
     def sweep(om: float) -> float:
-        res = rho_bar_details(strategy, replace(cfg, omega=om))
+        res = _rho_bar(levels, cfg.sigma, om, tt, tx)
         if res.argmax not in probes:
             probes.append(res.argmax)
         return res.value
@@ -474,7 +481,7 @@ def omega_opt_numeric(strategy, cfg: LfaConfig):
         swept[j] = True
         i, open_ = open_points()
         if len(probes) > known and open_.any():  # open bounds were current before it
-            new = _probe_bounds(strategy, cfg, omegas[open_], probes[-1:])
+            new = _probe_bounds(levels, cfg.sigma, omegas[open_], probes[-1:])
             values[open_] = np.maximum(values[open_], new)
             i, open_ = open_points()
         if not open_.any():
@@ -483,7 +490,7 @@ def omega_opt_numeric(strategy, cfg: LfaConfig):
 
     def refine(om: float, limit: float, ties: bool) -> float:
         """rho_bar(om), or its bound if that is above ``limit`` (or equal, with ``ties``)."""
-        b = float(_probe_bounds(strategy, cfg, [om], probes)[0])  # probes is never empty
+        b = float(_probe_bounds(levels, cfg.sigma, [om], probes)[0])  # probes is never empty
         return b if b > limit or ties and b == limit else sweep(om)
 
     lo = omegas[i - 1] if i > 0 else omegas[0] / 2
@@ -509,9 +516,10 @@ def omega_opt_numeric(strategy, cfg: LfaConfig):
 def resolve_omega(mode, strategy, cfg: LfaConfig) -> float:
     """Map an omega mode ('0.5' | 'theorem' | 'numeric' | number) to a value.
 
-    The theorem value is the optimal damping of the schedule's first
-    step, the coarsening of the fine level.
+    The schedule is checked first, in every mode.  The theorem value is the
+    optimal damping of the schedule's first step, the coarsening of the fine level.
     """
+    strategy = check_schedule(strategy)
     if mode == "theorem":
         return optimal_omega(strategy[0], cfg.sigma)
     if mode == "numeric":
@@ -568,13 +576,10 @@ def low_mode_action(strategy, cfg: LfaConfig) -> LowModeMap:
     each group's companions innermost.
 
     Only the positive quadrant of the low domain is built; the other three
-    are its mirror images.  Every symbol is real-stencil: it is even in
-    theta_x, where only cosines appear, and negating theta_t conjugates it.
-    On the antisymmetric ``low_frequency_grid`` the companions of a
-    negated frequency are the exact negations of its own, so every entry
-    of the group's column at (+-theta_t, +-theta_x) is the same number or
-    its exact conjugate, and the moduli, and the singular masks, are
-    bitwise equal across the four quadrants.
+    are its mirror images (see the module docstring).  Every entry of a
+    group's column at (+-theta_t, +-theta_x) is the same number or its
+    exact conjugate, so the moduli and singular masks of the four quadrants
+    are bitwise equal.
 
     The cycle applies ``cfg.nu1`` pre- and ``cfg.nu2`` post-smoothing
     sweeps, and the peak moves with them: for the NEW cycle the

@@ -527,12 +527,18 @@ def rho_bar_full(strategy, cfg) -> lfa.RhoBarResult:
     """``lfa.rho_bar_details`` with no pruning: eigvals of every quadrant group."""
     tg, xg = lfa.low_frequency_grid(cfg.resolution, lfa._scale(strategy))
     tt, tx = np.meshgrid(tg[tg > 0], xg[xg > 0], indexing="ij")
-    radii, singular = lfa.spectral_radius_over_groups(strategy, cfg, tt.ravel(), tx.ravel())
+    return rho_bar_sweep_full(lfa._levels(strategy, cfg), cfg.sigma, cfg.omega, tt.ravel(),
+                              tx.ravel())
+
+
+def rho_bar_sweep_full(levels, sigma, omega, tt, tx) -> lfa.RhoBarResult:
+    """``lfa._rho_bar`` with no pruning: eigvals of every group at ``tt``/``tx``."""
+    radii, singular = lfa._radii(levels, sigma, omega, tt, tx)
     k = int(np.argmax(radii))
     return lfa.RhoBarResult(
         value=float(radii[k]),
         excluded=int(singular.sum()) * 4,
-        argmax=lfa.Frequency(float(tt.ravel()[k]), float(tx.ravel()[k])),
+        argmax=lfa.Frequency(float(tt[k]), float(tx[k])),
     )
 
 

@@ -10,8 +10,9 @@ from stmg.core import (CoarseningStrategy, SpaceTimeGrid, check_schedule, coarse
 from stmg.cycles import CyclePlan, plan_levels, run_cycle, solve
 from stmg.heat import assemble_operator
 from stmg.lfa import (LfaConfig, low_frequency_grid, low_mode_action, omega_opt_numeric,
-                      operator_symbol, optimal_omega, rho_bar_details, smoother_symbol,
-                      smoothing_factor, spectral_radius_over_groups, worst_smoothing_mode)
+                      operator_symbol, optimal_omega, resolve_omega, rho_bar_details,
+                      smoother_symbol, smoothing_factor, spectral_radius_over_groups,
+                      worst_smoothing_mode)
 from stmg.smoother import SmootherConfig
 from stmg.transfer import prolong, restrict
 
@@ -174,6 +175,13 @@ def _schedule_rejections():
         # 4.0 and True compare equal to valid factors, but are no integer factors
         ("float-factor", ((4.0, 2),), r"^mt must be an integer, got 4\.0$"),
         ("bool-factor", ((2, 2), (2, True)), r"^mx must be an integer, got True$"),
+        # each of these leaked a TypeError or an unpacking error from Python itself
+        ("not-iterable", 5,
+         r"^a coarsening schedule must be an iterable of \(mt, mx\) steps, got 5$"),
+        ("step-not-pair", [(4, 2), 7], r"^a coarsening step must be an \(mt, mx\) pair, got 7$"),
+        ("three-factors", ((4, 2, 1),),
+         r"^a coarsening step must be an \(mt, mx\) pair, got \(4, 2, 1\)$"),
+        ("string", "42", r"^a coarsening step must be an \(mt, mx\) pair, got '4'$"),
     ]
     cfg = LfaConfig(sigma=1.0, resolution=16)
     g = SpaceTimeGrid(n_x=15, n_t=64, horizon=0.1)
@@ -185,6 +193,9 @@ def _schedule_rejections():
         ("spectral_radius_over_groups",
          lambda steps: spectral_radius_over_groups(steps, cfg, np.ones(3), np.ones(3))),
         ("omega_opt_numeric", lambda steps: omega_opt_numeric(steps, cfg)),
+        ("resolve_omega-number", lambda steps: resolve_omega("0.7", steps, cfg)),
+        ("resolve_omega-theorem", lambda steps: resolve_omega("theorem", steps, cfg)),
+        ("resolve_omega-numeric", lambda steps: resolve_omega("numeric", steps, cfg)),
     ]
     step_makes = [
         ("restrict", lambda mt, mx: restrict(np.zeros((15, 16)), mt, mx)),
@@ -215,6 +226,24 @@ class TestCheckSchedule:
                       ((4, 2), (4, 2)), ((1, 2), (4, 1))):
             check_schedule(steps)
             assert CyclePlan(strategy=steps).strategy is steps
+
+    def test_any_iterable_of_pairs_runs(self):
+        # the rows of a numpy (k, 2) integer array and lists of lists run as the tuple
+        cfg = LfaConfig(sigma=1.0, resolution=16)
+        tt, tx = low_frequency_grid(16)
+
+        def results(steps):
+            modes = low_mode_action(steps, cfg)
+            return [CyclePlan(steps).strategy, rho_bar_details(steps, cfg),
+                    *spectral_radius_over_groups(steps, cfg, tt, tx), modes.theta_t,
+                    modes.theta_x, modes.modulus, omega_opt_numeric(steps, cfg),
+                    *(resolve_omega(mode, steps, cfg) for mode in ("0.7", "theorem", "numeric"))]
+
+        for steps in (CoarseningStrategy.NEW, CoarseningStrategy.ORIGINAL):
+            assert check_schedule(np.array(steps)) == steps
+            for other in (np.array(steps), [list(step) for step in steps]):
+                for got, want in zip(results(other), results(steps), strict=True):
+                    assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("analyse", [rho_bar_details, low_mode_action])
     def test_rejected_before_any_grid(self, analyse, monkeypatch):
@@ -276,6 +305,37 @@ class TestCheckResolution:
         with pytest.raises(ValueError,
                            match=rf"^resolution must be even and at least 16, got {resolution}$"):
             make(resolution)
+
+
+class TestCheckReal:
+    """sigma, omega and the horizon are real numbers, checked before any comparison."""
+
+    @pytest.mark.parametrize("make,name,value", [
+        (lambda v: CyclePlan(CoarseningStrategy.NEW, omega=v), "omega", "0.5"),
+        (lambda v: LfaConfig(sigma=v), "sigma", None),
+        (lambda v: optimal_omega((4, 2), v), "sigma", "1"),
+        (lambda v: SmootherConfig(v, 1), "omega", "0.5"),
+        (lambda v: SpaceTimeGrid(7, 16, v), "horizon", "1"),
+        # an array compared ambiguously, and True ran as omega 1
+        (lambda v: LfaConfig(sigma=v), "sigma", np.array([1.0, 2.0])),
+        (lambda v: CyclePlan(CoarseningStrategy.NEW, omega=v), "omega", True),
+    ], ids=["CyclePlan-omega", "LfaConfig-sigma", "optimal_omega-sigma", "SmootherConfig-omega",
+            "SpaceTimeGrid-horizon", "LfaConfig-sigma-array", "CyclePlan-omega-bool"])
+    def test_rejected_naming_the_value(self, make, name, value):
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be a real number, got {re.escape(repr(value))}$"):
+            make(value)
+
+    def test_numpy_floats_run_as_python_floats(self):
+        f = np.float64
+        for sigma, omega in ((0.01, 0.7), (1.6, 0.5)):
+            cfg = LfaConfig(sigma=sigma, omega=omega, resolution=16)
+            wide = LfaConfig(sigma=f(sigma), omega=f(omega), resolution=16)
+            assert type(wide.sigma) is f  # checked, not converted
+            assert rho_bar_details(CoarseningStrategy.ORIGINAL, wide) == \
+                rho_bar_details(CoarseningStrategy.ORIGINAL, cfg)
+            assert optimal_omega((2, 2), f(sigma)) == optimal_omega((2, 2), sigma)
+        assert SpaceTimeGrid(15, 64, f(0.1)).sigma == SpaceTimeGrid(15, 64, 0.1).sigma
 
 
 def solve_for(max_iters):

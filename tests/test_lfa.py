@@ -1,12 +1,12 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from oracles import (SMOOTHING_STEPS, group_arrays, harmonic_group, harmonic_matrix,
-                     low_mode_action_full, omega_opt_scan, rho_bar_full,
+                     low_mode_action_full, omega_opt_scan, rho_bar_full, rho_bar_sweep_full,
                      smoothing_factor_grid)
-from stmg import lfa
+from stmg import core, cycles, lfa
 from stmg.core import SIGMA_MAX, SpaceTimeGrid, stage_levels
 from stmg.core import CoarseningStrategy as CS
 from stmg.cycles import CyclePlan, plan_levels
@@ -426,8 +426,8 @@ class TestPrunedSweep:
 
         def full(*args):
             calls.append(args)
-            return rho_bar_full(*args)
-        monkeypatch.setattr(lfa, "rho_bar_details", full)
+            return rho_bar_sweep_full(*args)
+        monkeypatch.setattr(lfa, "_rho_bar", full)
         assert omega_opt_numeric(strategy, cfg) == pruned
         assert calls
 
@@ -559,8 +559,8 @@ class TestLevelList:
                 "rho_bar_details": lambda: rho_bar_details(steps, cfg),
                 "spectral_radius_over_groups":
                     lambda: spectral_radius_over_groups(steps, cfg, tt, tx),
-                "_probe_bounds": lambda: _probe_bounds(steps, cfg, [0.5, 0.7],
-                                                       [Frequency(tt[0], tx[0])]),
+                "_probe_bounds": lambda: _probe_bounds(_levels(steps, cfg), cfg.sigma,
+                                                       [0.5, 0.7], [Frequency(tt[0], tx[0])]),
                 "low_mode_action": lambda: low_mode_action(steps, cfg),
             }
             if np.prod(lfa._scale(steps)) <= 8:  # a 64-mode search takes seconds
@@ -577,7 +577,7 @@ class TestLevelList:
         # eta = nu, whose rho_bar is the k-grid LFA of the depth-2 run
         planned = _planned(CS.NEW, (3, 3), (0, 0), n_x=63, n_t=4096, sigma=0.1, depth=2)
         kgrid = ((4, 2), (4, 2))
-        cfg = LfaConfig(sigma=0.1, resolution=16)
+        cfg = LfaConfig(sigma=0.1, eta1=3, eta2=3, resolution=16)
         tt, tx = _quadrant(planned, cfg.resolution)
         got = _cycle_matrices(planned, cfg.sigma, cfg.omega, tt, tx)[0]
         assert np.array_equal(got, _cycle_matrices(_levels(kgrid, cfg), cfg.sigma, cfg.omega,
@@ -586,6 +586,81 @@ class TestLevelList:
         eta_zero = replace(cfg, eta1=0, eta2=0)
         assert not np.array_equal(got, _cycle_matrices(_levels(kgrid, eta_zero), cfg.sigma,
                                                        cfg.omega, tt, tx)[0])
+
+
+class TestPlanDefaults:
+    """``LfaConfig`` defaults as ``CyclePlan`` does: a default analysis is the default cycle's."""
+
+    def test_config_defaults_are_the_plan_defaults(self):
+        config = {f.name: f.default for f in fields(LfaConfig)}
+        plan = {f.name: f.default for f in fields(CyclePlan)}
+        shared = config.keys() & plan.keys()
+        assert shared == {"omega", "nu1", "nu2", "eta1", "eta2"}
+        assert {k: config[k] for k in shared} == {k: plan[k] for k in shared}
+
+    def test_default_original_analysis_is_the_default_plan(self):
+        # with eta = 3 the default analysis read 0.269, the LFA of a cycle that a
+        # default ORIGINAL plan, with eta = 0, does not run
+        grid = SpaceTimeGrid(15, 64, 0.25)  # sigma 1
+        planned = tuple(level[1:] for level in plan_levels(grid, CyclePlan(CS.ORIGINAL))[0])
+        cfg = LfaConfig(sigma=grid.sigma, resolution=32)
+        assert _levels(CS.ORIGINAL, cfg) == planned
+        got = rho_bar_details(CS.ORIGINAL, cfg)
+        assert got == lfa._rho_bar(planned, cfg.sigma, cfg.omega, *_quadrant(planned, 32))
+        assert round(got.value, 3) == 0.583
+
+
+def _spy_schedule_checks(monkeypatch) -> list:
+    """Record every ``core.check_schedule`` call, under each module's name for it."""
+    calls = []
+
+    def spy(steps, check=core.check_schedule):
+        calls.append(steps)
+        return check(steps)
+    for module in (core, cycles, lfa):
+        monkeypatch.setattr(module, "check_schedule", spy)
+    return calls
+
+
+class TestOneCheckPerCall:
+    """Each public entry point checks its schedule once; the search runs below the checks."""
+
+    @pytest.mark.parametrize("steps", [CS.NEW, CS.ORIGINAL], ids=_steps_id)
+    def test_each_entry_point_checks_once(self, steps, monkeypatch):
+        calls = _spy_schedule_checks(monkeypatch)
+        tt, tx = (a[:4] for a in low_frequency_grid(16))
+        for sigma in (0.01, 0.1, 1.6, 10.0):
+            for res in (16, 32):
+                cfg = LfaConfig(sigma=sigma, resolution=res)
+                entries = {
+                    "CyclePlan": lambda: CyclePlan(steps),
+                    "rho_bar_details": lambda: rho_bar_details(steps, cfg),
+                    "spectral_radius_over_groups":
+                        lambda: spectral_radius_over_groups(steps, cfg, tt, tx),
+                    "low_mode_action": lambda: low_mode_action(steps, cfg),
+                    "omega_opt_numeric": lambda: omega_opt_numeric(steps, cfg),
+                }
+                for name, call in entries.items():
+                    calls.clear()
+                    call()
+                    assert len(calls) == 1, (name, sigma, res)
+                for mode in ("0.7", "theorem", "numeric"):
+                    calls.clear()
+                    resolve_omega(mode, steps, cfg)
+                    assert len(calls) >= 1, (mode, sigma, res)
+
+    @pytest.mark.parametrize("steps", [CS.NEW, CS.ORIGINAL], ids=_steps_id)
+    def test_search_makes_no_config(self, steps, monkeypatch):
+        made = []
+
+        def spy(self, post_init=LfaConfig.__post_init__):
+            made.append(self)
+            post_init(self)
+        cfg = LfaConfig(sigma=1.6, resolution=16)
+        monkeypatch.setattr(LfaConfig, "__post_init__", spy)
+        omega_opt_numeric(steps, cfg)
+        resolve_omega("numeric", steps, cfg)
+        assert made == []
 
 
 class TestColumnPath:
@@ -736,7 +811,7 @@ class TestOmegaOptNumeric:
         t, x = (np.array(a) for a in zip(*probes))
         for sigma, nu in [(1e-3, 0), (1.6, 3), (1e3, 3)]:
             cfg = LfaConfig(sigma=sigma, nu1=nu, nu2=nu, eta1=nu, eta2=nu, resolution=16)
-            got = _probe_bounds(steps, cfg, omegas, probes)
+            got = _probe_bounds(_levels(steps, cfg), cfg.sigma, omegas, probes)
             for om, bound in zip(omegas, got):
                 radii, singular = spectral_radius_over_groups(steps, replace(cfg, omega=om), t, x)
                 assert singular[-1] and _same_bits(bound, radii.max()), (sigma, om)
@@ -760,10 +835,10 @@ class TestOmegaOptNumeric:
     def test_few_sweeps(self, strategy, monkeypatch):
         calls = []
 
-        def counting(*args):
+        def counting(*args, rho_bar=lfa._rho_bar):
             calls.append(args)
-            return rho_bar_details(*args)
-        monkeypatch.setattr(lfa, "rho_bar_details", counting)
+            return rho_bar(*args)
+        monkeypatch.setattr(lfa, "_rho_bar", counting)
         cfg = LfaConfig(sigma=1.6, nu1=3, nu2=3, resolution=32)
         omega_opt_numeric(strategy, cfg)
         assert 0 < len(calls) <= 30  # the full scan runs 83
