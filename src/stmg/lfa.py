@@ -140,11 +140,11 @@ def _crossing(mt: int, mx: int, sigma: float) -> float:
 
     The smoother symbol modulus over the high frequencies of the step
     (mt, mx), as ``core.check_schedule`` returns it, peaks at the time
-    mode (pi/mt, 0) or the space mode (0, pi/mx).  The space mode is the
-    worst for omega up to the value returned here and the time mode above
-    it: 0 for time semi-coarsening, 1 for space semi-coarsening, and for
-    mixed steps the omega where the two branches cross, written with
-    c = 1 + 2*sigma.  The (4, 2) branches cross only for c <= sqrt(2).
+    mode (pi/mt, 0) or the space mode (0, pi/mx).  The space mode is the worst for omega up to the value
+    returned here and the time mode above it: 0 for time
+    semi-coarsening, 1 for space semi-coarsening, and for mixed steps the
+    omega where the two branches cross, written with c = 1 + 2*sigma.
+    The (4, 2) branches cross only for c <= sqrt(2).
     """
     if mx == 1:
         return 0.0

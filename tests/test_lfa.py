@@ -41,6 +41,12 @@ def _steps_id(steps):
     return "+".join(f"{mt}x{mx}" for mt, mx in steps)
 
 
+def _etas(steps):
+    """Intermediate-level sweeps to test: the plan's default 0 and the 3 that ``stmg``
+    runs for the original strategy; a one-step schedule has no intermediate level."""
+    return (0, 3) if len(steps) > 1 else (0,)
+
+
 def _same_bits(a, b) -> bool:
     """Equal shape, dtype and bytes: -0.0 differs from 0.0, and NaN equals itself."""
     a, b = np.asarray(a), np.asarray(b)
@@ -363,31 +369,34 @@ class TestSpectralRadiusBar:
         tg, xg = low_frequency_grid(32)
         tt, tx = [a.ravel() for a in np.meshgrid(tg, xg, indexing="ij")]
         for sigma in (0.05, 1.0, 50.0):
-            cfg = LfaConfig(sigma=sigma, omega=0.5, resolution=32)
             for strat in (CS.NEW, CS.ORIGINAL):
-                full, _ = spectral_radius_over_groups(strat, cfg, tt, tx)
-                quad = rho_bar_details(strat, cfg)
-                assert abs(full.max() - quad.value) < 1e-12
+                for eta in _etas(strat):
+                    cfg = LfaConfig(sigma=sigma, omega=0.5, eta1=eta, eta2=eta, resolution=32)
+                    full, _ = spectral_radius_over_groups(strat, cfg, tt, tx)
+                    quad = rho_bar_details(strat, cfg)
+                    assert abs(full.max() - quad.value) < 1e-12, (sigma, eta)
 
     def test_reflected_groups_share_spectrum(self):
-        cfg = LfaConfig(sigma=0.8, omega=0.6)
         for tt, tx in [(0.2, 0.9), (0.11, -0.3)]:
             for strat in (CS.NEW, CS.ORIGINAL):
-                a = harmonic_matrix(strat, cfg, Frequency(tt, tx))
-                b = harmonic_matrix(strat, cfg, Frequency(-tt, tx))
-                c = harmonic_matrix(strat, cfg, Frequency(tt, -tx))
-                sa = np.sort(np.abs(np.linalg.eigvals(a)))
-                sb = np.sort(np.abs(np.linalg.eigvals(b)))
-                sc = np.sort(np.abs(np.linalg.eigvals(c)))
-                assert np.abs(sa - sb).max() < 1e-10
-                assert np.abs(sa - sc).max() < 1e-10
+                for eta in _etas(strat):
+                    cfg = LfaConfig(sigma=0.8, omega=0.6, eta1=eta, eta2=eta)
+                    a = harmonic_matrix(strat, cfg, Frequency(tt, tx))
+                    b = harmonic_matrix(strat, cfg, Frequency(-tt, tx))
+                    c = harmonic_matrix(strat, cfg, Frequency(tt, -tx))
+                    sa = np.sort(np.abs(np.linalg.eigvals(a)))
+                    sb = np.sort(np.abs(np.linalg.eigvals(b)))
+                    sc = np.sort(np.abs(np.linalg.eigvals(c)))
+                    assert np.abs(sa - sb).max() < 1e-10, eta
+                    assert np.abs(sa - sc).max() < 1e-10, eta
 
     def test_half_damping_ordering(self):
         for sigma in (0.01, 0.156, 1.0, 409.6):
-            cfg = LfaConfig(sigma=sigma, omega=0.5, resolution=32)
-            rho_o = rho_bar_details(CS.ORIGINAL, cfg).value
-            rho_n = rho_bar_details(CS.NEW, cfg).value
-            assert rho_o <= rho_n + 1e-10
+            for eta in _etas(CS.ORIGINAL):
+                cfg = LfaConfig(sigma=sigma, omega=0.5, eta1=eta, eta2=eta, resolution=32)
+                rho_o = rho_bar_details(CS.ORIGINAL, cfg).value
+                rho_n = rho_bar_details(CS.NEW, cfg).value
+                assert rho_o <= rho_n + 1e-10, (sigma, eta)
 
     def test_excluded_count_reported(self):
         res = rho_bar_details(CS.NEW, LfaConfig(sigma=1.0, resolution=32))
@@ -414,29 +423,35 @@ class TestPrunedSweep:
     @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
     def test_equals_full_sweep(self, strategy, resolution):
         for case in self.CASES:
-            cfg = LfaConfig(resolution=resolution, **case)
-            assert rho_bar_details(strategy, cfg) == rho_bar_full(strategy, cfg), case
+            for eta in _etas(strategy):
+                cfg = LfaConfig(resolution=resolution, eta1=eta, eta2=eta, **case)
+                assert rho_bar_details(strategy, cfg) == rho_bar_full(strategy, cfg), (case, eta)
 
     @pytest.mark.parametrize("sigma", [0.1, 1.6])
     @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
     def test_numeric_omega_unchanged(self, strategy, sigma, monkeypatch):
-        cfg = LfaConfig(sigma=sigma, resolution=32)
-        pruned = omega_opt_numeric(strategy, cfg)
+        cfgs = [LfaConfig(sigma=sigma, eta1=eta, eta2=eta, resolution=32)
+                for eta in _etas(strategy)]
+        pruned = [omega_opt_numeric(strategy, cfg) for cfg in cfgs]
         calls = []
 
         def full(*args):
             calls.append(args)
             return rho_bar_sweep_full(*args)
         monkeypatch.setattr(lfa, "_rho_bar", full)
-        assert omega_opt_numeric(strategy, cfg) == pruned
-        assert calls
+        for cfg, want in zip(cfgs, pruned):
+            calls.clear()
+            assert omega_opt_numeric(strategy, cfg) == want, cfg.eta1
+            assert calls
 
     @pytest.mark.parametrize("resolution", [16, 32, 128])
     @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
     def test_bound_above_radius(self, strategy, resolution):
         for case in self.CASES:
-            mats = _quadrant_stack(strategy, LfaConfig(resolution=resolution, **case))
-            assert (_radius_bound(mats) >= spectral_radius_batch(mats)).all(), case
+            for eta in _etas(strategy):
+                cfg = LfaConfig(resolution=resolution, eta1=eta, eta2=eta, **case)
+                mats = _quadrant_stack(strategy, cfg)
+                assert (_radius_bound(mats) >= spectral_radius_batch(mats)).all(), (case, eta)
 
     def test_bound_on_hostile_stacks(self):
         stack = _quadrant_stack(CS.NEW, LfaConfig(sigma=1.0, resolution=16))
@@ -461,9 +476,11 @@ class TestPrunedSweep:
             return spectral_radius_batch(mats)
         monkeypatch.setattr(lfa, "spectral_radius_batch", counting)
         for sigma in np.logspace(-2, 2, 5):
-            rows.clear()
-            rho_bar_details(strategy, LfaConfig(sigma=sigma, omega=0.5, resolution=128))
-            assert 0 < sum(rows) <= 0.05 * 64 * 64, (sigma, rows)
+            for eta in _etas(strategy):
+                rows.clear()
+                rho_bar_details(strategy, LfaConfig(sigma=sigma, omega=0.5, eta1=eta, eta2=eta,
+                                                    resolution=128))
+                assert 0 < sum(rows) <= 0.05 * 64 * 64, (sigma, eta, rows)
 
 
 class TestScheduleScale:
@@ -724,8 +741,10 @@ class TestQuadrantBuild:
 
     @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
     def test_strategies_at_full_resolution(self, strategy):
-        cfg = LfaConfig(sigma=1.0, resolution=128)
-        assert _same_map(low_mode_action(strategy, cfg), low_mode_action_full(strategy, cfg))
+        for eta in _etas(strategy):
+            cfg = LfaConfig(sigma=1.0, eta1=eta, eta2=eta, resolution=128)
+            assert _same_map(low_mode_action(strategy, cfg),
+                             low_mode_action_full(strategy, cfg)), eta
 
     @pytest.mark.parametrize("steps", [CS.NEW, CS.ORIGINAL, ((4, 2), (4, 2))])
     def test_builds_one_quadrant(self, steps, monkeypatch):
@@ -751,9 +770,11 @@ class TestOmegaOptNumeric:
         # nu = (0, 0) makes rho_bar independent of omega: every scan point ties
         for sigma in np.logspace(-3, 3, 7):
             for nu1, nu2 in ((0, 0), (1, 0), (1, 1), (3, 3)):
-                cfg = LfaConfig(sigma=sigma, nu1=nu1, nu2=nu2, resolution=resolution)
-                assert omega_opt_numeric(strategy, cfg) == omega_opt_scan(strategy, cfg), \
-                    (sigma, nu1, nu2)
+                for eta in _etas(strategy):
+                    cfg = LfaConfig(sigma=sigma, nu1=nu1, nu2=nu2, eta1=eta, eta2=eta,
+                                    resolution=resolution)
+                    assert omega_opt_numeric(strategy, cfg) == omega_opt_scan(strategy, cfg), \
+                        (sigma, nu1, nu2, eta)
 
     @pytest.mark.parametrize("steps", SCALE_SCHEDULES, ids=_steps_id)
     def test_schedule_equals_full_scan(self, steps):
@@ -824,12 +845,14 @@ class TestOmegaOptNumeric:
         tg, xg = low_frequency_grid(32)
         tt, tx = [a.ravel() for a in np.meshgrid(tg[tg > 0], xg[xg > 0], indexing="ij")]
         for sigma, omega, nu in [(1e-3, 1.0, 0), (0.1, 0.3, 1), (1.6, 0.5, 3), (1e3, 0.9, 3)]:
-            cfg = LfaConfig(sigma=sigma, omega=omega, nu1=nu, nu2=nu, resolution=32)
-            whole, _ = spectral_radius_over_groups(strategy, cfg, tt, tx)
-            for size in (1, 1, 2, 3, 8, 50, 255):
-                pick = rng.choice(tt.size, size, replace=False)
-                part, _ = spectral_radius_over_groups(strategy, cfg, tt[pick], tx[pick])
-                assert np.array_equal(part, whole[pick]), (sigma, size)
+            for eta in _etas(strategy):
+                cfg = LfaConfig(sigma=sigma, omega=omega, nu1=nu, nu2=nu, eta1=eta, eta2=eta,
+                                resolution=32)
+                whole, _ = spectral_radius_over_groups(strategy, cfg, tt, tx)
+                for size in (1, 1, 2, 3, 8, 50, 255):
+                    pick = rng.choice(tt.size, size, replace=False)
+                    part, _ = spectral_radius_over_groups(strategy, cfg, tt[pick], tx[pick])
+                    assert np.array_equal(part, whole[pick]), (sigma, eta, size)
 
     @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL])
     def test_few_sweeps(self, strategy, monkeypatch):
@@ -839,23 +862,28 @@ class TestOmegaOptNumeric:
             calls.append(args)
             return rho_bar(*args)
         monkeypatch.setattr(lfa, "_rho_bar", counting)
-        cfg = LfaConfig(sigma=1.6, nu1=3, nu2=3, resolution=32)
-        omega_opt_numeric(strategy, cfg)
-        assert 0 < len(calls) <= 30  # the full scan runs 83
+        for eta in _etas(strategy):  # 7 sweeps, and 12 for ORIGINAL at eta 3
+            calls.clear()
+            omega_opt_numeric(strategy, LfaConfig(sigma=1.6, nu1=3, nu2=3, eta1=eta, eta2=eta,
+                                                  resolution=32))
+            assert 0 < len(calls) <= 30, eta  # the full scan runs 83
 
     @pytest.mark.parametrize("strategy", [CS.NEW, CS.ORIGINAL, ((4, 2), (4, 2))])
     def test_few_matrix_builds(self, strategy, monkeypatch):
         # sweeps, one batched scan refresh per new probe and one golden-section bound
-        # per step make 29, 29 and 27 builds; a build per scan point and refresh took
-        # 91 and 104 for the two strategies
+        # per step make 29, 29 and 27 builds, at eta 0 and 3 alike; a build per scan
+        # point and refresh took 91 and 104 for the two strategies at eta 3
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return _cycle_matrices(*args, **kwargs)
         monkeypatch.setattr(lfa, "_cycle_matrices", counting)
-        omega_opt_numeric(strategy, LfaConfig(sigma=1.6, nu1=3, nu2=3, resolution=16))
-        assert 0 < len(calls) <= 35
+        for eta in _etas(strategy):
+            calls.clear()
+            omega_opt_numeric(strategy, LfaConfig(sigma=1.6, nu1=3, nu2=3, eta1=eta, eta2=eta,
+                                                  resolution=16))
+            assert 0 < len(calls) <= 35, eta
 
     def test_dominates_fixed_choices(self):
         for sigma in (0.05, 1.0):
