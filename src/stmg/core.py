@@ -106,14 +106,13 @@ def _checked_step(step) -> tuple[int, int]:
 
 
 def check_schedule(steps) -> tuple[tuple[int, int], ...]:
-    """``steps``, any iterable of (mt, mx) pairs, as a tuple of Python-int ``check_step`` pairs.
+    """``steps``, any iterable of (mt, mx) pairs, as a new tuple of Python-int ``check_step`` pairs.
 
-    The rows of a numpy (k, 2) integer array are pairs too; a tuple of
-    Python-int tuples is returned itself, so ``CoarseningStrategy.NEW`` stays
-    the same object.  Raises ``ValueError`` naming a schedule that is not
-    iterable or a step that is no pair, then for an empty schedule, a step
-    ``check_step`` rejects or (1, 1), which coarsens nothing.  Each public
-    entry point that takes a schedule calls this once, before any work.
+    The rows of a numpy (k, 2) integer array are pairs too.  Raises
+    ``ValueError`` naming a schedule that is not iterable or a step that is
+    no pair, then for an empty schedule, a step ``check_step`` rejects or
+    (1, 1), which coarsens nothing.  Each public entry point that takes a
+    schedule calls this once, before any work.
     """
     try:
         checked = tuple(_checked_step(step) for step in steps)
@@ -124,8 +123,6 @@ def check_schedule(steps) -> tuple[tuple[int, int], ...]:
         raise ValueError("a coarsening schedule needs at least one (mt, mx) step")
     if (1, 1) in checked:
         raise ValueError("coarsening step (1, 1) coarsens nothing")
-    if type(steps) is tuple and all(type(s) is tuple and {*map(type, s)} == {int} for s in steps):
-        return steps
     return checked
 
 
@@ -198,8 +195,40 @@ def coarsen_grid(g: SpaceTimeGrid, mt: int, mx: int) -> SpaceTimeGrid:
     the division is exact; a coarse grid too small is ``SpaceTimeGrid``'s
     own size error.
     """
-    mt, mx = check_step(mt, mx)
-    return SpaceTimeGrid(n_x=(g.n_x + 1) // mx - 1, n_t=g.n_t // mt, horizon=g.horizon)
+    n_x, n_t = _coarse_shape(g.n_x, g.n_t, *check_step(mt, mx))
+    return SpaceTimeGrid(n_x=n_x, n_t=n_t, horizon=g.horizon)
+
+
+def _coarse_shape(n_x: int, n_t: int, mt: int, mx: int) -> tuple[int, int]:
+    """The (n_x, n_t) of a grid or mode-major field coarsened by a checked step (mt, mx).
+
+    Coarse nodes sit on fine ones, so ``mx`` must divide n_x + 1 and ``mt``
+    divide n_t; raises ``ValueError`` otherwise.  Every grid's step does
+    (see ``coarsen_grid``).  The one coarse-shape rule of grids, workspaces
+    and transfers.
+    """
+    if (n_x + 1) % mx or n_t % mt:
+        raise ValueError(f"step ({mt}, {mx}) does not divide n_x + 1 = {n_x + 1} "
+                         f"and n_t = {n_t}")
+    return (n_x + 1) // mx - 1, n_t // mt
+
+
+def _check_fields(g: SpaceTimeGrid, **fields) -> None:
+    """Raise ``ValueError`` unless each named field is a real (n_t, n_x) array of grid ``g``.
+
+    A field that is no numpy array, or whose dtype is neither integer nor
+    float (complex or bool, say), is named first; then the shapes.
+    """
+    for name, field in fields.items():
+        if not isinstance(field, np.ndarray) or field.dtype.kind not in "iuf":
+            got = f"dtype {field.dtype}" if isinstance(field, np.ndarray) else type(field).__name__
+            raise ValueError(f"{name} must be a numpy array of integers or floats, got {got}")
+    shapes = [field.shape for field in fields.values()]
+    if any(shape != (g.n_t, g.n_x) for shape in shapes):
+        one = len(shapes) == 1
+        raise ValueError(f"{' and '.join(fields)} shape{'' if one else 's'} "
+                         f"{' and '.join(map(str, shapes))} {'does' if one else 'do'} not match "
+                         f"grid ({g.n_t}, {g.n_x})")
 
 
 def zero_field(g: SpaceTimeGrid) -> np.ndarray:

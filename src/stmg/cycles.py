@@ -29,7 +29,7 @@ its prolonged correction into its rows of u and is smoothed again, while
 it is still in cache.  The result is bit for bit that of one block.  A
 level takes as few blocks as keep each block's share of one (n_x, n_t)
 field within ``_BLOCK_BYTES`` (``_pair_blocks``), so a level that fits
-is one block and makes the whole-field calls.  The budget is 512 kB: a
+is the one block (0, n_x // 2) of all its rows.  The budget is 512 kB: a
 sweep touches three fields (u, rhs and the scratch field), which then fit
 a core's 2 MB L2 cache beside the transfer temporaries.  The outer blocks
 are shells, the row runs [a, b) and [n_x-b, n_x-a); the innermost is the
@@ -62,8 +62,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (SpaceTimeGrid, check_counts, check_integers, check_omega, check_schedule,
-                   coarsen_grid, flat, mode_field, random_field, stage_levels)
+from .core import (SpaceTimeGrid, _check_fields, _check_reals, _coarse_shape, check_counts,
+                   check_integers, check_omega, check_schedule, coarsen_grid, flat, mode_field,
+                   random_field, stage_levels)
 from .heat import HeatOperator, assemble_operator, time_march
 from .smoother import SmootherConfig, jacobi_sweep
 from .transfer import block_rows, prolong, restrict
@@ -83,9 +84,9 @@ class CyclePlan:
 
     ``strategy`` is a stage's schedule, such as ``CoarseningStrategy.NEW``,
     kept as the tuple of Python-int pairs that ``core.check_schedule``
-    returns (the caller's own, if it is one), so that a plan hashes.  ``depth``
-    counts stages.  ``eta1``/``eta2`` are the sweeps on each intermediate
-    level of a stage; a one-step schedule has none.
+    returns, so that a plan hashes.  ``depth`` counts stages.
+    ``eta1``/``eta2`` are the sweeps on each intermediate level of a stage;
+    a one-step schedule has none.
     """
 
     strategy: tuple[tuple[int, int], ...]
@@ -223,11 +224,11 @@ def _workspace(levels, shape):
     ``shape`` is the finest field's; the coarsest level solves in its residual.
     """
     space = []
-    for k, ((mt, mx), *_) in enumerate(levels):
-        n_x, n_t = shape
-        shape = ((n_x + 1) // mx - 1, n_t // mt)
+    for k, (step, *_) in enumerate(levels):
+        work = np.empty(shape)
+        shape = _coarse_shape(*shape, *step)
         rc = np.empty(shape)
-        space.append((np.empty((n_x, n_t)), rc, rc if k == len(levels) - 1 else np.empty(shape)))
+        space.append((work, rc, rc if k == len(levels) - 1 else np.empty(shape)))
     return space
 
 
@@ -268,9 +269,7 @@ def run_cycle(op: HeatOperator, u, rhs, plan: CyclePlan,
     array.  Adds the cycle's work (see ``_setup``) to ``counter``, if given.
     """
     g = op.grid
-    if u.shape != (g.n_t, g.n_x) or rhs.shape != (g.n_t, g.n_x):
-        raise ValueError(f"field shapes {u.shape} and {rhs.shape} do not match grid "
-                         f"({g.n_t}, {g.n_x})")
+    _check_fields(g, u=u, rhs=rhs)
     levels, coarsest, (solves, transfers) = _setup(g, plan)
     if counter is not None:
         counter.block_solves += solves
@@ -311,12 +310,13 @@ def solve(op: HeatOperator, rhs: np.ndarray, plan: CyclePlan, max_iters: int,
     The error is the L_inf(L2) distance to the exact direct solution (the
     quantity the convergence factors predict); the residual is recorded for
     diagnostics; both through ``_linf_l2``.  Non-convergence is reported
-    through the history, never as an error.
+    through the history, never as an error.  ``max_iters`` and ``seed`` are
+    nonnegative integers and ``tol`` a real number, checked before any work.
     """
-    check_counts(max_iters=max_iters)
+    check_counts(max_iters=max_iters, seed=seed)
+    _check_reals(tol=tol)
     g = op.grid
-    if rhs.shape != (g.n_t, g.n_x):
-        raise ValueError(f"rhs shape {rhs.shape} does not match grid ({g.n_t}, {g.n_x})")
+    _check_fields(g, rhs=rhs)
     levels, coarsest, (solves, transfers) = _setup(g, plan)
     s, lam = op.sine_basis
     rhs_h = s @ rhs.T

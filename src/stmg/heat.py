@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SpaceTimeGrid
+from .core import SpaceTimeGrid, _check_fields
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,7 @@ def direct_solve(op: HeatOperator, rhs: np.ndarray) -> np.ndarray:
     With the operator's cached ``sine_basis`` Q = S diag(lam) S, time
     stepping is ``time_march`` between two products with S.
     """
-    g = op.grid
-    if rhs.shape != (g.n_t, g.n_x):
-        raise ValueError(f"rhs shape {rhs.shape} does not match grid ({g.n_t}, {g.n_x})")
+    _check_fields(op.grid, rhs=rhs)
     s, lam = op.sine_basis
     v = rhs @ s
     time_march(v, lam)

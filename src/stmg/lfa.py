@@ -406,8 +406,21 @@ def _rho_bar(levels, sigma, omega, tt, tx) -> RhoBarResult:
 
 def spectral_radius_over_groups(strategy, cfg: LfaConfig, theta_t: np.ndarray,
                                 theta_x: np.ndarray):
-    """Spectral radii at explicit low frequencies and ``cfg.omega``; singular groups get -inf."""
-    return _radii(_levels(strategy, cfg), cfg.sigma, cfg.omega, theta_t, theta_x)
+    """Spectral radii at explicit low frequencies and ``cfg.omega``; singular groups get -inf.
+
+    ``theta_t`` and ``theta_x`` are finite real frequencies of one shape:
+    scalars, lists or arrays, empty ones included.  Raises ``ValueError``
+    naming them otherwise, before any work.
+    """
+    levels = _levels(strategy, cfg)
+    for name, theta in (("theta_t", theta_t), ("theta_x", theta_x)):
+        a = np.asarray(theta)
+        if a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite real frequencies, got {theta!r}")
+    if np.shape(theta_t) != np.shape(theta_x):
+        raise ValueError(f"theta_t and theta_x must have one shape, got {np.shape(theta_t)} "
+                         f"and {np.shape(theta_x)}")
+    return _radii(levels, cfg.sigma, cfg.omega, theta_t, theta_x)
 
 
 def _radii(levels, sigma, omega, theta_t, theta_x):

@@ -29,10 +29,14 @@ to 2.3 % slower on 63x4096 at depth 5, where four extra half-size fields
 per level stream from L3; and they would hold two more fields per space
 halving.
 
-Each composite takes the whole field or one block of alias pairs
-(``block_rows``): the restriction writes the block's coarse rows into a
-given coarse field, and the prolongation adds the block's correction into
-a given fine field.  Blocks are bit for bit the whole field's rows.
+Each composite and space transfer works on one block of alias pairs
+(``block_rows``), the whole field being the block (0, n_x // 2): the
+restriction writes the block's coarse rows into the caller's coarse field,
+and the prolongation adds the block's correction into the caller's fine
+field.  Blocks are bit for bit the whole field's rows.  Each checks its
+block and its fields once, before any write, and raises ``ValueError``
+naming ``pairs``, ``out`` or ``add_to``; the kernels below that run on the
+checked values.
 
 The composite correction prolongation for the multigrid strategies is mt
 times the composed interpolation.  Every row of the system carries one
@@ -45,11 +49,12 @@ The Fourier analysis (``stmg.lfa``) uses the same correction.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import numpy as np
 
-from .core import check_step, flat
+from .core import _coarse_shape, check_integers, check_step, flat
 
 
 # ---------------------------------------------------------------------------
@@ -83,37 +88,69 @@ def block_rows(n: int, pairs: tuple[int, int]) -> tuple[slice, ...]:
     return slice(a, b), slice(n - b, n - a)
 
 
-def restrict_space(fine: np.ndarray, pairs: tuple[int, int] | None = None) -> np.ndarray:
+def _checked_pairs(n: int, pairs) -> tuple[int, int]:
+    """``pairs`` of an n-row field as Python ints (a, b), or ``ValueError`` naming it.
+
+    A block holds integers 0 <= a < b <= n // 2 (numpy integers pass).
+    """
+    try:
+        a, b = pairs
+        check_integers(a=a, b=b)
+    except (TypeError, ValueError):  # no pair, or no integers
+        pass
+    else:
+        if 0 <= a < b <= n // 2:
+            return operator.index(a), operator.index(b)
+    raise ValueError(f"pairs must be integers (a, b) with 0 <= a < b <= {n // 2} "
+                     f"for {n} rows, got {pairs!r}")
+
+
+def _check_odd(n: int, name: str) -> None:
+    if n % 2 != 1 or n < 3:
+        raise ValueError(f"{name} spatial size must be odd >= 3, got {n}")
+
+
+def restrict_space(fine: np.ndarray, pairs: tuple[int, int]) -> np.ndarray:
     """Full weighting of (n_x, n_t) sine coefficients in space, n_x = 2*n_c + 1 modes.
 
-    With ``pairs`` = (a, b), only coarse modes a+1..b, from the block of
-    alias pairs that ``block_rows`` names; by default all n_c.
+    Returns coarse modes a+1..b, from the block of alias pairs ``pairs`` =
+    (a, b) that ``block_rows`` names; (0, n_c) gives all n_c.  Raises
+    ``ValueError`` for an even ``fine`` row count or a bad block.
     """
     n = fine.shape[0]
-    if n % 2 != 1 or n < 3:
-        raise ValueError(f"spatial size must be odd >= 3, got {n}")
-    n_c = n // 2
-    a, b = (0, n_c) if pairs is None else pairs
-    c, s = _alias_weights(n_c)
+    _check_odd(n, "fine")
+    return _restrict_space(fine, *_checked_pairs(n, pairs))
+
+
+def _restrict_space(fine, a, b):
+    n = fine.shape[0]
+    c, s = _alias_weights(n // 2)
     coarse = c[a:b] * fine[a:b]
     coarse -= s[a:b] * fine[n - 1 - a:n - 1 - b:-1]  # the partners, fine modes m-a-1 down to m-b
     return coarse
 
 
-def prolong_space(coarse: np.ndarray, add_to: np.ndarray | None = None,
-                  pairs: tuple[int, int] | None = None) -> np.ndarray:
+def prolong_space(coarse: np.ndarray, add_to: np.ndarray, pairs: tuple[int, int]) -> np.ndarray:
     """Linear interpolation of (n_c, n_t) sine coefficients in space; twice the
     transposed restriction.
 
-    Adds into the fine field ``add_to`` and returns it; by default into a new
-    zero field.  With ``pairs`` = (a, b), ``coarse`` holds coarse modes
-    a+1..b only, and only their block of alias pairs in ``add_to`` changes.
-    The middle fine mode takes nothing.
+    ``coarse`` holds coarse modes a+1..b of ``pairs`` = (a, b), and only
+    their block of alias pairs in the fine field ``add_to`` changes; it is
+    added into and returned.  The middle fine mode takes nothing.  Raises
+    ``ValueError``, before any write, for a bad block or ``add_to`` that
+    does not fit it.
     """
-    if add_to is None:
-        add_to = np.zeros((2 * coarse.shape[0] + 1,) + coarse.shape[1:])
     n = add_to.shape[0]
-    a, b = (0, n // 2) if pairs is None else pairs
+    _check_odd(n, "add_to")
+    a, b = _checked_pairs(n, pairs)
+    if coarse.shape != (b - a, add_to.shape[1]):
+        raise ValueError(f"add_to shape {add_to.shape} does not fit coarse modes {a + 1}..{b} "
+                         f"of shape {coarse.shape}")
+    return _prolong_space(coarse, add_to, a, b)
+
+
+def _prolong_space(coarse, add_to, a, b):
+    n = add_to.shape[0]
     c, s = _alias_weights(n // 2, 2.0)
     # add through views: ``add_to[a:b] += ...`` would also copy the rows back
     lo, hi = add_to[a:b], add_to[n - 1 - a:n - 1 - b:-1]
@@ -164,24 +201,41 @@ def prolong_time(coarse: np.ndarray) -> np.ndarray:
 # strategy composites
 # ---------------------------------------------------------------------------
 
-def restrict(fine: np.ndarray, mt: int, mx: int, out: np.ndarray | None = None,
-             pairs: tuple[int, int] | None = None) -> np.ndarray:
+def _checked_block(fine, coarse, mt, mx, pairs, name) -> tuple[int, int]:
+    """The checked ``pairs`` of one composite transfer, before it writes ``name``.
+
+    Raises ``ValueError`` naming ``pairs`` unless it is a block of the fine
+    field (``_checked_pairs``), then naming ``name``, the field written,
+    unless ``coarse`` has the fine shape coarsened by the checked step
+    (mt, mx), by the one rule ``core._coarse_shape``.
+    """
+    a, b = _checked_pairs(fine.shape[0], pairs)
+    try:
+        fits = coarse.shape == _coarse_shape(*fine.shape, mt, mx)
+    except (TypeError, ValueError):  # a fine field not 2-D, or one the step does not divide
+        fits = False
+    if not fits:
+        raise ValueError(f"{name}: step ({mt}, {mx}) does not coarsen fine shape {fine.shape} "
+                         f"to coarse shape {coarse.shape}")
+    return a, b
+
+
+def restrict(fine: np.ndarray, mt: int, mx: int, out: np.ndarray,
+             pairs: tuple[int, int]) -> np.ndarray:
     """Composite full-weighting restriction of (n_x, n_t) coefficients by factors (mt, mx).
 
-    Writes into the coarse field ``out`` and returns it; by default into a
-    new one.  With ``pairs`` = (a, b), only the block of alias pairs that
-    ``block_rows`` names is restricted, and only its coarse rows are written:
-    rows a..b-1 after a space halving, the block's own rows otherwise.
+    Restricts the block of alias pairs ``pairs`` = (a, b) that ``block_rows``
+    names, the block (0, n_x // 2) being the whole field, and writes only its
+    coarse rows of the coarse field ``out``, which it returns: rows a..b-1
+    after a space halving, the block's own rows otherwise.  A bad block or
+    ``out`` shape is a ``ValueError`` before any write (``_checked_block``).
     """
     mt, mx = check_step(mt, mx)
-    n, n_t = fine.shape
-    pairs = (0, n // 2) if pairs is None else pairs
-    if out is None:
-        out = np.empty(((n + 1) // mx - 1, n_t // mt))
+    a, b = _checked_block(fine, out, mt, mx, pairs, "out")
     if mx == 2:
-        parts = [(restrict_space(fine, pairs), slice(*pairs))]
+        parts = [(_restrict_space(fine, a, b), slice(a, b))]
     else:
-        parts = [(fine[rows], rows) for rows in block_rows(n, pairs)]
+        parts = [(fine[rows], rows) for rows in block_rows(fine.shape[0], (a, b))]
     for part, rows in parts:
         if mt == 1:
             out[rows] = part
@@ -192,27 +246,25 @@ def restrict(fine: np.ndarray, mt: int, mx: int, out: np.ndarray | None = None,
     return out
 
 
-def prolong(coarse: np.ndarray, mt: int, mx: int, add_to: np.ndarray | None = None,
-            pairs: tuple[int, int] | None = None) -> np.ndarray:
+def prolong(coarse: np.ndarray, mt: int, mx: int, add_to: np.ndarray,
+            pairs: tuple[int, int]) -> np.ndarray:
     """Composite correction prolongation of (n_x, n_t) coefficients by factors (mt, mx).
 
     Adds mt times the composed per-direction interpolations, which is
     mt**2 * mx times the transposed composite restriction, into the fine
-    field ``add_to`` and returns it; by default into a new zero field.  With
-    ``pairs`` = (a, b), only the fine block of alias pairs that ``block_rows``
-    names takes its correction, from the coarse rows ``restrict`` writes for it.
+    field ``add_to`` and returns it.  Only the fine block of alias pairs
+    ``pairs`` = (a, b) that ``block_rows`` names takes its correction, from
+    the coarse rows ``restrict`` writes for it; (0, n_x // 2) is the whole field.
+    A bad block or ``add_to`` shape is a ``ValueError`` before any write.
     """
     mt, mx = check_step(mt, mx)
-    if add_to is None:
-        add_to = np.zeros(((coarse.shape[0] + 1) * mx - 1, coarse.shape[1] * mt))
-    n = add_to.shape[0]
-    pairs = (0, n // 2) if pairs is None else pairs
-    for rows in [slice(*pairs)] if mx == 2 else block_rows(n, pairs):
+    a, b = _checked_block(add_to, coarse, mt, mx, pairs, "add_to")
+    for rows in [slice(a, b)] if mx == 2 else block_rows(add_to.shape[0], (a, b)):
         out = mt * coarse[rows]
         for _ in range(mt.bit_length() - 1):
             out = prolong_time(out)
         if mx == 2:
-            prolong_space(out, add_to, pairs)
+            _prolong_space(out, add_to, a, b)
         else:
             view = add_to[rows]
             view += out

@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from stmg import lfa
-from stmg.core import check_step
+from stmg import lfa, transfer
+from stmg.core import _coarse_shape, check_step
 from stmg.cycles import plan_levels
 from stmg.heat import HeatOperator, assemble_operator
 from stmg.smoother import SmootherConfig
@@ -300,6 +300,18 @@ def prolong(coarse: np.ndarray, mt: int, mx: int) -> np.ndarray:
     for _ in range(mt.bit_length() - 1):
         out = prolong_time(out)
     return mt * out
+
+
+def whole_restrict(fine: np.ndarray, mt: int, mx: int) -> np.ndarray:
+    """``transfer.restrict`` of a whole mode-major field, the block (0, n_x // 2), into a new one."""
+    out = np.empty(_coarse_shape(*fine.shape, mt, mx))
+    return transfer.restrict(fine, mt, mx, out, (0, fine.shape[0] // 2))
+
+
+def whole_prolong(coarse: np.ndarray, mt: int, mx: int) -> np.ndarray:
+    """``transfer.prolong`` of a whole mode-major field, the block (0, n_x // 2), into zeros."""
+    add_to = np.zeros(((coarse.shape[0] + 1) * mx - 1, coarse.shape[1] * mt))
+    return transfer.prolong(coarse, mt, mx, add_to, (0, add_to.shape[0] // 2))
 
 
 def physical_cycle(op, u: np.ndarray, rhs: np.ndarray, plan) -> np.ndarray:

@@ -3,10 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from oracles import TridiagonalMatrix, thomas_solve
+from oracles import TridiagonalMatrix, thomas_solve, whole_prolong, whole_restrict
 from stmg import lfa
-from stmg.core import (CoarseningStrategy, SpaceTimeGrid, check_schedule, coarsen_grid,
-                       random_field, zero_field)
+from stmg.core import (CoarseningStrategy, SpaceTimeGrid, _coarse_shape, check_schedule,
+                       coarsen_grid, random_field, zero_field)
 from stmg.cycles import CyclePlan, plan_levels, run_cycle, solve
 from stmg.heat import assemble_operator
 from stmg.lfa import (LfaConfig, low_frequency_grid, low_mode_action, omega_opt_numeric,
@@ -162,6 +162,15 @@ class TestCoarsenGrid:
                     else:
                         assert coarsen_grid(g, mt, mx) == want
 
+    def test_one_coarse_shape_rule(self):
+        # grids, cycle workspaces and transfers coarsen by this one rule
+        assert _coarse_shape(31, 16, 4, 2) == (15, 4)
+        assert _coarse_shape(31, 16, 2, 1) == (31, 8)
+        assert _coarse_shape(7, 16, 1, 2) == (3, 16)
+        for n_x, n_t, mt, mx in [(30, 16, 2, 2), (31, 18, 4, 1), (31, 15, 2, 1)]:
+            with pytest.raises(ValueError, match=rf"^step \({mt}, {mx}\) does not divide "):
+                _coarse_shape(n_x, n_t, mt, mx)
+
 
 def _schedule_rejections():
     """(make, steps, message) cases: every schedule consumer on every bad schedule, and
@@ -198,8 +207,9 @@ def _schedule_rejections():
         ("resolve_omega-numeric", lambda steps: resolve_omega("numeric", steps, cfg)),
     ]
     step_makes = [
-        ("restrict", lambda mt, mx: restrict(np.zeros((15, 16)), mt, mx)),
-        ("prolong", lambda mt, mx: prolong(np.zeros((7, 4)), mt, mx)),
+        # the outputs fit the one valid step run here, (2, 2)
+        ("restrict", lambda mt, mx: restrict(np.zeros((15, 16)), mt, mx, np.zeros((7, 8)), (0, 7))),
+        ("prolong", lambda mt, mx: prolong(np.zeros((7, 4)), mt, mx, np.zeros((15, 8)), (0, 7))),
         ("coarsen_grid", lambda mt, mx: coarsen_grid(g, mt, mx)),
     ]
     params = [pytest.param(make, steps, message, id=f"{name}-{case}")
@@ -225,7 +235,7 @@ class TestCheckSchedule:
         for steps in (CoarseningStrategy.NEW, CoarseningStrategy.ORIGINAL, ((2, 1), (2, 2)),
                       ((4, 2), (4, 2)), ((1, 2), (4, 1))):
             check_schedule(steps)
-            assert CyclePlan(strategy=steps).strategy is steps
+            assert CyclePlan(strategy=steps).strategy == steps
 
     def test_any_iterable_of_pairs_runs(self):
         # the rows of a numpy (k, 2) integer array and lists of lists run as the tuple
@@ -403,7 +413,8 @@ class TestCheckInteger:
 
         def step_results(mt, mx):
             coarse = coarsen_grid(g, mt, mx)
-            return [restrict(rhs.T, mt, mx), prolong(rhs.T[:coarse.n_x, :coarse.n_t], mt, mx),
+            return [whole_restrict(rhs.T, mt, mx),
+                    whole_prolong(rhs.T[:coarse.n_x, :coarse.n_t], mt, mx),
                     [coarse.n_x, coarse.n_t, coarse.sigma], optimal_omega((mt, mx), 0.3),
                     smoothing_factor((mt, mx), 0.6, 0.3), worst_smoothing_mode((mt, mx), 0.6, 0.3),
                     smoother_symbol(0.6, 0.3, tt, tx, mt, mx), operator_symbol(0.3, tt, tx, mt, mx)]

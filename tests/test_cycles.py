@@ -492,6 +492,75 @@ class TestPhysicalOracle:
                       plan_for(CS.NEW, 1))
 
 
+class TestInputChecks:
+    """``solve``, ``run_cycle`` and ``heat.direct_solve`` check every input before any work."""
+
+    g = SpaceTimeGrid(n_x=15, n_t=64, horizon=0.1)
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        # a rejected input must be rejected before the cycle is planned or the rhs moved
+        def fail(*args):
+            raise AssertionError("work started before the inputs were checked")
+        monkeypatch.setattr(cycles, "_setup", fail)
+
+    @pytest.mark.parametrize("seed,message", [
+        (-1, r"^seed must be nonnegative, got -1$"),
+        (1.5, r"^seed must be an integer, got 1\.5$"),
+        ("a", r"^seed must be an integer, got 'a'$"),
+        (None, r"^seed must be an integer, got None$"),  # ran an unseeded guess
+        (True, r"^seed must be an integer, got True$"),
+    ], ids=["negative", "float", "string", "none", "bool"])
+    def test_bad_seed_rejected(self, seed, message, no_work):
+        rhs = assemble_rhs(self.g, heat_benchmark_problem(0.1))
+        with pytest.raises(ValueError, match=message):
+            solve(assemble_operator(self.g), rhs, plan_for(CS.NEW, 1), 2, 0.0, seed)
+
+    @pytest.mark.parametrize("tol", ["x", None, 1j, True])
+    def test_bad_tol_rejected(self, tol, no_work):
+        # "x" raised a TypeError after the first error had been computed
+        rhs = assemble_rhs(self.g, heat_benchmark_problem(0.1))
+        with pytest.raises(ValueError, match=r"^tol must be a real number, got "):
+            solve(assemble_operator(self.g), rhs, plan_for(CS.NEW, 1), 2, tol, 0)
+
+    def test_numpy_seed_and_tol_run(self):
+        op, rhs = assemble_operator(self.g), assemble_rhs(self.g, heat_benchmark_problem(0.1))
+        got = solve(op, rhs, plan_for(CS.NEW, 1), 3, np.float64(1e-300), np.int64(4))
+        want = solve(op, rhs, plan_for(CS.NEW, 1), 3, 1e-300, 4)
+        assert np.array_equal(got.solution, want.solution)
+        assert np.array_equal(got.error_history, want.error_history)
+
+    @staticmethod
+    def entry_points(g):
+        op, plan, ok = assemble_operator(g), plan_for(CS.NEW, 1), np.zeros((g.n_t, g.n_x))
+        yield "solve", lambda rhs: solve(op, rhs, plan, 1, 0.0, 0)
+        yield "run_cycle-rhs", lambda rhs: run_cycle(op, ok, rhs, plan)
+        yield "run_cycle-u", lambda u: run_cycle(op, u, ok, plan)
+        yield "direct_solve", lambda rhs: direct_solve(op, rhs)
+
+    @pytest.mark.parametrize("make,got", [
+        (lambda f: f.tolist(), "list"),  # raised an AttributeError
+        (lambda f: f.astype(complex), "dtype complex128"),  # a TypeError inside the norms
+        (lambda f: f > 0, "dtype bool"),
+        (lambda f: f.astype(object), "dtype object"),
+    ], ids=["list", "complex", "bool", "object"])
+    def test_field_not_a_real_array_rejected(self, make, got):
+        field = make(assemble_rhs(self.g, heat_benchmark_problem(0.1)))
+        for name, call in self.entry_points(self.g):
+            argument = "u" if name.endswith("-u") else "rhs"
+            message = rf"^{argument} must be a numpy array of integers or floats, got {got}$"
+            with pytest.raises(ValueError, match=message):
+                call(field)
+
+    def test_integer_fields_run(self):
+        field = np.arange(self.g.n_t * self.g.n_x).reshape(self.g.n_t, self.g.n_x) % 7
+        for name, call in self.entry_points(self.g):
+            got, want = call(field), call(field.astype(float))
+            if name == "solve":
+                got, want = got.solution, want.solution
+            assert np.array_equal(got, want), name
+
+
 #: the schedules the blocked cycle is checked on against the one-block cycle
 BLOCK_SCHEDULES = [CS.NEW, CS.ORIGINAL, ((2, 1),), ((4, 1), (2, 2))]
 

@@ -977,3 +977,41 @@ class TestConfigValidation:
         LfaConfig(sigma=SIGMA_MAX)
         with pytest.raises(ValueError):
             LfaConfig(sigma=1.0, omega=0.0)
+
+
+class TestFrequencyChecks:
+    """``spectral_radius_over_groups`` takes finite real frequencies of one shape, or names them."""
+
+    cfg = LfaConfig(sigma=1.0, resolution=16)
+
+    @pytest.mark.parametrize("theta_t,theta_x,named", [
+        (np.ones(3), np.ones(4), "theta_t and theta_x"),  # a broadcast error
+        (0.5, np.ones(2), "theta_t and theta_x"),
+        (np.array([0.5, np.nan]), np.ones(2), "theta_t"),  # a LinAlgError from eigvals
+        (np.ones(2), np.array([np.inf, 0.5]), "theta_x"),
+        ("a", 0.5, "theta_t"),  # could not convert string to float
+        (0.5, [0.5, "a"], "theta_x"),
+        (np.ones(2) * 1j, np.ones(2), "theta_t"),
+        (0.5, True, "theta_x"),
+        (None, 0.5, "theta_t"),
+    ])
+    def test_rejected_before_any_work(self, theta_t, theta_x, named, monkeypatch):
+        def fail(*args):
+            raise AssertionError("matrices built before the frequencies were checked")
+        monkeypatch.setattr(lfa, "_cycle_matrices", fail)
+        for steps in (CS.NEW, CS.ORIGINAL):
+            with pytest.raises(ValueError, match=rf"^{named} must "):
+                spectral_radius_over_groups(steps, self.cfg, theta_t, theta_x)
+
+    def test_scalars_lists_and_empty_run(self):
+        tt, tx = low_frequency_grid(16)
+        for steps in (CS.NEW, CS.ORIGINAL):
+            want, _ = spectral_radius_over_groups(steps, self.cfg, tt[3:5], tx[2:4])
+            got, _ = spectral_radius_over_groups(steps, self.cfg, list(tt[3:5]), list(tx[2:4]))
+            assert np.array_equal(got, want)
+            one, _ = spectral_radius_over_groups(steps, self.cfg, tt[3], tx[2])
+            assert one.shape == () and one == want[0]
+            empty, singular = spectral_radius_over_groups(steps, self.cfg, [], np.array([]))
+            assert empty.shape == singular.shape == (0,)
+            zero, singular = spectral_radius_over_groups(steps, self.cfg, 0.0, 0)
+            assert zero == -np.inf and singular  # the singular zero-frequency group
